@@ -159,24 +159,6 @@ fn bench_detection(c: &mut Criterion) {
         })
     });
 
-    // Batched multi-link correlation: 4 links' 65k captures through one
-    // plan invocation (what a serving-shard worker runs per round). The
-    // per-link cost should track the solo `_stream` bench: on cores whose
-    // L2 holds the template spectrum the column-major block walk keeps it
-    // cache-hot across links; on this container the f64 spectrum is ~1 MB,
-    // so the bench records a per-link tie rather than a win.
-    let links: Vec<&[f64]> = vec![&stream, &stream, &stream, &stream];
-    let mut batch_outs: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    c.bench_function("preamble_correlation_65k_batch4", |b| {
-        b.iter(|| {
-            preamble
-                .matched_filter()
-                .unwrap()
-                .correlate_normalized_batch_into(&links, &mut batch_outs)
-                .unwrap()
-        })
-    });
-
     c.bench_function("preamble_detect_with_validation", |b| {
         b.iter(|| detect_preamble(&stream, &preamble, &config).unwrap())
     });

@@ -4,16 +4,13 @@
 //! cargo run --release -p uw-bench --bin serve_bench -- [--socket] [BENCH_serve.json]
 //! ```
 //!
-//! Four sections, all written into one deterministic JSON artifact next
+//! Three sections, all written into one deterministic JSON artifact next
 //! to `BENCH_pipeline.json` / `BENCH_eval_matrix.json`:
 //!
 //! * **batch / pools** — the same job set (one dock 5-device cell per
 //!   seed) through the batch rayon runner and through the in-process
 //!   sharded serving layer at several pool sizes, recording jobs/sec and
 //!   the submit→terminal latency distribution (queueing included).
-//! * **batched_correlation** — the shard worker's inner loop: N links'
-//!   captures through one matched-filter checkout vs N solo calls, on
-//!   the f64 and f32 numeric paths.
 //! * **contention** — a tenant-count × shard-count grid where every
 //!   tenant drains its job events through a small bounded queue at a
 //!   fixed per-event rate (the exact structure the TCP front end gives a
@@ -28,11 +25,10 @@
 //!   percentiles.
 //!
 //! Environment overrides: `UWGPS_JOBS` (default 24 jobs),
-//! `UWGPS_ROUNDS` (default 4 rounds per job), `UWGPS_LINKS` (default 4
-//! links per batched-correlation round), `UWGPS_CORR_REPS` (default 8
-//! timing repetitions), `UWGPS_TENANTS` (default 1200 fleet tenants),
-//! `UWGPS_CONNS` (default 16 fleet connections), `UWGPS_SOCKET_SHARDS`
-//! (default 4), `UWGPS_CONT_JOBS` (default 3 jobs per contention tenant).
+//! `UWGPS_ROUNDS` (default 4 rounds per job), `UWGPS_TENANTS` (default
+//! 1200 fleet tenants), `UWGPS_CONNS` (default 16 fleet connections),
+//! `UWGPS_SOCKET_SHARDS` (default 4), `UWGPS_CONT_JOBS` (default 3 jobs
+//! per contention tenant).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -41,7 +37,6 @@ use uw_core::config::{Fidelity, NumericPath};
 use uw_core::prelude::EnvironmentKind;
 use uw_eval::runner::run_matrix;
 use uw_eval::{EvalReport, LinkProfile, MobilityProfile, ScenarioMatrix, Topology};
-use uw_ranging::preamble::RangingPreamble;
 use uw_serve::wire::JobSpec;
 use uw_serve::{
     CellUpdate, JobQueue, LocalizationJob, Priority, ServeConfig, Server, SubmitOptions, TcpClient,
@@ -415,59 +410,6 @@ fn main() {
         pools.push((run, p50, p99));
     }
 
-    // Batched-correlation mode: the shard worker's inner loop. A round
-    // correlates every link's capture against the same preamble, so the
-    // worker batches N links through one filter checkout
-    // (`RangingPreamble::correlate_normalized_batch`) instead of N solo
-    // calls. Measured here on the f64 and f32 numeric paths so the
-    // artifact records how much of the pool separation comes from
-    // batching alone.
-    let links = env_usize("UWGPS_LINKS", 4);
-    let corr_reps = env_usize("UWGPS_CORR_REPS", 8);
-    let mut corr_rows = Vec::new();
-    for (path_name, preamble) in [
-        (
-            "f64",
-            RangingPreamble::default_paper().expect("f64 preamble"),
-        ),
-        (
-            "f32",
-            RangingPreamble::default_paper_f32().expect("f32 preamble"),
-        ),
-    ] {
-        let mut stream: Vec<f64> = (0..preamble.len() + 20_000)
-            .map(|i| 0.02 * (i as f64 * 0.613).sin())
-            .collect();
-        for (i, &p) in preamble.waveform.iter().enumerate() {
-            stream[5_000 + i] += 0.5 * p;
-        }
-        let captures: Vec<&[f64]> = (0..links).map(|_| stream.as_slice()).collect();
-        // Min-of-N wall clock: robust against noisy neighbours, and the
-        // workload is deterministic so the minimum is the honest cost.
-        let mut solo = f64::INFINITY;
-        let mut batch = f64::INFINITY;
-        for _ in 0..corr_reps {
-            let t = Instant::now();
-            for capture in &captures {
-                preamble
-                    .correlate_normalized(capture)
-                    .expect("solo correlation");
-            }
-            solo = solo.min(t.elapsed().as_secs_f64() * 1e3);
-            let t = Instant::now();
-            preamble
-                .correlate_normalized_batch(&captures)
-                .expect("batched correlation");
-            batch = batch.min(t.elapsed().as_secs_f64() * 1e3);
-        }
-        println!(
-            "  corr   ({path_name}, {links} links): solo {solo:7.2} ms  batch {batch:7.2} ms  \
-             ({:.2}x per link)",
-            solo / batch,
-        );
-        corr_rows.push((path_name, solo, batch));
-    }
-
     // Contention grid: I/O-waiting tenants (slow bounded-sink drains) so
     // shard counts separate even when only one core is available.
     let cont_jobs = env_usize("UWGPS_CONT_JOBS", 3);
@@ -537,18 +479,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"batched_correlation\": {{\"links\": {links}, \"paths\": [\n"
-    ));
-    for (k, (path_name, solo, batch)) in corr_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"path\": \"{path_name}\", \"solo_ms\": {solo:.3}, \"batch_ms\": {batch:.3}, \
-             \"speedup\": {:.3}}}{}\n",
-            solo / batch,
-            if k + 1 < corr_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]},\n");
     json.push_str("  \"contention\": [\n");
     for (k, run) in contention.iter().enumerate() {
         json.push_str(&format!(

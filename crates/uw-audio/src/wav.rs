@@ -571,7 +571,10 @@ impl<R: Read + Seek> WavReader<R> {
     /// Decodes up to `max_frames` interleaved frames from the current
     /// position. Returns fewer (or an empty vector) at the end of the
     /// stream; a stream that ends before its declared size is a
-    /// [`AudioError::Truncated`] error.
+    /// [`AudioError::Truncated`] error, and a float32 sample that is NaN
+    /// or infinite is an [`AudioError::MalformedFile`] error naming its
+    /// frame (no capture produces one, and a single NaN would silently
+    /// poison every correlation window it falls in).
     pub fn read_frames(&mut self, max_frames: usize) -> Result<Vec<f64>> {
         let take = (self.frames_remaining().min(max_frames as u64)) as usize;
         if take == 0 {
@@ -597,7 +600,16 @@ impl<R: Read + Seek> WavReader<R> {
         for sample in self.read_buf.chunks_exact(bytes_per_sample) {
             out.push(self.spec.format.decode(sample));
         }
+        let first = self.next_frame;
         self.next_frame += take as u64;
+        if self.spec.format == SampleFormat::Float32 {
+            if let Some(i) = out.iter().position(|s| !s.is_finite()) {
+                let frame = first + (i / self.spec.channels as usize) as u64;
+                return Err(AudioError::MalformedFile {
+                    reason: format!("non-finite float32 sample in frame {frame}"),
+                });
+            }
+        }
         Ok(out)
     }
 

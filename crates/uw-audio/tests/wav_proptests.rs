@@ -147,6 +147,48 @@ proptest! {
         prop_assert_eq!(reader.chunk(*b"uwRD").unwrap(), &payload[..]);
         prop_assert_eq!(reader.total_frames(), frames as u64);
     }
+
+    /// A NaN or infinite float32 sample anywhere in the data chunk is a
+    /// structured error naming its frame, whatever the read chunking —
+    /// never a value handed on to the burst scanner.
+    #[test]
+    fn non_finite_float32_samples_are_rejected(
+        channels in 1u16..4,
+        frames in 1usize..80,
+        frame_sel in 0usize..1000,
+        channel_sel in 0usize..4,
+        kind in 0usize..3,
+        block in 1usize..40,
+    ) {
+        let spec = WavSpec { sample_rate: 44_100, channels, format: SampleFormat::Float32 };
+        let n = frames * channels as usize;
+        let samples: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.3).sin() * 0.5).collect();
+        let mut bytes = write_wav_bytes(spec, &samples).unwrap();
+        let bad_frame = frame_sel % frames;
+        let bad = bad_frame * channels as usize + channel_sel % channels as usize;
+        let data = bytes.windows(4).position(|w| w == b"data").unwrap() + 8;
+        let value = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
+        bytes[data + 4 * bad..data + 4 * bad + 4].copy_from_slice(&value.to_le_bytes());
+        let mut reader = read_wav_bytes(bytes).unwrap();
+        let mut decoded = 0usize;
+        let err = loop {
+            match reader.read_frames(block) {
+                Ok(frames_read) => {
+                    prop_assert!(!frames_read.is_empty(), "stream ended without an error");
+                    prop_assert!(frames_read.iter().all(|s| s.is_finite()));
+                    decoded += frames_read.len() / channels as usize;
+                }
+                Err(e) => break e,
+            }
+        };
+        prop_assert!(decoded <= bad_frame);
+        match err {
+            AudioError::MalformedFile { reason } => {
+                prop_assert!(reason.ends_with(&format!("frame {bad_frame}")), "{}", reason);
+            }
+            other => prop_assert!(false, "unexpected error class: {:?}", other),
+        }
+    }
 }
 
 #[test]

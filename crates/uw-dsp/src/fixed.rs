@@ -3,23 +3,20 @@
 //! The rest of this crate computes in `f64`, which is the right oracle for
 //! correctness but not what commodity phones ship: production mobile DSP
 //! runs on 16-bit fixed-point samples with 32/64-bit integer accumulators.
-//! This module provides that path:
+//! This module is that path's half of the generic plan core
+//! ([`crate::plan`]) and matched-filter driver ([`crate::matched`]):
 //!
 //! * [`Q15`] — a 16-bit fixed-point sample in `[-1, 1)` with saturating,
 //!   rounding arithmetic.
 //! * [`ComplexQ15`] — a complex Q15 value whose products are computed in
 //!   wide integer accumulators and rounded back to Q15.
-//! * [`FixedFftPlan`] — a block-floating-point (BFP) FFT plan: a radix-2
-//!   core that rescales the whole block before any stage that could
-//!   overflow and tracks the applied per-stage shifts, plus a Bluestein
-//!   chirp-z wrapper for non-power-of-two lengths (the paper's 1920-sample
-//!   OFDM symbol). Transforms return the accumulated scale factor so
-//!   callers can reconstruct absolute magnitudes.
-//! * [`FixedPlanPool`] — thread-safe plan sharing, mirroring
-//!   [`crate::plan::PlanPool`].
-//! * [`Q15MatchedFilter`] — an overlap-save streaming correlator mirroring
-//!   [`crate::matched::MatchedFilter`], with the template spectrum held in
-//!   Q15 and every butterfly/multiply in integer arithmetic.
+//! * The `Q15` [`Path`]: block-floating-point (BFP) butterfly stages,
+//!   half-scaled pointwise products and the scale bookkeeping, behind the
+//!   [`FixedRadix2Plan`] / [`FixedFftPlan`] / [`FixedPlanPool`] aliases.
+//!   Transforms return the accumulated scale factor so callers can
+//!   reconstruct absolute magnitudes.
+//! * The `Q15` [`Correlate`] block behind [`Q15MatchedFilter`]: per-call
+//!   quantisation of the stream and the BFP scale of every block.
 //! * [`NumericPath`] — the knob higher layers thread through to select
 //!   between the `f64` oracle, the f32 phone-float path
 //!   ([`crate::float32`]) and this fixed-point path.
@@ -33,36 +30,35 @@
 //! butterfly can saturate. The number of shifts is accumulated into the
 //! scale factor the transform returns: the true spectrum equals the
 //! dequantised output times `2^shifts` (inverse transforms fold the `1/N`
-//! into the same factor). After magnitude-shrinking steps (pointwise
-//! spectrum products), the block is renormalised *up* to restore headroom,
-//! again tracked in the scale. The result is a fixed 16-bit mantissa with
-//! one shared exponent per block — the classic BFP FFT phones and DSPs
-//! ship. The differential-testing harness (`tests/fixed_vs_float.rs`)
-//! bounds this path against the `f64` oracle: ≥ 60 dB SQNR for radix-2
-//! forward transforms (≥ 55 dB for full round-trips at the largest block)
-//! and matched-filter peak agreement within ±1 sample.
+//! into the same factor). Every transform first renormalises the block
+//! *up* to the guard ceiling — a quiet input, or a block shrunk by a
+//! pointwise spectrum product, would otherwise run its early stages on a
+//! short mantissa — again tracked in the scale. The result is a fixed
+//! 16-bit mantissa with one shared exponent per block — the classic BFP
+//! FFT phones and DSPs ship. The differential-testing harness
+//! (`tests/fixed_vs_float.rs`) bounds this path against the `f64` oracle:
+//! ≥ 60 dB SQNR for radix-2 forward transforms (≥ 55 dB for full
+//! round-trips at the largest block) and matched-filter peak agreement
+//! within ±1 sample.
 //!
 //! ## Lane-kernel execution
 //!
-//! Since the vectorization pass the hot loops run in structure-of-arrays
-//! form: Q15 mantissas are widened into separate `re[i32]` / `im[i32]`
-//! buffers and processed through the `[i32; 8]` kernels in
-//! [`crate::lanes`] (BFP butterfly with the per-stage shift fused,
-//! half-scaled pointwise products, and the guard-scan block maximum). The
-//! interleaved [`ComplexQ15`] entry points deinterleave into a pooled SoA
-//! scratch at the boundary; [`Q15MatchedFilter`] keeps its blocks in SoA
-//! form throughout. The retired scalar transforms remain as
+//! The hot loops run in structure-of-arrays form: Q15 mantissas are
+//! widened into separate `re[i32]` / `im[i32]` buffers and processed
+//! through the `[i32; 8]` kernels in [`crate::lanes`] (BFP butterfly with
+//! the per-stage shift fused, half-scaled pointwise products, and the
+//! guard-scan block maximum). The scalar transforms remain as
 //! [`FixedRadix2Plan::forward_scalar`] /
-//! [`FixedRadix2Plan::inverse_raw_scalar`], and the differential harness
-//! pins the lane path **bit-identical** to them — integer arithmetic leaves
-//! no rounding slack, so vectorization cannot change a single sample.
+//! [`FixedRadix2Plan::inverse_raw_scalar`], and the tests pin the lane path
+//! **bit-identical** to them — integer arithmetic leaves no rounding slack,
+//! so vectorization cannot change a single sample.
 
 use crate::complex::Complex64;
-use crate::fft::{is_pow2, next_pow2};
 use crate::lanes;
-use crate::{DspError, Result};
+use crate::matched::{divide_by_windows, prefix_sums, Correlate, Leg, OverlapSave};
+use crate::plan::{for_each_group, stage_twiddles, Lanes, Path, Plan, Pool, Radix2};
+use crate::Result;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
 /// Which numeric implementation the ranging hot loop runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -221,7 +217,7 @@ impl ComplexQ15 {
 }
 
 /// Largest component magnitude in a block (0 for an empty/zero block).
-/// Scalar form, used by the retired reference transforms.
+/// Scalar form, used by the BFP reference transform.
 #[inline]
 fn block_max(data: &[ComplexQ15]) -> i32 {
     data.iter()
@@ -233,7 +229,7 @@ fn block_max(data: &[ComplexQ15]) -> i32 {
 /// Left-shifts the block to restore headroom after magnitude-shrinking
 /// steps, keeping the maximum at or below the stage guard. Returns the
 /// number of shifts applied (the true value scale shrinks by `2^k`).
-/// Scalar form, used by the retired reference transforms.
+/// Scalar form, used by the BFP reference transform.
 fn renormalize_up(data: &mut [ComplexQ15]) -> u32 {
     let max = block_max(data);
     if max == 0 {
@@ -252,299 +248,152 @@ fn renormalize_up(data: &mut [ComplexQ15]) -> u32 {
     k
 }
 
-/// Reusable widened SoA buffers for the interleaved entry points.
-#[derive(Debug, Default)]
-struct FixedSoaScratch {
-    re: Vec<i32>,
-    im: Vec<i32>,
+/// The right shift that keeps a block whose largest component is `max`
+/// within the stage guard: each shift halves the maximum (rounding up).
+fn guard_shift(mut max: i32) -> u32 {
+    let mut k = 0u32;
+    while max > STAGE_GUARD {
+        k += 1;
+        max = (max + 1) >> 1;
+    }
+    k
 }
 
-/// A block-floating-point radix-2 FFT plan for one power-of-two length.
-///
-/// The twiddle tables (Q15 mantissas widened to `i32`, structure-of-arrays)
-/// are read-only after construction; the small internal SoA scratch pool
-/// behind the interleaved entry points is mutex-guarded, so one plan can
-/// serve many threads concurrently.
-pub struct FixedRadix2Plan {
-    n: usize,
-    bitrev: Vec<u32>,
-    /// Forward twiddle real mantissas, per-stage layout as in
-    /// [`crate::plan::Radix2Plan`].
-    twr_fwd: Vec<i32>,
-    twi_fwd: Vec<i32>,
-    twr_inv: Vec<i32>,
-    twi_inv: Vec<i32>,
-    scratch: Mutex<Vec<FixedSoaScratch>>,
-}
+impl Path for Q15 {
+    type Real = i32;
+    type Complex = ComplexQ15;
+    type Shift = i32;
+    type Scale = f64;
+    const PRODUCT_SHIFT: i32 = 1;
 
-impl std::fmt::Debug for FixedRadix2Plan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FixedRadix2Plan")
-            .field("n", &self.n)
-            .finish()
+    #[inline]
+    fn quantize(c: Complex64) -> ComplexQ15 {
+        ComplexQ15::from_complex64(c)
     }
-}
-
-impl Clone for FixedRadix2Plan {
-    fn clone(&self) -> Self {
-        Self {
-            n: self.n,
-            bitrev: self.bitrev.clone(),
-            twr_fwd: self.twr_fwd.clone(),
-            twi_fwd: self.twi_fwd.clone(),
-            twr_inv: self.twr_inv.clone(),
-            twi_inv: self.twi_inv.clone(),
-            scratch: Mutex::new(vec![FixedSoaScratch {
-                re: vec![0; self.n],
-                im: vec![0; self.n],
-            }]),
-        }
+    #[inline]
+    fn conj(c: ComplexQ15) -> ComplexQ15 {
+        c.conj()
     }
-}
-
-impl FixedRadix2Plan {
-    /// Builds a plan for a power-of-two length `n ≥ 1`.
-    pub fn new(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(DspError::InvalidLength {
-                reason: "fixed-point FFT plan length must be positive",
-            });
-        }
-        if !is_pow2(n) {
-            return Err(DspError::InvalidLength {
-                reason: "fixed-point radix-2 plan length must be a power of two",
-            });
-        }
-        let bits = n.trailing_zeros();
-        let bitrev = (0..n)
-            .map(|i| {
-                if n == 1 {
-                    0
-                } else {
-                    (i.reverse_bits() >> (usize::BITS - bits)) as u32
-                }
-            })
-            .collect();
-        let mut twr_fwd = Vec::with_capacity(n.saturating_sub(1));
-        let mut twi_fwd = Vec::with_capacity(n.saturating_sub(1));
-        let mut twr_inv = Vec::with_capacity(n.saturating_sub(1));
-        let mut twi_inv = Vec::with_capacity(n.saturating_sub(1));
-        let mut half = 1usize;
-        while half < n {
-            let ang = std::f64::consts::PI / half as f64;
-            for k in 0..half {
-                let w = ComplexQ15::from_complex64(Complex64::from_angle(-ang * k as f64));
-                let wc = w.conj();
-                twr_fwd.push(w.re.0 as i32);
-                twi_fwd.push(w.im.0 as i32);
-                twr_inv.push(wc.re.0 as i32);
-                twi_inv.push(wc.im.0 as i32);
-            }
-            half <<= 1;
-        }
-        Ok(Self {
-            n,
-            bitrev,
-            twr_fwd,
-            twi_fwd,
-            twr_inv,
-            twi_inv,
-            scratch: Mutex::new(vec![FixedSoaScratch {
-                re: vec![0; n],
-                im: vec![0; n],
-            }]),
-        })
+    #[inline]
+    fn split(c: ComplexQ15) -> (i32, i32) {
+        (c.re.0 as i32, c.im.0 as i32)
     }
-
-    /// Transform length.
-    pub fn len(&self) -> usize {
-        self.n
+    #[inline]
+    fn join(re: i32, im: i32) -> ComplexQ15 {
+        // Stage and product outputs are always saturated into i16 range.
+        ComplexQ15::new(Q15(re as i16), Q15(im as i16))
     }
-
-    /// Returns true for the degenerate length-0 plan (never constructable).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// In-place forward BFP FFT. Returns the net right-shift count (which
-    /// can be negative: quiet blocks are first shifted *up* to a full
-    /// mantissa): the true (unnormalised) DFT equals the dequantised
-    /// output times `2^shifts`.
-    pub fn forward(&self, data: &mut [ComplexQ15]) -> Result<i32> {
-        self.check(data.len())?;
-        Ok(self.with_scratch(data, true))
-    }
-
-    /// In-place conjugate-twiddle BFP transform **without** the `1/N`
-    /// normalisation: the true inverse DFT equals the dequantised output
-    /// times `2^shifts / N`. Exposed raw so composites (Bluestein, the
-    /// matched filter) can fold `1/N` into their own scale once.
-    pub fn inverse_raw(&self, data: &mut [ComplexQ15]) -> Result<i32> {
-        self.check(data.len())?;
-        Ok(self.with_scratch(data, false))
-    }
-
-    /// In-place forward BFP FFT on widened SoA buffers (values in the Q15
-    /// mantissa range). The native lane-kernel entry point: no
-    /// interleaving, no scratch checkout, allocation-free.
-    pub fn forward_soa(&self, re: &mut [i32], im: &mut [i32]) -> Result<i32> {
-        self.check_soa(re, im)?;
-        Ok(self.transform_soa(re, im, &self.twr_fwd, &self.twi_fwd))
-    }
-
-    /// In-place raw inverse BFP transform on widened SoA buffers (no `1/N`,
-    /// as [`FixedRadix2Plan::inverse_raw`]).
-    pub fn inverse_raw_soa(&self, re: &mut [i32], im: &mut [i32]) -> Result<i32> {
-        self.check_soa(re, im)?;
-        Ok(self.transform_soa(re, im, &self.twr_inv, &self.twi_inv))
-    }
-
-    /// The retired one-lane-per-sample forward transform, kept as the
-    /// reference the differential harness pins the lane kernels against
-    /// (bit-identical output required — integer arithmetic leaves no
-    /// rounding slack).
-    pub fn forward_scalar(&self, data: &mut [ComplexQ15]) -> Result<i32> {
-        self.check(data.len())?;
-        Ok(self.transform_scalar(data, &self.twr_fwd, &self.twi_fwd))
-    }
-
-    /// The retired scalar raw inverse transform; reference twin of
-    /// [`FixedRadix2Plan::inverse_raw`].
-    pub fn inverse_raw_scalar(&self, data: &mut [ComplexQ15]) -> Result<i32> {
-        self.check(data.len())?;
-        Ok(self.transform_scalar(data, &self.twr_inv, &self.twi_inv))
-    }
-
-    fn check(&self, len: usize) -> Result<()> {
-        if len != self.n {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the fixed-point FFT plan length",
-            });
-        }
-        Ok(())
-    }
-
-    fn check_soa(&self, re: &[i32], im: &[i32]) -> Result<()> {
-        if re.len() != self.n || im.len() != self.n {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the fixed-point FFT plan length",
-            });
-        }
-        Ok(())
-    }
-
-    /// Interleaved wrapper: widen into pooled SoA scratch, run the lane
-    /// transform, narrow back (stage outputs are always saturated into the
-    /// i16 range).
-    fn with_scratch(&self, data: &mut [ComplexQ15], forward: bool) -> i32 {
-        let mut buf = self
-            .scratch
-            .lock()
-            .expect("fixed radix-2 scratch pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        buf.re.resize(self.n, 0);
-        buf.im.resize(self.n, 0);
-        for (c, (r, x)) in data.iter().zip(buf.re.iter_mut().zip(buf.im.iter_mut())) {
-            *r = c.re.0 as i32;
-            *x = c.im.0 as i32;
-        }
-        let shifts = if forward {
-            self.transform_soa(&mut buf.re, &mut buf.im, &self.twr_fwd, &self.twi_fwd)
-        } else {
-            self.transform_soa(&mut buf.re, &mut buf.im, &self.twr_inv, &self.twi_inv)
-        };
-        for (c, (r, x)) in data.iter_mut().zip(buf.re.iter().zip(buf.im.iter())) {
-            *c = ComplexQ15::new(Q15(*r as i16), Q15(*x as i16));
-        }
-        self.scratch
-            .lock()
-            .expect("fixed radix-2 scratch pool poisoned")
-            .push(buf);
-        shifts
-    }
-
-    /// The BFP transform on widened SoA buffers through the `[i32; 8]` lane
-    /// kernels. Identical arithmetic to [`FixedRadix2Plan::transform_scalar`].
-    fn transform_soa(&self, re: &mut [i32], im: &mut [i32], twr: &[i32], twi: &[i32]) -> i32 {
-        let n = self.n;
-        if n == 1 {
-            return 0;
-        }
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
+    fn stages(re: &mut [i32], im: &mut [i32], twr: &[i32], twi: &[i32]) -> i32 {
         // A quiet block would otherwise run the early stages on a short
         // mantissa; pull it up to the guard ceiling first (negative shift).
         let mut shifts = -(lanes::renormalize_up_i32(re, im, STAGE_GUARD) as i32);
         let mut half = 1usize;
-        while half < n {
+        while half < re.len() {
             // Block-floating-point guard: pick the per-stage shift so the
             // coming stage's worst-case growth (1 + √2) cannot saturate.
             // The shift is folded into the butterfly itself, so each stage
             // output is rounded exactly once from the wide accumulator.
-            let mut max = lanes::block_max_i32(re, im);
-            let mut k = 0u32;
-            while max > STAGE_GUARD {
-                k += 1;
-                max = (max + 1) >> 1;
-            }
+            let k = guard_shift(lanes::block_max_i32(re, im));
             shifts += k as i32;
-
-            let swr = &twr[half - 1..2 * half - 1];
-            let swi = &twi[half - 1..2 * half - 1];
+            let (swr, swi) = stage_twiddles(twr, twi, half);
             if half < lanes::I32_LANES {
                 // Early stages have sub-lane groups; run the whole stage in
                 // one flat kernel pass instead of n/(2·half) tiny calls.
                 lanes::butterfly_q15_small(re, im, swr, swi, k);
             } else {
-                let mut start = 0usize;
-                while start < n {
-                    let (e_re, o_re) = re[start..start + 2 * half].split_at_mut(half);
-                    let (e_im, o_im) = im[start..start + 2 * half].split_at_mut(half);
-                    lanes::butterfly_q15(e_re, e_im, o_re, o_im, swr, swi, k);
-                    start += half << 1;
-                }
+                for_each_group(re, im, half, |er, ei, or, oi| {
+                    lanes::butterfly_q15(er, ei, or, oi, swr, swi, k)
+                });
             }
             half <<= 1;
         }
         shifts
     }
+    fn normalize(_: &mut [i32], _: &mut [i32], _: usize) {}
+    fn mul_spectrum(x_re: &mut [i32], x_im: &mut [i32], t_re: &[i32], t_im: &[i32]) {
+        lanes::cmul_half_q15(x_re, x_im, t_re, t_im);
+    }
+    /// Half-scaled product: both cross terms accumulate in 64 bits before
+    /// one rounding shift by 16, so the product cannot saturate.
+    #[inline]
+    fn mul(x: (i32, i32), w: (i32, i32)) -> (i32, i32) {
+        let (ar, ai) = (x.0 as i64, x.1 as i64);
+        let (br, bi) = (w.0 as i64, w.1 as i64);
+        let bias = 1i64 << 15;
+        (
+            lanes::sat16_i64((ar * br - ai * bi + bias) >> 16),
+            lanes::sat16_i64((ar * bi + ai * br + bias) >> 16),
+        )
+    }
+    /// Spectrum tables are quantised against their peak component, and the
+    /// peak is carried in the transform's scale.
+    fn spectrum_gain(spec: &[Complex64]) -> f64 {
+        spec.iter()
+            .map(|c| c.re.abs().max(c.im.abs()))
+            .fold(0.0f64, f64::max)
+            .max(f64::MIN_POSITIVE)
+    }
+    fn shift(shift: i32) -> i32 {
+        shift
+    }
+    fn scale(shift: i32, gain: f64, divisor: usize) -> f64 {
+        2f64.powi(shift) * gain / divisor as f64
+    }
+}
 
-    /// The retired scalar BFP transform (reference for the equivalence
-    /// tests).
-    fn transform_scalar(&self, data: &mut [ComplexQ15], twr: &[i32], twi: &[i32]) -> i32 {
-        let n = self.n;
+/// The block-floating-point radix-2 plan over widened Q15 mantissas,
+/// executed through the `[i32; 8]` lane kernels. Its transforms return the
+/// net right-shift count.
+pub type FixedRadix2Plan = Radix2<Q15>;
+
+/// The BFP FFT plan for any length ≥ 1 (radix-2, or Bluestein against a
+/// Q15 chirp). Transforms return a scale factor `s` such that the true
+/// transform equals the dequantised output times `s`.
+pub type FixedFftPlan = Plan<Q15>;
+
+/// The pool of BFP FFT plans.
+pub type FixedPlanPool = Pool<Q15>;
+
+impl Radix2<Q15> {
+    /// In-place conjugate-twiddle BFP transform **without** the `1/N`
+    /// normalisation: the true inverse DFT equals the dequantised output
+    /// times `2^shifts / N`. Exposed raw so composites (Bluestein, the
+    /// matched filter) can fold `1/N` into their own scale once.
+    pub fn inverse_raw(&self, data: &mut [ComplexQ15]) -> Result<i32> {
+        self.interleaved(data, false)
+    }
+
+    /// The one-lane-per-sample forward BFP transform, kept as the
+    /// reference the tests pin the lane kernels against (bit-identical
+    /// output required — integer arithmetic leaves no rounding slack).
+    pub fn forward_scalar(&self, data: &mut [ComplexQ15]) -> Result<i32> {
+        self.check(data.len())?;
+        Ok(self.bfp_scalar(data, true))
+    }
+
+    /// The scalar raw inverse transform; reference twin of
+    /// [`FixedRadix2Plan::inverse_raw`].
+    pub fn inverse_raw_scalar(&self, data: &mut [ComplexQ15]) -> Result<i32> {
+        self.check(data.len())?;
+        Ok(self.bfp_scalar(data, false))
+    }
+
+    fn bfp_scalar(&self, data: &mut [ComplexQ15], forward: bool) -> i32 {
+        let n = self.len();
         if n == 1 {
             return 0;
         }
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                data.swap(i, j);
-            }
-        }
+        self.permute(|i, j| data.swap(i, j));
+        let (twr, twi) = self.tables(forward);
         let mut shifts = -(renormalize_up(data) as i32);
         let mut half = 1usize;
         while half < n {
-            let mut max = block_max(data);
-            let mut k = 0u32;
-            while max > STAGE_GUARD {
-                k += 1;
-                max = (max + 1) >> 1;
-            }
+            let k = guard_shift(block_max(data));
             shifts += k as i32;
-
-            let swr = &twr[half - 1..2 * half - 1];
-            let swi = &twi[half - 1..2 * half - 1];
+            let (swr, swi) = stage_twiddles(twr, twi, half);
             let shift = 15 + k;
             let bias = 1i64 << (shift - 1);
-            let mut start = 0usize;
-            while start < n {
+            for start in (0..n).step_by(2 * half) {
                 for j in 0..half {
                     let even = data[start + j];
                     let odd = data[start + j + half];
@@ -565,7 +414,6 @@ impl FixedRadix2Plan {
                         Q15(sat16((ei - pi + bias) >> shift)),
                     );
                 }
-                start += half << 1;
             }
             half <<= 1;
         }
@@ -573,596 +421,117 @@ impl FixedRadix2Plan {
     }
 }
 
-/// Bluestein (chirp-z) state for one non-power-of-two length, built on the
-/// BFP radix-2 core with all tables and scratch in widened SoA form.
-#[derive(Debug, Clone)]
-struct FixedBluesteinPlan {
-    inner: FixedRadix2Plan,
-    /// The chirp `w[j] = exp(−iπ j²/n)` quantised to Q15 (unit phasors),
-    /// widened SoA halves of length `n`.
-    chirp_re: Vec<i32>,
-    chirp_im: Vec<i32>,
-    /// Quantised FFT of the symmetrically extended conjugate chirp,
-    /// widened SoA halves of length `m`.
-    spec_re: Vec<i32>,
-    spec_im: Vec<i32>,
-    /// True chirp spectrum = dequantised spectrum × this factor.
-    chirp_spectrum_scale: f64,
-    /// Reusable SoA convolution buffers, length `m`.
-    scratch_re: Vec<i32>,
-    scratch_im: Vec<i32>,
-}
-
-impl FixedBluesteinPlan {
-    fn new(n: usize) -> Result<Self> {
-        let m = next_pow2(2 * n - 1);
-        let inner = FixedRadix2Plan::new(m)?;
-        // The chirp and its spectrum are precomputed in f64 (a one-time
-        // table build, as a codec would bake into ROM) and quantised once.
-        let chirp_f64: Vec<Complex64> = (0..n)
-            .map(|j| {
-                let jj = (j * j) % (2 * n);
-                Complex64::from_angle(-std::f64::consts::PI * jj as f64 / n as f64)
-            })
-            .collect();
-        let mut spec = vec![Complex64::ZERO; m];
-        for j in 0..n {
-            spec[j] = chirp_f64[j].conj();
-            if j != 0 {
-                spec[m - j] = chirp_f64[j].conj();
-            }
-        }
-        let f64_plan = crate::plan::Radix2Plan::new(m)?;
-        f64_plan.forward(&mut spec)?;
-        let max = spec
-            .iter()
-            .map(|c| c.re.abs().max(c.im.abs()))
-            .fold(0.0f64, f64::max)
-            .max(f64::MIN_POSITIVE);
-        let mut spec_re = Vec::with_capacity(m);
-        let mut spec_im = Vec::with_capacity(m);
-        for c in spec.iter() {
-            let q = ComplexQ15::from_complex64(*c / max);
-            spec_re.push(q.re.0 as i32);
-            spec_im.push(q.im.0 as i32);
-        }
-        let mut chirp_re = Vec::with_capacity(n);
-        let mut chirp_im = Vec::with_capacity(n);
-        for c in chirp_f64.iter() {
-            let q = ComplexQ15::from_complex64(*c);
-            chirp_re.push(q.re.0 as i32);
-            chirp_im.push(q.im.0 as i32);
-        }
-        Ok(Self {
-            inner,
-            chirp_re,
-            chirp_im,
-            spec_re,
-            spec_im,
-            chirp_spectrum_scale: max,
-            scratch_re: vec![0; m],
-            scratch_im: vec![0; m],
-        })
-    }
-
-    /// In-place forward DFT of length `n` via chirp-z. Returns the scale
-    /// factor: true DFT = dequantised output × scale.
-    fn forward(&mut self, data: &mut [ComplexQ15]) -> Result<f64> {
-        let n = data.len();
-        let m = self.scratch_re.len();
-        let (s_re, s_im) = (&mut self.scratch_re, &mut self.scratch_im);
-        let mut scale = 1.0f64;
-        let bias = 1i64 << 15;
-        for (j, d) in data.iter().enumerate() {
-            let (ar, ai) = (d.re.0 as i64, d.im.0 as i64);
-            let (br, bi) = (self.chirp_re[j] as i64, self.chirp_im[j] as i64);
-            s_re[j] = lanes::sat16_i64((ar * br - ai * bi + bias) >> 16);
-            s_im[j] = lanes::sat16_i64((ar * bi + ai * br + bias) >> 16);
-        }
-        scale *= 2.0; // the half-scaled product halves the value
-        for j in n..m {
-            s_re[j] = 0;
-            s_im[j] = 0;
-        }
-        scale *= 2f64.powi(self.inner.forward_soa(s_re, s_im)?);
-        lanes::cmul_half_q15(s_re, s_im, &self.spec_re, &self.spec_im);
-        scale *= 2.0 * self.chirp_spectrum_scale;
-        scale *= 2f64.powi(self.inner.inverse_raw_soa(s_re, s_im)?) / m as f64;
-        for (j, d) in data.iter_mut().enumerate() {
-            let (ar, ai) = (s_re[j] as i64, s_im[j] as i64);
-            let (br, bi) = (self.chirp_re[j] as i64, self.chirp_im[j] as i64);
-            *d = ComplexQ15::new(
-                Q15(lanes::sat16_i64((ar * br - ai * bi + bias) >> 16) as i16),
-                Q15(lanes::sat16_i64((ar * bi + ai * br + bias) >> 16) as i16),
-            );
-        }
-        Ok(scale * 2.0)
-    }
-}
-
-enum FixedPlanKind {
-    Radix2(FixedRadix2Plan),
-    Bluestein(FixedBluesteinPlan),
-}
-
-/// A reusable BFP FFT plan for one fixed transform length (any length ≥ 1).
-///
-/// Power-of-two lengths run the table-driven BFP radix-2 path; other
-/// lengths run Bluestein's chirp-z algorithm against cached Q15 chirp
-/// state. Transforms return a scale factor `s` such that the true
-/// (mathematically exact) transform equals the dequantised Q15 output
-/// times `s`; for the pure radix-2 path `s` is an exact power of two (the
-/// per-stage shift count), for Bluestein it additionally folds in the
-/// constant chirp-spectrum quantisation scale.
-pub struct FixedFftPlan {
-    len: usize,
-    kind: FixedPlanKind,
-}
-
-impl std::fmt::Debug for FixedFftPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.kind {
-            FixedPlanKind::Radix2(_) => "radix-2",
-            FixedPlanKind::Bluestein(_) => "bluestein",
-        };
-        f.debug_struct("FixedFftPlan")
-            .field("len", &self.len)
-            .field("kind", &kind)
-            .finish()
-    }
-}
-
-impl FixedFftPlan {
-    /// Builds a plan for transforms of length `n` (any `n ≥ 1`).
-    pub fn new(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(DspError::InvalidLength {
-                reason: "fixed-point FFT plan length must be positive",
-            });
-        }
-        let kind = if is_pow2(n) {
-            FixedPlanKind::Radix2(FixedRadix2Plan::new(n)?)
-        } else {
-            FixedPlanKind::Bluestein(FixedBluesteinPlan::new(n)?)
-        };
-        Ok(Self { len: n, kind })
-    }
-
-    /// The transform length this plan was built for.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns true for the degenerate length-0 plan (never constructable).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// In-place forward DFT. Returns the scale factor: true DFT =
-    /// dequantised output × scale.
-    pub fn process_forward(&mut self, data: &mut [ComplexQ15]) -> Result<f64> {
-        self.check(data)?;
-        match &mut self.kind {
-            FixedPlanKind::Radix2(p) => Ok(2f64.powi(p.forward(data)?)),
-            FixedPlanKind::Bluestein(p) => p.forward(data),
-        }
-    }
-
-    /// In-place inverse DFT (the `1/N` normalisation is folded into the
-    /// returned scale). True IDFT = dequantised output × scale.
-    pub fn process_inverse(&mut self, data: &mut [ComplexQ15]) -> Result<f64> {
-        self.check(data)?;
-        match &mut self.kind {
-            FixedPlanKind::Radix2(p) => {
-                let shifts = p.inverse_raw(data)?;
-                Ok(2f64.powi(shifts) / self.len as f64)
-            }
-            FixedPlanKind::Bluestein(p) => {
-                // DFT⁻¹(x) = conj(DFT(conj(x))) / N.
-                for x in data.iter_mut() {
-                    *x = x.conj();
-                }
-                let scale = p.forward(data)?;
-                for x in data.iter_mut() {
-                    *x = x.conj();
-                }
-                Ok(scale / self.len as f64)
-            }
-        }
-    }
-
-    fn check(&self, data: &[ComplexQ15]) -> Result<()> {
-        if data.len() != self.len {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the fixed-point FFT plan length",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// A thread-safe pool of [`FixedFftPlan`]s for **one fixed length**,
-/// mirroring [`crate::plan::PlanPool`]: `with` checks a plan out (cloning a
-/// fresh one only under contention), runs the closure, and returns it.
-pub struct FixedPlanPool {
-    len: usize,
-    pool: Mutex<Vec<FixedFftPlan>>,
-}
-
-impl std::fmt::Debug for FixedPlanPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FixedPlanPool")
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-impl Clone for FixedPlanPool {
-    fn clone(&self) -> Self {
-        Self {
-            len: self.len,
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl FixedPlanPool {
-    /// Creates a pool for transforms of length `n`, with one plan built
-    /// eagerly.
-    pub fn new(n: usize) -> Result<Self> {
-        let first = FixedFftPlan::new(n)?;
-        Ok(Self {
-            len: n,
-            pool: Mutex::new(vec![first]),
-        })
-    }
-
-    /// The transform length of every plan in this pool.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns true for the degenerate length-0 pool (never constructable).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Runs `f` with a checked-out plan.
-    pub fn with<R>(&self, f: impl FnOnce(&mut FixedFftPlan) -> R) -> R {
-        let plan = self.pool.lock().expect("fixed plan pool poisoned").pop();
-        let mut plan = match plan {
-            Some(p) => p,
-            None => FixedFftPlan::new(self.len).expect("pool length validated at construction"),
-        };
-        let result = f(&mut plan);
-        self.pool
-            .lock()
-            .expect("fixed plan pool poisoned")
-            .push(plan);
-        result
-    }
-}
-
-/// Reusable per-call buffers for the Q15 matched filter.
-struct FixedScratch {
-    /// SoA real half of the widened block buffer (the filter's FFT length).
-    block_re: Vec<i32>,
-    /// SoA imaginary half of the widened block buffer.
-    block_im: Vec<i32>,
-    /// The whole signal quantised once per call.
-    qsig: Vec<i16>,
-    /// Exact integer prefix sums of squared quantised samples.
-    prefix: Vec<i64>,
-}
-
-/// A precomputed Q15 overlap-save matched filter for one fixed template,
-/// mirroring [`crate::matched::MatchedFilter`].
+/// The Q15 overlap-save matched filter, in widened SoA form through the
+/// `[i32; 8]` lane kernels.
 ///
 /// The template is quantised to Q15 by its peak, its conjugated spectrum is
 /// stored as Q15 with a block-floating-point scale, and every per-block
 /// step (forward BFP FFT, pointwise integer product, inverse BFP FFT) runs
-/// in 16-bit data with wide integer accumulators — in widened SoA form
-/// through the `[i32; 8]` lane kernels. Incoming `f64` signals are
-/// quantised once per call by their peak — the automatic-gain-control
+/// in 16-bit data with wide integer accumulators. Incoming `f64` signals
+/// are quantised once per call by their peak — the automatic-gain-control
 /// step a phone's capture path performs — and the sliding-window energies
 /// used for normalisation are exact 64-bit integer prefix sums of the
 /// quantised samples, so numerator and denominator see the same
 /// quantisation.
-pub struct Q15MatchedFilter {
-    template_len: usize,
-    fft_len: usize,
-    /// Valid lags produced per block: `fft_len − template_len + 1`.
-    step: usize,
-    /// Conjugated template spectrum, widened SoA halves.
-    tspec_re: Vec<i32>,
-    tspec_im: Vec<i32>,
-    /// True template spectrum = dequantised spectrum × this factor
-    /// (BFP shifts of the template transform × the template's peak).
-    template_spectrum_scale: f64,
-    /// L2 norm of the quantised-then-rescaled template.
-    template_norm: f64,
-    plan: FixedRadix2Plan,
-    pool: Mutex<Vec<FixedScratch>>,
+pub type Q15MatchedFilter = OverlapSave<Q15>;
+
+/// The Q15 filter's template state: one complex leg and the scale of its
+/// spectrum.
+#[derive(Clone)]
+pub struct Q15Template {
+    leg: Leg<Q15>,
+    /// True template spectrum = dequantised spectrum × this factor (BFP
+    /// shifts of the template transform × the template's peak).
+    scale: f64,
 }
 
-impl std::fmt::Debug for Q15MatchedFilter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Q15MatchedFilter")
-            .field("template_len", &self.template_len)
-            .field("fft_len", &self.fft_len)
-            .finish()
-    }
+/// Per-call buffers of the Q15 filter.
+pub struct Q15Scratch {
+    lanes: Lanes<i32>,
+    /// The whole signal, quantised once per call.
+    qsig: Vec<i16>,
+    /// Exact integer prefix sums of the squared quantised samples.
+    prefix: Vec<i64>,
+    /// The call's quantisation gain (the signal's peak).
+    gain: f64,
 }
 
-impl Clone for Q15MatchedFilter {
-    fn clone(&self) -> Self {
-        Self {
-            template_len: self.template_len,
-            fft_len: self.fft_len,
-            step: self.step,
-            tspec_re: self.tspec_re.clone(),
-            tspec_im: self.tspec_im.clone(),
-            template_spectrum_scale: self.template_spectrum_scale,
-            template_norm: self.template_norm,
-            plan: self.plan.clone(),
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-}
+impl Correlate for Q15 {
+    type Template = Q15Template;
+    type Scratch = Q15Scratch;
 
-impl Q15MatchedFilter {
-    /// Builds a Q15 matched filter for `template`. The template must be
-    /// non-empty with non-zero energy, as for the `f64` filter.
-    pub fn new(template: &[f64]) -> Result<Self> {
-        if template.is_empty() {
-            return Err(DspError::InvalidLength {
-                reason: "matched-filter template must be non-empty",
-            });
-        }
+    fn template(template: &[f64]) -> Result<(Q15Template, f64)> {
         let peak = template.iter().fold(0.0f64, |m, &t| m.max(t.abs()));
-        if peak == 0.0 {
-            return Err(DspError::InvalidParameter {
-                reason: "template has zero energy",
-            });
-        }
-        let m = template.len();
-        let fft_len = next_pow2(4 * m).max(1024);
-        let plan = FixedRadix2Plan::new(fft_len)?;
-        let mut tspec_re = vec![0i32; fft_len];
-        let mut tspec_im = vec![0i32; fft_len];
-        let mut template_norm_sq = 0.0f64;
-        for (slot, &t) in tspec_re.iter_mut().zip(template.iter()) {
-            let q = Q15::from_f64(t / peak);
+        let quantized = || template.iter().map(move |&t| Q15::from_f64(t / peak));
+        let norm_sq = quantized().fold(0.0f64, |acc, q| {
             let tq = q.to_f64() * peak;
-            template_norm_sq += tq * tq;
-            *slot = q.0 as i32;
+            acc + tq * tq
+        });
+        let (leg, shift) = Leg::new(
+            quantized().map(|q| q.0 as i32),
+            Leg::<Q15>::block_len(template.len()),
+        )?;
+        let scale = 2f64.powi(shift) * peak;
+        Ok((Q15Template { leg, scale }, norm_sq.sqrt()))
+    }
+
+    fn block_len(t: &Q15Template) -> usize {
+        t.leg.len()
+    }
+
+    fn scratch(t: &Q15Template) -> Q15Scratch {
+        Q15Scratch {
+            lanes: Lanes::new(t.leg.len()),
+            qsig: Vec::new(),
+            prefix: Vec::new(),
+            gain: 1.0,
         }
-        let shifts = plan.forward_soa(&mut tspec_re, &mut tspec_im)?;
-        // Conjugate with the same i16 saturating negation the scalar path
-        // used (−32768 saturates to 32767 instead of wrapping).
-        for x in tspec_im.iter_mut() {
-            *x = (*x as i16).saturating_neg() as i32;
-        }
-        Ok(Self {
-            template_len: m,
-            fft_len,
-            step: fft_len - m + 1,
-            tspec_re,
-            tspec_im,
-            template_spectrum_scale: 2f64.powi(shifts) * peak,
-            template_norm: template_norm_sq.sqrt(),
-            plan,
-            pool: Mutex::new(Vec::new()),
-        })
     }
 
-    /// Length of the template this filter was built for.
-    pub fn template_len(&self) -> usize {
-        self.template_len
-    }
-
-    /// Returns true for the degenerate empty-template filter (never
-    /// constructable).
-    pub fn is_empty(&self) -> bool {
-        self.template_len == 0
-    }
-
-    /// FFT block length used internally.
-    pub fn block_len(&self) -> usize {
-        self.fft_len
-    }
-
-    /// Number of valid correlation lags for a signal of `signal_len`
-    /// samples, or an error when the signal is shorter than the template.
-    pub fn output_len(&self, signal_len: usize) -> Result<usize> {
-        if signal_len < self.template_len {
-            return Err(DspError::InvalidLength {
-                reason: "template longer than signal",
-            });
-        }
-        Ok(signal_len - self.template_len + 1)
-    }
-
-    /// Raw valid-lag cross-correlation (same definition as
-    /// [`crate::correlation::xcorr_fft`], computed on the Q15 path) into a
-    /// caller buffer.
-    pub fn correlate_into(&self, signal: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        self.run(signal, out, false)
-    }
-
-    /// Normalised valid-lag cross-correlation (same definition as
-    /// [`crate::correlation::xcorr_normalized`], computed on the Q15 path)
-    /// into a caller buffer.
-    pub fn correlate_normalized_into(&self, signal: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        self.run(signal, out, true)
-    }
-
-    /// Convenience wrapper returning a fresh vector of normalised
-    /// correlations.
-    pub fn correlate_normalized(&self, signal: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.correlate_normalized_into(signal, &mut out)?;
-        Ok(out)
-    }
-
-    /// Batched normalised correlation of N links' captures through one
-    /// filter checkout, mirroring
-    /// [`crate::matched::MatchedFilter::correlate_normalized_batch`]. Each
-    /// output is identical to the per-link call (per-link AGC gain is
-    /// preserved).
-    pub fn correlate_normalized_batch(&self, signals: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
-        let mut outs: Vec<Vec<f64>> = signals.iter().map(|_| Vec::new()).collect();
-        self.correlate_normalized_batch_into(signals, &mut outs)?;
-        Ok(outs)
-    }
-
-    /// Batched normalised correlation into caller buffers. `outs` must have
-    /// one slot per signal.
-    pub fn correlate_normalized_batch_into(
-        &self,
-        signals: &[&[f64]],
-        outs: &mut [Vec<f64>],
-    ) -> Result<()> {
-        if signals.len() != outs.len() {
-            return Err(DspError::InvalidLength {
-                reason: "batched correlation needs one output slot per signal",
-            });
-        }
-        // Validate first; output lengths are recomputed in the loop below
-        // instead of staged in a side vector, keeping the steady state
-        // allocation-free.
-        for signal in signals {
-            if signal.is_empty() {
-                return Err(DspError::InvalidLength {
-                    reason: "correlation inputs must be non-empty",
-                });
-            }
-            self.output_len(signal.len())?;
-        }
-        let mut scratch = self.acquire();
-        let result = (|| {
-            for (signal, out) in signals.iter().zip(outs.iter_mut()) {
-                let n_out = signal.len() - self.template_len + 1;
-                self.run_with_scratch(signal, out, true, n_out, &mut scratch)?;
-            }
-            Ok(())
-        })();
-        self.release(scratch);
-        result
-    }
-
-    fn run(&self, signal: &[f64], out: &mut Vec<f64>, normalize: bool) -> Result<()> {
-        if signal.is_empty() {
-            return Err(DspError::InvalidLength {
-                reason: "correlation inputs must be non-empty",
-            });
-        }
-        let n_out = self.output_len(signal.len())?;
-        let mut scratch = self.acquire();
-        let result = self.run_with_scratch(signal, out, normalize, n_out, &mut scratch);
-        self.release(scratch);
-        result
-    }
-
-    fn run_with_scratch(
-        &self,
-        signal: &[f64],
-        out: &mut Vec<f64>,
-        normalize: bool,
-        n_out: usize,
-        scratch: &mut FixedScratch,
-    ) -> Result<()> {
-        let n = signal.len();
-        let l = self.fft_len;
-        out.clear();
-        out.reserve(n_out);
-
+    fn prepare(signal: &[f64], s: &mut Q15Scratch) {
         // Per-call gain: quantise the stream by its peak (the AGC a phone's
         // capture path applies before fixed-point processing).
-        let sig_peak = signal.iter().fold(0.0f64, |m, &s| m.max(s.abs()));
-        let gain = if sig_peak > 0.0 { sig_peak } else { 1.0 };
-        let qsig = &mut scratch.qsig;
-        qsig.clear();
-        qsig.reserve(n);
-        qsig.extend(signal.iter().map(|&s| Q15::from_f64(s / gain).raw()));
+        let peak = signal.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+        let gain = if peak > 0.0 { peak } else { 1.0 };
+        s.gain = gain;
+        s.qsig.clear();
+        s.qsig
+            .extend(signal.iter().map(|&x| Q15::from_f64(x / gain).raw()));
+    }
 
-        if normalize {
-            let prefix = &mut scratch.prefix;
-            prefix.clear();
-            prefix.reserve(n + 1);
-            prefix.push(0);
-            let mut acc = 0i64;
-            for &q in qsig.iter() {
-                acc += q as i64 * q as i64;
-                prefix.push(acc);
-            }
-        }
-
-        // Overlap-save, exactly as the f64 filter: block `p` covers
-        // signal[p .. p+L); valid on the first L − m + 1 lags.
-        let re = &mut scratch.block_re;
-        let im = &mut scratch.block_im;
-        let qsig = &scratch.qsig;
-        let mut p = 0usize;
-        while p < n_out {
-            let available = (n - p).min(l);
-            for (slot, &q) in re.iter_mut().zip(qsig[p..p + available].iter()) {
-                *slot = q as i32;
-            }
-            for slot in re[available..l].iter_mut() {
-                *slot = 0;
-            }
-            for slot in im.iter_mut() {
-                *slot = 0;
-            }
-            // The plan renormalises quiet blocks up internally (blocks
-            // are quantised against the whole stream's peak), so the FFT
-            // always runs on a full mantissa.
-            let mut scale = 2f64.powi(self.plan.forward_soa(re, im)?);
-            lanes::cmul_half_q15(re, im, &self.tspec_re, &self.tspec_im);
-            scale *= 2.0 * self.template_spectrum_scale;
-            scale /= f64::from(1u32 << lanes::renormalize_up_i32(re, im, STAGE_GUARD));
-            scale *= 2f64.powi(self.plan.inverse_raw_soa(re, im)?) / l as f64;
-            // Undo the signal quantisation gain at the boundary.
-            scale *= gain;
-            let take = self.step.min(n_out - p);
-            out.extend(re[..take].iter().map(|&v| v as f64 / Q15_ONE * scale));
-            p += self.step;
-        }
-
-        if normalize {
-            // Denominator from the *quantised* samples, so numerator and
-            // denominator share the quantisation error.
-            let prefix = &scratch.prefix;
-            let m = self.template_len;
-            let q_to_f = gain / Q15_ONE;
-            for (k, r) in out.iter_mut().enumerate() {
-                let win_energy = (prefix[k + m] - prefix[k]) as f64 * q_to_f * q_to_f;
-                let denom = self.template_norm * win_energy.sqrt();
-                *r = if denom > 0.0 { *r / denom } else { 0.0 };
-            }
-        }
+    fn block(
+        t: &Q15Template,
+        _signal: &[f64],
+        p: usize,
+        take: usize,
+        out: &mut Vec<f64>,
+        s: &mut Q15Scratch,
+    ) -> Result<()> {
+        let l = t.leg.len();
+        let end = s.qsig.len().min(p + l);
+        let (re, im) = s.lanes.split();
+        let shift = t.leg.correlate(&s.qsig[p..end], |q| q as i32, re, im)?;
+        // Undo the BFP shifts, the template's scale and the signal's
+        // quantisation gain at the boundary.
+        let scale = Q15::scale(shift, t.scale * s.gain, l);
+        out.extend(re[..take].iter().map(|&v| v as f64 / Q15_ONE * scale));
         Ok(())
     }
 
-    fn acquire(&self) -> FixedScratch {
-        self.pool
-            .lock()
-            .expect("q15 matched-filter pool poisoned")
-            .pop()
-            .unwrap_or_else(|| FixedScratch {
-                block_re: vec![0; self.fft_len],
-                block_im: vec![0; self.fft_len],
-                qsig: Vec::new(),
-                prefix: Vec::new(),
-            })
-    }
-
-    fn release(&self, scratch: FixedScratch) {
-        self.pool
-            .lock()
-            .expect("q15 matched-filter pool poisoned")
-            .push(scratch);
+    /// The window energies are exact integer sums of the *quantised*
+    /// samples, so numerator and denominator share the quantisation error.
+    fn normalize_lags(
+        _signal: &[f64],
+        out: &mut [f64],
+        template_norm: f64,
+        m: usize,
+        s: &mut Q15Scratch,
+    ) {
+        prefix_sums(&mut s.prefix, s.qsig.iter().map(|&q| q as i64 * q as i64));
+        let unit = s.gain / Q15_ONE;
+        divide_by_windows(out, &s.prefix, m, template_norm, |hi, lo| {
+            (hi - lo) as f64 * unit * unit
+        });
     }
 }
 
@@ -1421,34 +790,6 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(max_err < 0.12, "max normalised-corr error {max_err}");
-    }
-
-    #[test]
-    fn q15_batched_correlation_matches_per_link_calls() {
-        let template: Vec<f64> = (0..200).map(|i| ((i as f64) * 0.41).sin()).collect();
-        let filter = Q15MatchedFilter::new(&template).unwrap();
-        let embed = |offset: usize, total: usize, level: f64| -> Vec<f64> {
-            let mut s: Vec<f64> = (0..total)
-                .map(|i| 0.02 * ((i as f64) * 0.377).sin())
-                .collect();
-            for (i, &t) in template.iter().enumerate() {
-                s[offset + i] += level * t;
-            }
-            s
-        };
-        let sig_a = embed(57, 900, 0.9);
-        let sig_b = embed(700, 2600, 0.4); // different per-link AGC gain
-        let signals: Vec<&[f64]> = vec![&sig_a, &sig_b];
-        let batched = filter.correlate_normalized_batch(&signals).unwrap();
-        for (signal, got) in signals.iter().zip(batched.iter()) {
-            let solo = filter.correlate_normalized(signal).unwrap();
-            assert_eq!(&solo, got);
-        }
-        assert!(filter.correlate_normalized_batch(&[]).unwrap().is_empty());
-        let good = vec![0.5; 600];
-        assert!(filter
-            .correlate_normalized_batch(&[&good, &[1.0, 2.0]])
-            .is_err());
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! Phone DSPs and mobile NEON pipelines run float audio work in `f32`:
 //! half the memory traffic of `f64` and **twice the SIMD lanes per
 //! register** (`[f32; 8]` vs `[f64; 4]` in one AVX2/dual-NEON register).
-//! This module provides that path as a structural mirror of the `f64`
-//! plan layer ([`crate::plan`]) and matched filter ([`crate::matched`]):
+//! This module is the f32 path's half of the generic plan core
+//! ([`crate::plan`]) and matched-filter driver ([`crate::matched`]):
 //!
 //! * [`Complex32`] — the single-precision complex sample.
-//! * [`F32Radix2Plan`] / [`F32FftPlan`] / [`F32PlanPool`] — table-driven
-//!   radix-2 and Bluestein plans with structure-of-arrays twiddle tables,
-//!   executed through the `[f32; 8]` lane kernels in [`crate::lanes`].
-//! * [`F32MatchedFilter`] — the overlap-save correlator, `f64` at the API
-//!   boundary (signals arrive from the capture layer as `f64`), `f32` SoA
-//!   inside, including the multi-link batched entry point.
+//! * The `f32` [`Path`]: fused butterfly stages (the first three stages
+//!   in one sweep of 8-point cells, later stages two at a time) through
+//!   the `[f32; 8]` lane kernels in [`crate::lanes`], behind the
+//!   [`F32Radix2Plan`] / [`F32FftPlan`] / [`F32PlanPool`] aliases.
+//! * The `f32` [`Correlate`] block behind [`F32MatchedFilter`]: a
+//!   half-length real-input transform with a half-size tail leg.
 //!
 //! ## Precision contract
 //!
@@ -31,16 +31,13 @@
 //! as `f64` prefix sums **of the f32-cast samples**, so numerator and
 //! denominator see the same quantisation — the same policy the Q15 path
 //! uses ([`crate::fixed::Q15MatchedFilter`]).
-//!
-//! Like the other paths, the scalar reference transforms are retained
-//! ([`F32Radix2Plan::forward_scalar`]) and the lane path is pinned
-//! bit-identical to them.
 
 use crate::complex::Complex64;
-use crate::fft::{is_pow2, next_pow2};
+use crate::fft::next_pow2;
 use crate::lanes;
-use crate::{DspError, Result};
-use std::sync::Mutex;
+use crate::matched::{divide_by_windows, prefix_sums, Correlate, FloatScratch, OverlapSave};
+use crate::plan::{for_each_group, stage_twiddles, Float, Path, Plan, Pool, Radix2};
+use crate::Result;
 
 /// A single-precision complex number (mirror of [`Complex64`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -139,255 +136,30 @@ impl std::ops::Mul<f32> for Complex32 {
     }
 }
 
-/// Reusable SoA buffers for the interleaved entry points.
-#[derive(Debug, Default)]
-struct F32SoaScratch {
-    re: Vec<f32>,
-    im: Vec<f32>,
-}
+impl Path for f32 {
+    type Real = f32;
+    type Complex = Complex32;
+    type Shift = ();
+    type Scale = ();
 
-/// A radix-2 decimation-in-time FFT in single precision with precomputed
-/// bit-reversal and SoA twiddle tables (rounded once from `f64`), executed
-/// through the `[f32; 8]` lane kernels in [`crate::lanes`]. Structural
-/// mirror of [`crate::plan::Radix2Plan`].
-pub struct F32Radix2Plan {
-    n: usize,
-    bitrev: Vec<u32>,
-    tw_re_fwd: Vec<f32>,
-    tw_im_fwd: Vec<f32>,
-    tw_re_inv: Vec<f32>,
-    tw_im_inv: Vec<f32>,
-    scratch: Mutex<Vec<F32SoaScratch>>,
-}
-
-impl std::fmt::Debug for F32Radix2Plan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("F32Radix2Plan").field("n", &self.n).finish()
+    #[inline]
+    fn quantize(c: Complex64) -> Complex32 {
+        Complex32::from_complex64(c)
     }
-}
-
-impl Clone for F32Radix2Plan {
-    fn clone(&self) -> Self {
-        Self {
-            n: self.n,
-            bitrev: self.bitrev.clone(),
-            tw_re_fwd: self.tw_re_fwd.clone(),
-            tw_im_fwd: self.tw_im_fwd.clone(),
-            tw_re_inv: self.tw_re_inv.clone(),
-            tw_im_inv: self.tw_im_inv.clone(),
-            scratch: Mutex::new(vec![F32SoaScratch {
-                re: vec![0.0; self.n],
-                im: vec![0.0; self.n],
-            }]),
-        }
+    #[inline]
+    fn conj(c: Complex32) -> Complex32 {
+        c.conj()
     }
-}
-
-impl F32Radix2Plan {
-    /// Builds a plan for a power-of-two length `n ≥ 1`.
-    pub fn new(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(DspError::InvalidLength {
-                reason: "FFT plan length must be positive",
-            });
-        }
-        if !is_pow2(n) {
-            return Err(DspError::InvalidLength {
-                reason: "radix-2 plan length must be a power of two",
-            });
-        }
-        let bits = n.trailing_zeros();
-        let bitrev = (0..n)
-            .map(|i| {
-                if n == 1 {
-                    0
-                } else {
-                    (i.reverse_bits() >> (usize::BITS - bits)) as u32
-                }
-            })
-            .collect();
-        let mut tw_re_fwd = Vec::with_capacity(n.saturating_sub(1));
-        let mut tw_im_fwd = Vec::with_capacity(n.saturating_sub(1));
-        let mut tw_re_inv = Vec::with_capacity(n.saturating_sub(1));
-        let mut tw_im_inv = Vec::with_capacity(n.saturating_sub(1));
-        let mut half = 1usize;
-        while half < n {
-            let ang = std::f64::consts::PI / half as f64;
-            for k in 0..half {
-                // Computed in f64, rounded to f32 once: ½ ULP table error.
-                let w = Complex64::from_angle(-ang * k as f64);
-                tw_re_fwd.push(w.re as f32);
-                tw_im_fwd.push(w.im as f32);
-                tw_re_inv.push(w.re as f32);
-                tw_im_inv.push(-w.im as f32);
-            }
-            half <<= 1;
-        }
-        Ok(Self {
-            n,
-            bitrev,
-            tw_re_fwd,
-            tw_im_fwd,
-            tw_re_inv,
-            tw_im_inv,
-            scratch: Mutex::new(vec![F32SoaScratch {
-                re: vec![0.0; n],
-                im: vec![0.0; n],
-            }]),
-        })
+    #[inline]
+    fn split(c: Complex32) -> (f32, f32) {
+        (c.re, c.im)
     }
-
-    /// Transform length.
-    pub fn len(&self) -> usize {
-        self.n
+    #[inline]
+    fn join(re: f32, im: f32) -> Complex32 {
+        Complex32::new(re, im)
     }
-
-    /// Returns true for the degenerate length-0 plan (never constructable).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// In-place forward FFT (unnormalised). Allocation-free in steady state.
-    pub fn forward(&self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data.len())?;
-        self.with_scratch(|re, im| {
-            for (i, (r, x)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-                let c = data[self.bitrev[i] as usize];
-                *r = c.re;
-                *x = c.im;
-            }
-            self.stages(re, im, true);
-            for (c, (r, x)) in data.iter_mut().zip(re.iter().zip(im.iter())) {
-                *c = Complex32::new(*r, *x);
-            }
-        });
-        Ok(())
-    }
-
-    /// In-place inverse FFT (normalised by 1/N). Allocation-free in steady
-    /// state.
-    pub fn inverse(&self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data.len())?;
-        let scale = 1.0 / self.n as f32;
-        self.with_scratch(|re, im| {
-            for (i, (r, x)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-                let c = data[self.bitrev[i] as usize];
-                *r = c.re;
-                *x = c.im;
-            }
-            self.stages(re, im, false);
-            lanes::scale_f32(re, im, scale);
-            for (c, (r, x)) in data.iter_mut().zip(re.iter().zip(im.iter())) {
-                *c = Complex32::new(*r, *x);
-            }
-        });
-        Ok(())
-    }
-
-    /// In-place forward FFT on split real/imaginary buffers (unnormalised).
-    /// The native SoA entry point: no interleaving, allocation-free.
-    pub fn forward_soa(&self, re: &mut [f32], im: &mut [f32]) -> Result<()> {
-        self.check_soa(re, im)?;
-        self.permute_soa(re, im);
-        self.stages(re, im, true);
-        Ok(())
-    }
-
-    /// In-place inverse FFT on split real/imaginary buffers (normalised by
-    /// 1/N). Allocation-free.
-    pub fn inverse_soa(&self, re: &mut [f32], im: &mut [f32]) -> Result<()> {
-        self.inverse_soa_unscaled(re, im)?;
-        lanes::scale_f32(re, im, 1.0 / self.n as f32);
-        Ok(())
-    }
-
-    /// In-place inverse FFT on split real/imaginary buffers **without** the
-    /// 1/N normalisation pass. Callers that already fold the scale into a
-    /// precomputed spectrum (the overlap-save matched filter folds it into
-    /// the template) skip two full memory sweeps per call this way.
-    pub fn inverse_soa_unscaled(&self, re: &mut [f32], im: &mut [f32]) -> Result<()> {
-        self.check_soa(re, im)?;
-        self.permute_soa(re, im);
-        self.stages(re, im, false);
-        Ok(())
-    }
-
-    /// The retired one-lane-per-sample forward transform, kept as the
-    /// reference the differential harness pins the lane kernels against
-    /// (bit-identical output required).
-    pub fn forward_scalar(&self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data.len())?;
-        self.transform_scalar(data, true);
-        Ok(())
-    }
-
-    /// The retired one-lane-per-sample inverse transform (normalised by
-    /// 1/N); reference twin of [`F32Radix2Plan::inverse`].
-    pub fn inverse_scalar(&self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data.len())?;
-        self.transform_scalar(data, false);
-        let scale = 1.0 / self.n as f32;
-        for x in data.iter_mut() {
-            *x = *x * scale;
-        }
-        Ok(())
-    }
-
-    fn check(&self, len: usize) -> Result<()> {
-        if len != self.n {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
-        }
-        Ok(())
-    }
-
-    fn check_soa(&self, re: &[f32], im: &[f32]) -> Result<()> {
-        if re.len() != self.n || im.len() != self.n {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
-        }
-        Ok(())
-    }
-
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut [f32], &mut [f32]) -> R) -> R {
-        let mut buf = self
-            .scratch
-            .lock()
-            .expect("f32 radix-2 scratch pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        buf.re.resize(self.n, 0.0);
-        buf.im.resize(self.n, 0.0);
-        let result = f(&mut buf.re, &mut buf.im);
-        self.scratch
-            .lock()
-            .expect("f32 radix-2 scratch pool poisoned")
-            .push(buf);
-        result
-    }
-
-    fn permute_soa(&self, re: &mut [f32], im: &mut [f32]) {
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-    }
-
-    fn stages(&self, re: &mut [f32], im: &mut [f32], forward: bool) {
-        let n = self.n;
-        if n == 1 {
-            return;
-        }
-        let (twr, twi) = if forward {
-            (&self.tw_re_fwd, &self.tw_im_fwd)
-        } else {
-            (&self.tw_re_inv, &self.tw_im_inv)
-        };
+    fn stages(re: &mut [f32], im: &mut [f32], twr: &[f32], twi: &[f32]) -> i32 {
+        let n = re.len();
         let mut half = 1usize;
         if n >= 8 {
             // Stages half=1,2,4 fused into one sweep of closed 8-point
@@ -396,8 +168,7 @@ impl F32Radix2Plan {
             half = 8;
         }
         while half < n {
-            let swr = &twr[half - 1..2 * half - 1];
-            let swi = &twi[half - 1..2 * half - 1];
+            let (swr, swi) = stage_twiddles(twr, twi, half);
             if half < lanes::F32_LANES {
                 // Tiny transforms (n < 8) never reach the fused pass; run
                 // the whole sub-lane stage in one flat kernel pass.
@@ -406,298 +177,89 @@ impl F32Radix2Plan {
             } else if half * 2 < n {
                 // Two more stages exist: fuse this stage with the next one
                 // into a single radix-4-cell sweep.
-                let nwr = &twr[2 * half - 1..4 * half - 1];
-                let nwi = &twi[2 * half - 1..4 * half - 1];
+                let (nwr, nwi) = stage_twiddles(twr, twi, 2 * half);
                 lanes::butterfly_f32_pair(re, im, swr, swi, nwr, nwi);
                 half <<= 2;
             } else {
-                let mut start = 0usize;
-                while start < n {
-                    let (e_re, o_re) = re[start..start + 2 * half].split_at_mut(half);
-                    let (e_im, o_im) = im[start..start + 2 * half].split_at_mut(half);
-                    lanes::butterfly_f32(e_re, e_im, o_re, o_im, swr, swi);
-                    start += half << 1;
-                }
+                for_each_group(re, im, half, |er, ei, or, oi| {
+                    lanes::butterfly_f32(er, ei, or, oi, swr, swi)
+                });
                 half <<= 1;
             }
         }
+        0
     }
+    fn normalize(re: &mut [f32], im: &mut [f32], n: usize) {
+        lanes::scale_f32(re, im, Self::recip_len(n));
+    }
+    fn mul_spectrum(x_re: &mut [f32], x_im: &mut [f32], t_re: &[f32], t_im: &[f32]) {
+        lanes::cmul_f32(x_re, x_im, t_re, t_im);
+    }
+    fn shift(_: i32) {}
+    fn scale(_: i32, _: f64, _: usize) {}
+}
 
-    fn transform_scalar(&self, data: &mut [Complex32], forward: bool) {
-        let n = self.n;
-        if n == 1 {
-            return;
-        }
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                data.swap(i, j);
-            }
-        }
-        let (twr, twi) = if forward {
-            (&self.tw_re_fwd, &self.tw_im_fwd)
-        } else {
-            (&self.tw_re_inv, &self.tw_im_inv)
-        };
-        let mut half = 1usize;
-        while half < n {
-            let swr = &twr[half - 1..2 * half - 1];
-            let swi = &twi[half - 1..2 * half - 1];
-            let mut start = 0usize;
-            while start < n {
-                for k in 0..half {
-                    let even = data[start + k];
-                    let odd = data[start + k + half];
-                    let pr = odd.re * swr[k] - odd.im * swi[k];
-                    let pi = odd.re * swi[k] + odd.im * swr[k];
-                    data[start + k] = Complex32::new(even.re + pr, even.im + pi);
-                    data[start + k + half] = Complex32::new(even.re - pr, even.im - pi);
-                }
-                start += half << 1;
-            }
-            half <<= 1;
-        }
+impl Float for f32 {
+    #[inline]
+    fn recip_len(n: usize) -> f32 {
+        1.0 / n as f32
     }
 }
 
-/// Bluestein (chirp-z) state for one non-power-of-two length in single
-/// precision (tables precomputed in `f64`, rounded once).
-#[derive(Debug, Clone)]
-struct F32BluesteinPlan {
-    inner: F32Radix2Plan,
-    chirp_re: Vec<f32>,
-    chirp_im: Vec<f32>,
-    spec_re: Vec<f32>,
-    spec_im: Vec<f32>,
-    scratch_re: Vec<f32>,
-    scratch_im: Vec<f32>,
-}
+/// The single-precision radix-2 plan, executed through the `[f32; 8]`
+/// lane kernels with fused stages.
+pub type F32Radix2Plan = Radix2<f32>;
 
-impl F32BluesteinPlan {
-    fn new(n: usize) -> Result<Self> {
-        let m = next_pow2(2 * n - 1);
-        let inner = F32Radix2Plan::new(m)?;
-        let chirp: Vec<Complex64> = (0..n)
-            .map(|j| {
-                let jj = (j * j) % (2 * n);
-                Complex64::from_angle(-std::f64::consts::PI * jj as f64 / n as f64)
-            })
-            .collect();
-        // The chirp spectrum is computed at full f64 precision and rounded
-        // once, so the convolution kernel carries ½-ULP table error rather
-        // than an f32 FFT's accumulated error.
-        let mut spec = vec![Complex64::ZERO; m];
-        for (j, c) in chirp.iter().enumerate() {
-            let cc = c.conj();
-            spec[j] = cc;
-            if j != 0 {
-                spec[m - j] = cc;
-            }
-        }
-        crate::plan::Radix2Plan::new(m)?.forward(&mut spec)?;
-        Ok(Self {
-            inner,
-            chirp_re: chirp.iter().map(|c| c.re as f32).collect(),
-            chirp_im: chirp.iter().map(|c| c.im as f32).collect(),
-            spec_re: spec.iter().map(|c| c.re as f32).collect(),
-            spec_im: spec.iter().map(|c| c.im as f32).collect(),
-            scratch_re: vec![0.0; m],
-            scratch_im: vec![0.0; m],
-        })
-    }
+/// The single-precision FFT plan: radix-2 or Bluestein, any length ≥ 1.
+pub type F32FftPlan = Plan<f32>;
 
-    /// In-place forward DFT of length `n` via chirp-z. Allocation-free.
-    fn forward(&mut self, data: &mut [Complex32]) -> Result<()> {
-        let n = data.len();
-        let m = self.scratch_re.len();
-        let (s_re, s_im) = (&mut self.scratch_re, &mut self.scratch_im);
-        for (j, d) in data.iter().enumerate() {
-            let (cr, ci) = (self.chirp_re[j], self.chirp_im[j]);
-            s_re[j] = d.re * cr - d.im * ci;
-            s_im[j] = d.re * ci + d.im * cr;
-        }
-        for j in n..m {
-            s_re[j] = 0.0;
-            s_im[j] = 0.0;
-        }
-        self.inner.forward_soa(s_re, s_im)?;
-        lanes::cmul_f32(s_re, s_im, &self.spec_re, &self.spec_im);
-        self.inner.inverse_soa(s_re, s_im)?;
-        for (j, d) in data.iter_mut().enumerate() {
-            let (sr, si) = (s_re[j], s_im[j]);
-            let (cr, ci) = (self.chirp_re[j], self.chirp_im[j]);
-            *d = Complex32::new(sr * cr - si * ci, sr * ci + si * cr);
-        }
-        Ok(())
-    }
-}
+/// The pool of single-precision FFT plans.
+pub type F32PlanPool = Pool<f32>;
 
-enum F32PlanKind {
-    Radix2(F32Radix2Plan),
-    Bluestein(F32BluesteinPlan),
-}
+/// The single-precision matched filter: `f64` at the API boundary (the
+/// capture layer hands over `f64` streams), `f32` SoA inside. The template
+/// is cast once at construction, incoming signals once per block, and the
+/// normalisation denominator uses `f64` prefix sums **of the f32-cast
+/// samples**, so numerator and denominator see the same quantisation.
+///
+/// ## Real-input transform
+///
+/// Both the block and the template are real, so each overlap-save block
+/// runs a **real-input FFT**: the `fft_len` real samples are packed as
+/// `z[j] = x[2j] + i·x[2j+1]` into one complex transform of length
+/// `fft_len / 2`, untangled to the physical half-spectrum, multiplied by
+/// the conjugated template half-spectrum, re-packed, and inverted through
+/// a second half-length transform whose output interleaves the real
+/// correlation samples. Untangle, spectrum product and re-pack are fused
+/// into a single symmetric pass, so a block costs two half-length FFTs
+/// plus one O(fft_len/2) sweep — about 2.5× less transform work than the
+/// complex-FFT formulation, with exactly the same convolution in exact
+/// arithmetic (the pack identities are algebraic, not approximate).
+///
+/// ## Two-leg block plan
+///
+/// The filter carries two overlap-save configurations: a *main* leg with
+/// block length `next_pow2(2·template_len)` and, when that is a longer
+/// power of two than `next_pow2(template_len)`, a half-size *tail* leg.
+/// The final block of a stream rarely has a full step of lags left, so
+/// once the remaining output fits the tail's step the block runs through
+/// the half-size transform at roughly half the cost. Block positions
+/// always advance by the main step.
+pub type F32MatchedFilter = OverlapSave<f32>;
 
-/// A reusable single-precision FFT plan for one fixed transform length
-/// (any length ≥ 1); structural mirror of [`crate::plan::FftPlan`].
-pub struct F32FftPlan {
-    len: usize,
-    kind: F32PlanKind,
-}
-
-impl std::fmt::Debug for F32FftPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.kind {
-            F32PlanKind::Radix2(_) => "radix-2",
-            F32PlanKind::Bluestein(_) => "bluestein",
-        };
-        f.debug_struct("F32FftPlan")
-            .field("len", &self.len)
-            .field("kind", &kind)
-            .finish()
-    }
-}
-
-impl F32FftPlan {
-    /// Builds a plan for transforms of length `n` (any `n ≥ 1`).
-    pub fn new(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(DspError::InvalidLength {
-                reason: "FFT plan length must be positive",
-            });
-        }
-        let kind = if is_pow2(n) {
-            F32PlanKind::Radix2(F32Radix2Plan::new(n)?)
-        } else {
-            F32PlanKind::Bluestein(F32BluesteinPlan::new(n)?)
-        };
-        Ok(Self { len: n, kind })
-    }
-
-    /// The transform length this plan was built for.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns true for the degenerate length-0 plan (never constructable).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// In-place forward DFT (unnormalised). Allocation-free.
-    pub fn process_forward(&mut self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data)?;
-        match &mut self.kind {
-            F32PlanKind::Radix2(p) => p.forward(data),
-            F32PlanKind::Bluestein(p) => p.forward(data),
-        }
-    }
-
-    /// In-place inverse DFT (normalised by 1/N). Allocation-free.
-    pub fn process_inverse(&mut self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data)?;
-        match &mut self.kind {
-            F32PlanKind::Radix2(p) => p.inverse(data),
-            F32PlanKind::Bluestein(p) => {
-                // DFT⁻¹(x) = conj(DFT(conj(x))) / N.
-                for x in data.iter_mut() {
-                    *x = x.conj();
-                }
-                p.forward(data)?;
-                let scale = 1.0 / self.len as f32;
-                for x in data.iter_mut() {
-                    *x = x.conj() * scale;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn check(&self, data: &[Complex32]) -> Result<()> {
-        if data.len() != self.len {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// A thread-safe pool of [`F32FftPlan`]s for **one fixed length**,
-/// mirroring [`crate::plan::PlanPool`].
-pub struct F32PlanPool {
-    len: usize,
-    pool: Mutex<Vec<F32FftPlan>>,
-}
-
-impl std::fmt::Debug for F32PlanPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("F32PlanPool")
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-impl Clone for F32PlanPool {
-    fn clone(&self) -> Self {
-        Self {
-            len: self.len,
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl F32PlanPool {
-    /// Creates a pool for transforms of length `n`, with one plan built
-    /// eagerly.
-    pub fn new(n: usize) -> Result<Self> {
-        let first = F32FftPlan::new(n)?;
-        Ok(Self {
-            len: n,
-            pool: Mutex::new(vec![first]),
-        })
-    }
-
-    /// The transform length of every plan in this pool.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns true for the degenerate length-0 pool (never constructable).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Runs `f` with a checked-out plan.
-    pub fn with<R>(&self, f: impl FnOnce(&mut F32FftPlan) -> R) -> R {
-        let plan = self.pool.lock().expect("f32 plan pool poisoned").pop();
-        let mut plan = match plan {
-            Some(p) => p,
-            None => F32FftPlan::new(self.len).expect("pool length validated at construction"),
-        };
-        let result = f(&mut plan);
-        self.pool.lock().expect("f32 plan pool poisoned").push(plan);
-        result
-    }
-}
-
-/// Reusable per-call buffers for the f32 matched filter.
-struct F32Scratch {
-    /// SoA real half of the packed block buffer, sized for the **main**
-    /// leg's half-length transform (the tail leg borrows a prefix).
-    block_re: Vec<f32>,
-    /// SoA imaginary half of the packed block buffer.
-    block_im: Vec<f32>,
-    /// f64 prefix sums of the squared f32-cast samples.
-    prefix: Vec<f64>,
-}
-
-/// One overlap-save configuration of the f32 matched filter: a block
-/// length, the template half-spectrum at that length, the untangle twist
-/// table, and the half-length complex plan. The filter owns a full-size
-/// *main* leg plus (when the template length allows a shorter power of
-/// two) a half-size *tail* leg used for the final partial block.
+/// The f32 filter's template state: the main leg and, when the template
+/// allows a shorter power of two, the half-size tail leg.
 #[derive(Clone)]
-struct F32MfLeg {
+pub struct F32Template {
+    main: F32Leg,
+    tail: Option<F32Leg>,
+}
+
+/// One real-input overlap-save configuration of the f32 matched filter: a
+/// block length, the template half-spectrum at that length, the untangle
+/// twist table, and the half-length complex plan.
+#[derive(Clone)]
+struct F32Leg {
     /// Overlap-save block length in real samples (a power of two).
     fft_len: usize,
     /// Valid lags produced per block: `fft_len − template_len + 1`.
@@ -712,17 +274,17 @@ struct F32MfLeg {
     twist_re: Vec<f32>,
     twist_im: Vec<f32>,
     /// Half-length complex plan (`fft_len / 2`).
-    plan: F32Radix2Plan,
+    plan: Radix2<f32>,
 }
 
-impl F32MfLeg {
+impl F32Leg {
     /// Precomputes one leg: the twist table, the conjugated (and
     /// 1/H-scaled) template half-spectrum at `fft_len`, and the
     /// half-length plan. Requires `fft_len ≥ template.len()`.
     fn build(template: &[f64], fft_len: usize) -> Result<Self> {
         let m = template.len();
         let half = fft_len / 2;
-        let plan = F32Radix2Plan::new(half)?;
+        let plan = Radix2::<f32>::new(half)?;
 
         // Untangle twist factors, f64-computed, rounded once.
         let mut twist_re = Vec::with_capacity(half + 1);
@@ -745,7 +307,7 @@ impl F32MfLeg {
                 pack_im[j / 2] = tf;
             }
         }
-        plan.forward_soa(&mut pack_re, &mut pack_im)?;
+        plan.soa(&mut pack_re, &mut pack_im, true)?;
         let mut tspec_re = vec![0.0f32; half + 1];
         let mut tspec_im = vec![0.0f32; half + 1];
         let inv_h = 1.0 / half as f32;
@@ -761,7 +323,7 @@ impl F32MfLeg {
             let (wr, wi) = (twist_re[k], twist_im[k]);
             // Conjugated in place (the correlator multiplies by conj(T)) and
             // pre-scaled by 1/(fft_len/2): the half-length inverse transform
-            // in `one_block` runs unnormalised, so its 1/H factor lives here,
+            // in `block` runs unnormalised, so its 1/H factor lives here,
             // applied once at construction instead of twice per block.
             tspec_re[k] = (xer + wr * xor_ - wi * xoi) * inv_h;
             tspec_im[k] = -(xei + wr * xoi + wi * xor_) * inv_h;
@@ -778,24 +340,24 @@ impl F32MfLeg {
         })
     }
 
-    /// One overlap-save block starting at lag `p`, computed in f32 through
-    /// the lane kernels via the half-length real-input transform.
-    fn one_block(
+    /// Appends the `take` lags of the overlap-save block at lag `p`,
+    /// computed in f32 through the lane kernels via the half-length
+    /// real-input transform. `re` / `im` are the main leg's scratch; a
+    /// tail leg borrows a prefix.
+    fn block(
         &self,
         signal: &[f64],
         p: usize,
-        n_out: usize,
-        out: &mut [f64],
-        scratch: &mut F32Scratch,
+        take: usize,
+        out: &mut Vec<f64>,
+        re: &mut [f32],
+        im: &mut [f32],
     ) -> Result<()> {
-        let n = signal.len();
         let h = self.fft_len / 2;
-        // The scratch buffers are sized for the main leg; a tail leg
-        // borrows a prefix.
-        let re = &mut scratch.block_re[..h];
-        let im = &mut scratch.block_im[..h];
+        let re = &mut re[..h];
+        let im = &mut im[..h];
         // Pack the real block: even samples → re, odd samples → im.
-        let available = (n - p).min(self.fft_len);
+        let available = (signal.len() - p).min(self.fft_len);
         let block = &signal[p..p + available];
         let mut pairs = block.chunks_exact(2);
         let mut j = 0usize;
@@ -809,13 +371,9 @@ impl F32MfLeg {
             im[j] = 0.0;
             j += 1;
         }
-        for slot in re[j..h].iter_mut() {
-            *slot = 0.0;
-        }
-        for slot in im[j..h].iter_mut() {
-            *slot = 0.0;
-        }
-        self.plan.forward_soa(re, im)?;
+        re[j..].fill(0.0);
+        im[j..].fill(0.0);
+        self.plan.soa(re, im, true)?;
 
         // Fused untangle → spectrum product → inverse re-pack, one
         // symmetric pass over the half-spectrum. For each mirror pair
@@ -832,8 +390,7 @@ impl F32MfLeg {
         let yh = xh * self.tspec_re[h];
         re[0] = 0.5 * (y0 + yh);
         im[0] = 0.5 * (y0 - yh);
-        let mut k = 1usize;
-        while k <= h / 2 {
+        for k in 1..h / 2 + 1 {
             let j = h - k;
             let (zkr, zki) = (re[k], im[k]);
             let (zjr, zji) = (re[j], im[j]);
@@ -872,15 +429,15 @@ impl F32MfLeg {
             im[k] = yei + yor_;
             re[j] = yer + yoi;
             im[j] = -yei + yor_;
-            k += 1;
         }
 
         // Unscaled: the 1/H factor is folded into the template spectrum.
-        self.plan.inverse_soa_unscaled(re, im)?;
+        self.plan.soa(re, im, false)?;
         // The inverse output interleaves the real correlation samples:
         // y[2j] = re[j], y[2j+1] = im[j].
-        let take = self.step.min(n_out - p);
-        let dst = &mut out[p..p + take];
+        let start = out.len();
+        out.resize(start + take, 0.0);
+        let dst = &mut out[start..];
         for j in 0..take / 2 {
             dst[2 * j] = re[j] as f64;
             dst[2 * j + 1] = im[j] as f64;
@@ -892,311 +449,74 @@ impl F32MfLeg {
     }
 }
 
-/// A precomputed single-precision overlap-save matched filter for one
-/// fixed template, mirroring [`crate::matched::MatchedFilter`].
-///
-/// `f64` at the API boundary (the capture layer hands over `f64` streams),
-/// `f32` SoA inside: the template is cast once at construction, incoming
-/// signals are cast once per call, and every block runs through the
-/// `[f32; 8]` lane kernels. The normalisation denominator uses `f64`
-/// prefix sums **of the f32-cast samples**, so numerator and denominator
-/// see the same quantisation.
-///
-/// ## Real-input transform
-///
-/// Both the block and the template are real, so each overlap-save block
-/// runs a **real-input FFT**: the `fft_len` real samples are packed as
-/// `z[j] = x[2j] + i·x[2j+1]` into one complex transform of length
-/// `fft_len / 2`, untangled to the physical half-spectrum, multiplied by
-/// the conjugated template half-spectrum, re-packed, and inverted through
-/// a second half-length transform whose output interleaves the real
-/// correlation samples. Untangle, spectrum product and re-pack are fused
-/// into a single symmetric pass, so a block costs two half-length FFTs
-/// plus one O(fft_len/2) sweep — about 2.5× less transform work than the
-/// complex-FFT formulation, with bit-exactly the same convolution in
-/// exact arithmetic (the pack identities are algebraic, not approximate).
-///
-/// ## Two-leg block plan
-///
-/// The filter carries two overlap-save configurations: a *main* leg with
-/// block length `next_pow2(2·template_len)` and, when that is a longer
-/// power of two than `next_pow2(template_len)`, a half-size *tail* leg.
-/// The final block of a stream rarely has a full step of lags left, so
-/// once the remaining output fits the tail's step the block runs through
-/// the half-size transform at roughly half the cost. Block positions
-/// always advance by the main step, so solo and batched runs partition a
-/// stream identically and produce identical samples.
-pub struct F32MatchedFilter {
-    template_len: usize,
-    /// L2 norm of the f32-cast template, accumulated in f64.
-    template_norm: f64,
-    /// Full-size leg: block length `next_pow2(2·template_len)`, used for
-    /// every block that can still emit a full step of lags.
-    main: F32MfLeg,
-    /// Half-size leg (`next_pow2(template_len)`, when that is shorter than
-    /// the main block): the final block of a stream rarely has a full step
-    /// of lags left, and a half-size transform emits the remainder for
-    /// roughly half the cost.
-    tail: Option<F32MfLeg>,
-    pool: Mutex<Vec<F32Scratch>>,
-}
+impl Correlate for f32 {
+    type Template = F32Template;
+    type Scratch = FloatScratch<f32>;
 
-impl std::fmt::Debug for F32MatchedFilter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("F32MatchedFilter")
-            .field("template_len", &self.template_len)
-            .field("fft_len", &self.main.fft_len)
-            .finish()
-    }
-}
-
-impl Clone for F32MatchedFilter {
-    fn clone(&self) -> Self {
-        Self {
-            template_len: self.template_len,
-            template_norm: self.template_norm,
-            main: self.main.clone(),
-            tail: self.tail.clone(),
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl F32MatchedFilter {
-    /// Builds an f32 matched filter for `template`. The template must be
-    /// non-empty with non-zero energy, as for the `f64` filter.
-    pub fn new(template: &[f64]) -> Result<Self> {
-        if template.is_empty() {
-            return Err(DspError::InvalidLength {
-                reason: "matched-filter template must be non-empty",
-            });
-        }
+    fn template(template: &[f64]) -> Result<(F32Template, f64)> {
         let m = template.len();
-        let mut template_norm_sq = 0.0f64;
-        for &t in template {
-            let tf = t as f32;
-            template_norm_sq += tf as f64 * tf as f64;
-        }
-        if template_norm_sq == 0.0 {
-            return Err(DspError::InvalidParameter {
-                reason: "template has zero energy",
-            });
-        }
+        let norm_sq: f64 = template
+            .iter()
+            .map(|&t| {
+                let tf = t as f32;
+                tf as f64 * tf as f64
+            })
+            .fold(0.0, |acc, e| acc + e);
         // The real-input formulation halves the transform work, so the
         // optimum block is shorter than the complex filter's 4m: 2m keeps
         // the half-length transforms cache-resident at the preamble's size.
         let main_len = next_pow2(2 * m).max(1024);
-        let main = F32MfLeg::build(template, main_len)?;
+        let main = F32Leg::build(template, main_len)?;
         // The shortest power of two that still holds the template gives the
         // cheap leg for the final partial block.
         let tail_len = next_pow2(m).max(1024);
         let tail = if tail_len < main_len {
-            Some(F32MfLeg::build(template, tail_len)?)
+            Some(F32Leg::build(template, tail_len)?)
         } else {
             None
         };
-        Ok(Self {
-            template_len: m,
-            template_norm: template_norm_sq.sqrt(),
-            main,
-            tail,
-            pool: Mutex::new(Vec::new()),
-        })
+        Ok((F32Template { main, tail }, norm_sq.sqrt()))
     }
 
-    /// Length of the template this filter was built for.
-    pub fn template_len(&self) -> usize {
-        self.template_len
+    fn block_len(t: &F32Template) -> usize {
+        t.main.fft_len
     }
 
-    /// Returns true for the degenerate empty-template filter (never
-    /// constructable).
-    pub fn is_empty(&self) -> bool {
-        self.template_len == 0
+    fn scratch(t: &F32Template) -> FloatScratch<f32> {
+        FloatScratch::new(t.main.fft_len / 2)
     }
 
-    /// FFT block length used internally (the main leg's; the final partial
-    /// block of a stream may run through a half-size tail leg).
-    pub fn block_len(&self) -> usize {
-        self.main.fft_len
-    }
-
-    /// Number of valid correlation lags for a signal of `signal_len`
-    /// samples, or an error when the signal is shorter than the template.
-    pub fn output_len(&self, signal_len: usize) -> Result<usize> {
-        if signal_len < self.template_len {
-            return Err(DspError::InvalidLength {
-                reason: "template longer than signal",
-            });
-        }
-        Ok(signal_len - self.template_len + 1)
-    }
-
-    /// Raw valid-lag cross-correlation (same definition as
-    /// [`crate::correlation::xcorr_fft`], computed in f32) into a caller
-    /// buffer.
-    pub fn correlate_into(&self, signal: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        self.run(signal, out, false)
-    }
-
-    /// Normalised valid-lag cross-correlation (same definition as
-    /// [`crate::correlation::xcorr_normalized`], computed in f32) into a
-    /// caller buffer.
-    pub fn correlate_normalized_into(&self, signal: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        self.run(signal, out, true)
-    }
-
-    /// Convenience wrapper returning a fresh vector of normalised
-    /// correlations.
-    pub fn correlate_normalized(&self, signal: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.correlate_normalized_into(signal, &mut out)?;
-        Ok(out)
-    }
-
-    /// Normalised correlation of N links' captures through one plan
-    /// invocation, mirroring
-    /// [`crate::matched::MatchedFilter::correlate_normalized_batch`]:
-    /// one scratch checkout, blocks walked column-major so the template
-    /// spectrum stays cache-hot across links.
-    pub fn correlate_normalized_batch(&self, signals: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
-        let mut outs: Vec<Vec<f64>> = signals.iter().map(|_| Vec::new()).collect();
-        self.correlate_normalized_batch_into(signals, &mut outs)?;
-        Ok(outs)
-    }
-
-    /// Batched normalised correlation into caller buffers. `outs` must have
-    /// one slot per signal.
-    pub fn correlate_normalized_batch_into(
-        &self,
-        signals: &[&[f64]],
-        outs: &mut [Vec<f64>],
+    fn block(
+        t: &F32Template,
+        signal: &[f64],
+        p: usize,
+        take: usize,
+        out: &mut Vec<f64>,
+        s: &mut FloatScratch<f32>,
     ) -> Result<()> {
-        if signals.len() != outs.len() {
-            return Err(DspError::InvalidLength {
-                reason: "batched correlation needs one output slot per signal",
-            });
-        }
-        // Validate first; output lengths are recomputed where needed below
-        // instead of staged in a side vector, keeping the steady state
-        // allocation-free.
-        for signal in signals {
-            if signal.is_empty() {
-                return Err(DspError::InvalidLength {
-                    reason: "correlation inputs must be non-empty",
-                });
-            }
-            self.output_len(signal.len())?;
-        }
-        let n_out_of = |signal: &[f64]| signal.len() - self.template_len + 1;
-        let mut scratch = self.acquire();
-        let result = (|| {
-            for (out, signal) in outs.iter_mut().zip(signals.iter()) {
-                out.clear();
-                out.resize(n_out_of(signal), 0.0);
-            }
-            let max_blocks = signals
-                .iter()
-                .map(|s| n_out_of(s).div_ceil(self.main.step))
-                .max()
-                .unwrap_or(0);
-            for b in 0..max_blocks {
-                let p = b * self.main.step;
-                for (signal, out) in signals.iter().zip(outs.iter_mut()) {
-                    let n_out = n_out_of(signal);
-                    if p < n_out {
-                        self.leg_for(n_out - p)
-                            .one_block(signal, p, n_out, out, &mut scratch)?;
-                    }
-                }
-            }
-            for (signal, out) in signals.iter().zip(outs.iter_mut()) {
-                debug_assert_eq!(out.len(), n_out_of(signal));
-                self.normalize(signal, out, &mut scratch);
-            }
-            Ok(())
-        })();
-        self.release(scratch);
-        result
+        // The half-size tail leg once the remaining lags fit its step.
+        let leg = match &t.tail {
+            Some(tail) if take <= tail.step => tail,
+            _ => &t.main,
+        };
+        let (re, im) = s.lanes.split();
+        leg.block(signal, p, take, out, re, im)
     }
 
-    fn run(&self, signal: &[f64], out: &mut Vec<f64>, normalize: bool) -> Result<()> {
-        if signal.is_empty() {
-            return Err(DspError::InvalidLength {
-                reason: "correlation inputs must be non-empty",
-            });
-        }
-        let n_out = self.output_len(signal.len())?;
-        let mut scratch = self.acquire();
-        let result = (|| {
-            out.clear();
-            out.resize(n_out, 0.0);
-            let mut p = 0usize;
-            while p < n_out {
-                self.leg_for(n_out - p)
-                    .one_block(signal, p, n_out, out, &mut scratch)?;
-                p += self.main.step;
-            }
-            if normalize {
-                self.normalize(signal, out, &mut scratch);
-            }
-            Ok(())
-        })();
-        self.release(scratch);
-        result
-    }
-
-    /// Chooses the leg for the block at lag `p`: the half-size tail leg
-    /// once the remaining lags fit within its step, the main leg
-    /// otherwise. Block positions always advance by the main step, so
-    /// solo and batched runs partition the stream identically.
-    fn leg_for(&self, remaining: usize) -> &F32MfLeg {
-        match &self.tail {
-            Some(t) if remaining <= t.step => t,
-            _ => &self.main,
-        }
-    }
-
-    /// Sliding window energy via f64 prefix sums of the f32-cast samples.
-    fn normalize(&self, signal: &[f64], out: &mut [f64], scratch: &mut F32Scratch) {
-        let n = signal.len();
-        // Cast and square in the same pass as the running sum: the f32
-        // cast here matches the quantisation the numerator saw.
-        let prefix = &mut scratch.prefix;
-        prefix.clear();
-        prefix.reserve(n + 1);
-        prefix.push(0.0);
-        let mut acc = 0.0f64;
-        for &s in signal.iter() {
-            let sf = s as f32;
-            acc += sf as f64 * sf as f64;
-            prefix.push(acc);
-        }
-        let m = self.template_len;
-        for (k, r) in out.iter_mut().enumerate() {
-            let win_energy = prefix[k + m] - prefix[k];
-            let denom = self.template_norm * win_energy.sqrt();
-            *r = if denom > 0.0 { *r / denom } else { 0.0 };
-        }
-    }
-
-    fn acquire(&self) -> F32Scratch {
-        self.pool
-            .lock()
-            .expect("f32 matched-filter pool poisoned")
-            .pop()
-            .unwrap_or_else(|| F32Scratch {
-                block_re: vec![0.0; self.main.fft_len / 2],
-                block_im: vec![0.0; self.main.fft_len / 2],
-                prefix: Vec::new(),
-            })
-    }
-
-    fn release(&self, scratch: F32Scratch) {
-        self.pool
-            .lock()
-            .expect("f32 matched-filter pool poisoned")
-            .push(scratch);
+    fn normalize_lags(
+        signal: &[f64],
+        out: &mut [f64],
+        template_norm: f64,
+        m: usize,
+        s: &mut FloatScratch<f32>,
+    ) {
+        // The f32 cast here matches the quantisation the numerator saw.
+        let energy = |&x: &f64| {
+            let xf = x as f32;
+            xf as f64 * xf as f64
+        };
+        prefix_sums(&mut s.prefix, signal.iter().map(energy));
+        divide_by_windows(out, &s.prefix, m, template_norm, |hi, lo| hi - lo);
     }
 }
 
@@ -1380,34 +700,6 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(max_err < 1e-3, "max normalised-corr error {max_err}");
-    }
-
-    #[test]
-    fn batched_correlation_matches_per_link_calls() {
-        let template: Vec<f64> = (0..200).map(|i| ((i as f64) * 0.41).sin()).collect();
-        let filter = F32MatchedFilter::new(&template).unwrap();
-        let embed = |offset: usize, total: usize| -> Vec<f64> {
-            let mut s: Vec<f64> = (0..total)
-                .map(|i| 0.02 * ((i as f64) * 0.377).sin())
-                .collect();
-            for (i, &t) in template.iter().enumerate() {
-                s[offset + i] += t;
-            }
-            s
-        };
-        let sig_a = embed(57, 900);
-        let sig_b = embed(700, filter.block_len() * 2 + 31);
-        let signals: Vec<&[f64]> = vec![&sig_a, &sig_b];
-        let batched = filter.correlate_normalized_batch(&signals).unwrap();
-        for (signal, got) in signals.iter().zip(batched.iter()) {
-            let solo = filter.correlate_normalized(signal).unwrap();
-            assert_eq!(&solo, got);
-        }
-        assert!(filter.correlate_normalized_batch(&[]).unwrap().is_empty());
-        let good = vec![0.5; 600];
-        assert!(filter
-            .correlate_normalized_batch(&[&good, &[1.0, 2.0]])
-            .is_err());
     }
 
     #[test]

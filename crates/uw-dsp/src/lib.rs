@@ -23,17 +23,21 @@
 //! * [`resample`] — fractional-delay and sample-rate-offset resampling used
 //!   to model clock skew between devices.
 //! * [`spectrum`] — per-subcarrier SNR estimation (paper Fig. 22).
-//! * [`plan`] — plan-based FFT execution: [`FftPlan`] / [`FftPlanner`] /
-//!   [`PlanPool`] with precomputed bit-reversal, twiddle tables and cached
-//!   Bluestein chirp state.
-//! * [`matched`] — [`MatchedFilter`]: overlap-save streaming correlation
+//! * [`plan`] — the generic FFT core: [`plan::Radix2`], a Bluestein
+//!   wrapper, [`plan::Plan`] and [`plan::Pool`] over a small per-path
+//!   [`plan::Path`] trait, with precomputed bit-reversal, twiddle tables
+//!   and cached chirp state. [`FftPlan`] / [`PlanPool`] are its `f64`
+//!   aliases.
+//! * [`matched`] — the generic overlap-save driver [`matched::OverlapSave`]
+//!   over a per-path [`matched::Correlate`] block: streaming correlation
 //!   against a fixed template with folded normalisation.
+//!   [`MatchedFilter`] is its `f64` alias.
 //! * [`fixed`] — the on-device Q15 fixed-point path: [`Q15`]/[`ComplexQ15`]
-//!   saturating integer arithmetic, the block-floating-point
-//!   [`FixedFftPlan`], and the [`Q15MatchedFilter`], selected through the
-//!   [`NumericPath`] knob higher layers thread down.
-//! * [`float32`] — the single-precision phone-float path:
-//!   [`F32FftPlan`]/[`F32MatchedFilter`] mirrors of the plan layer with
+//!   saturating integer arithmetic and the block-floating-point hooks
+//!   behind [`FixedFftPlan`] and [`Q15MatchedFilter`], selected through
+//!   the [`NumericPath`] knob higher layers thread down.
+//! * [`float32`] — the single-precision phone-float path: [`Complex32`]
+//!   and the hooks behind [`F32FftPlan`] / [`F32MatchedFilter`], with
 //!   twice the SIMD lanes per register.
 //! * [`lanes`] — the fixed-width structure-of-arrays lane kernels
 //!   (`[f64; 4]`/`[f32; 8]`/`[i32; 8]`) all three numeric paths execute
@@ -44,44 +48,54 @@
 //! The [`fixed`] module quantises at its boundaries and computes its hot
 //! loops in 16-bit integers, modelling what shipping phone DSP does.
 //!
-//! ## Performance notes: plan caching and when to use what
+//! ## Performance notes: one core, per-path hooks
 //!
 //! The free functions in [`fft`] and [`correlation`] are **one-shot
 //! reference paths**: correct, simple, and self-contained, but they rebuild
 //! twiddle factors (and, for non-power-of-two lengths, the whole Bluestein
 //! chirp setup) and allocate fresh buffers on every call. The plan layer
 //! exists because the ranging hot path repeats the *same* transform shapes
-//! thousands of times per localization session:
+//! thousands of times per localization session, on whichever numeric path
+//! the session runs.
 //!
-//! * **Repeated transforms of one length** → hold an [`FftPlan`]
-//!   (or an [`FftPlanner`] when lengths vary). Construction precomputes the
-//!   bit-reversal permutation, per-stage twiddle tables (forward and
-//!   inverse) and — for lengths like the paper's 1920-sample OFDM symbol —
-//!   the Bluestein chirp, its padded spectrum, and the convolution scratch.
-//!   Steady-state `process_forward` / `process_inverse` calls are
-//!   **allocation-free** (enforced by a counting-allocator test) and run
-//!   ~2.4× faster than [`fft::fft_any`] at 1920 samples.
+//! * **One core.** The radix-2 driver, the Bluestein wrapper, the plan,
+//!   the plan pool and the overlap-save filter are each written once,
+//!   generic over the path. `f64`, `f32` and [`Q15`] plug in only what
+//!   really differs: how a table entry is rounded, the butterfly stages
+//!   (fused on f32, with per-stage guard shifts on Q15), the pointwise
+//!   products, and one overlap-save block (f32's half-length real-input
+//!   block with its tail leg; Q15's per-call quantisation and scale
+//!   bookkeeping). The public names — `FftPlan`, `F32FftPlan`,
+//!   `FixedFftPlan` and the rest — are type aliases over the core.
+//! * **Repeated transforms of one length** → hold an [`FftPlan`] (or its
+//!   twin on another path). Construction precomputes the bit-reversal
+//!   permutation, per-stage twiddle tables (forward and inverse) and — for
+//!   lengths like the paper's 1920-sample OFDM symbol — the Bluestein
+//!   chirp, its padded spectrum, and the convolution scratch. Steady-state
+//!   `process_forward` / `process_inverse` calls are **allocation-free**
+//!   (enforced by a counting-allocator test) and run ~2.4× faster than
+//!   [`fft::fft_any`] at 1920 samples.
 //! * **Correlating many streams against one template** → build a
 //!   [`MatchedFilter`] once. It stores the template's conjugated spectrum
-//!   at a fixed block length (`next_pow2(4 · template_len)`) and correlates
-//!   arbitrarily long signals by overlap-save — many small cached-plan FFTs
-//!   instead of one `next_pow2(signal + template)` monster FFT per call —
-//!   with the prefix-sum normalisation of
-//!   [`correlation::xcorr_normalized`] folded into the same pass (~2.5×
-//!   on the 65k-sample detection stream). Use one-shot
-//!   [`correlation::xcorr_fft`] only for ad-hoc correlations where the
-//!   template changes every call.
+//!   at a fixed block length and correlates arbitrarily long signals by
+//!   overlap-save — many small cached-plan FFTs instead of one
+//!   `next_pow2(signal + template)` monster FFT per call — with the
+//!   prefix-sum normalisation of [`correlation::xcorr_normalized`] folded
+//!   into the same pass (~2.5× on the 65k-sample detection stream). Use
+//!   one-shot [`correlation::xcorr_fft`] only for ad-hoc correlations where
+//!   the template changes every call.
 //! * **Sharing plans across threads** → [`PlanPool`] checks plans in and
-//!   out (cloning only under contention), so parallel ranging exchanges
-//!   reuse precomputed state without serialising on a shared scratch
-//!   buffer. `MatchedFilter` pools its scratch internally the same way.
+//!   out (building a fresh one only under contention), so parallel ranging
+//!   exchanges reuse precomputed state without serialising on a shared
+//!   scratch buffer. The matched filters pool their scratch the same way.
 //!
 //! The one-shot functions remain the ground truth the property tests
-//! compare the plan layer against (`tests/plan_proptests.rs`).
+//! compare the plan layer against (`tests/plan_proptests.rs`), and
+//! `tests/path_digests.rs` pins the exact output bits of every path.
 //!
-//! ## Performance notes: the Q15 fixed-point path and its scaling strategy
+//! ## Performance notes: the Q15 path's hooks and scaling strategy
 //!
-//! The [`fixed`] module mirrors the plan layer in 16-bit fixed point for
+//! The [`fixed`] module's hooks run the core in 16-bit fixed point for
 //! on-device deployment studies. Its scaling strategy is **block floating
 //! point** (BFP): one shared exponent per buffer, a 16-bit mantissa per
 //! sample.
@@ -96,11 +110,10 @@
 //!   and right-shifts everything (with rounding) until
 //!   `max · (1 + √2) ≤ 32767`, so saturation is impossible mid-stage; the
 //!   shift count accumulates into the scale factor the transform returns.
-//! * **Renormalisation after shrinking steps.** Pointwise spectrum
-//!   products shrink magnitudes; the block is shifted back *up* to the
-//!   guard ceiling (tracked in the same scale) so later stages keep a full
-//!   mantissa. Without this, the matched filter loses ~2 bits per
-//!   overlap-save block.
+//! * **Renormalisation up.** Every transform first shifts the block *up*
+//!   to the guard ceiling (tracked in the same scale), so a quiet input or
+//!   a block shrunk by a pointwise spectrum product keeps a full mantissa.
+//!   Without this, the matched filter loses ~2 bits per overlap-save block.
 //! * **Accuracy envelope.** The differential harness
 //!   (`tests/fixed_vs_float.rs`) pins the path against the f64 oracle:
 //!   ≥ 60 dB SQNR for radix-2 forward transforms, ≥ 55 dB for full
@@ -109,17 +122,12 @@
 //!   transform (two extra quantised multiplies), matched-filter peak
 //!   indices within ±1 sample of the f64 peak at matrix SNRs, and exact
 //!   saturation behaviour at ±1.0.
-//! * **What the perf axis records.** Before the lane kernels the Q15 path
-//!   was ~2× *slower* than the f64 plans on x86 (scalar i16/i64
-//!   arithmetic plus the per-stage max scans vs. hardware
-//!   double-precision FPU — `q15_fft_radix2_2048` ≈ 56 µs vs 25 µs,
-//!   `q15_matched_filter_65k` ≈ 5.7 ms vs 3.1 ms). With the `[i32; 8]`
-//!   lane kernels the i32 arithmetic vectorizes too and the gap closes:
-//!   ≈ 23 µs vs 19 µs on the 2048-point transform and ≈ 3.1 ms vs
-//!   3.2 ms on the 65k matched filter (`BENCH_pipeline.json`) — parity
-//!   or slightly better. The point of the axis was never an x86 speedup:
-//!   it models the numeric behaviour of the integer DSPs phones actually
-//!   ship and tracks both paths' costs over time.
+//! * **What the perf axis records.** With the `[i32; 8]` lane kernels the
+//!   Q15 path runs at parity with f64 on x86: ≈ 23 µs vs 19 µs on the
+//!   2048-point transform and ≈ 3.1 ms vs 3.2 ms on the 65k matched
+//!   filter (`BENCH_pipeline.json`). The point of the axis was never an
+//!   x86 speedup: it models the numeric behaviour of the integer DSPs
+//!   phones actually ship and tracks both paths' costs over time.
 //!
 //! ## Performance notes: structure-of-arrays lane kernels
 //!
@@ -143,12 +151,12 @@
 //!   block, run through const-generic whole-stage kernels instead of
 //!   per-group calls.
 //! * **Bit-identical by construction.** Every kernel computes the same
-//!   expressions in the same order as its retired scalar counterpart
-//!   (kept as `*_scalar` reference methods); the differential harness
-//!   asserts `==` on the outputs, so vectorization can never silently
-//!   change answers. The interleaved entry points deinterleave into pooled
-//!   SoA scratch at the boundary; SoA-native callers (the matched
-//!   filters) never interleave at all.
+//!   expressions in the same order as the one-lane-per-sample reference
+//!   transforms (one generic `forward_scalar` / `inverse_scalar` for the
+//!   two float paths, a BFP twin for Q15); the tests assert `==` on the
+//!   outputs, so vectorization can never silently change answers. The
+//!   interleaved entry points gather into pooled SoA scratch at the
+//!   boundary; SoA-native callers (the matched filters) never interleave.
 //! * **Measured effect** (noisy x86 CI container, medians from
 //!   `BENCH_pipeline.json`): the Q15 radix-2 2048 transform dropped
 //!   ~56 µs → ~23 µs and the Q15 65k matched filter ~5.7 ms → ~3.1 ms —
@@ -159,12 +167,8 @@
 //!   f32 path is where the hot loop now lives: the same 65k correlation
 //!   runs in ~0.5 ms (half-width samples, a half-length real-input FFT
 //!   per overlap-save block, and a half-size tail leg for the final
-//!   partial block — see [`float32::F32MatchedFilter`]). On NEON phones
-//!   the f32/i16 lane widths double the gain again.
-//! * **Batched correlation.** `correlate_normalized_batch` on all three
-//!   filters pushes N links' captures through one scratch checkout,
-//!   walking blocks column-major so the template spectrum stays cache-hot
-//!   across links — the entry point `uw-serve`'s shard workers use.
+//!   partial block — see [`F32MatchedFilter`]). On NEON phones the
+//!   f32/i16 lane widths double the gain again.
 //!
 //! ## Example
 //!
@@ -211,7 +215,7 @@ pub use complex::Complex64;
 pub use fixed::{ComplexQ15, FixedFftPlan, FixedPlanPool, NumericPath, Q15MatchedFilter, Q15};
 pub use float32::{Complex32, F32FftPlan, F32MatchedFilter, F32PlanPool};
 pub use matched::MatchedFilter;
-pub use plan::{FftPlan, FftPlanner, PlanPool};
+pub use plan::{FftPlan, PlanPool};
 
 /// Nominal audio sampling rate of commodity smart devices (Hz).
 pub const SAMPLE_RATE: f64 = 44_100.0;

@@ -1,14 +1,14 @@
 //! Streaming matched filter: overlap-save block correlation against a
-//! fixed template.
+//! fixed template, one driver for all three numeric paths.
 //!
 //! Preamble detection correlates every incoming microphone stream against
 //! the *same* ~10 k-sample preamble. The one-shot [`crate::correlation`]
 //! path pays, per call, two forward FFTs and one inverse FFT at
 //! `next_pow2(signal + template)` — recomputing the template spectrum and
-//! reallocating every buffer each time. [`MatchedFilter`] instead:
+//! reallocating every buffer each time. [`OverlapSave`] instead:
 //!
 //! * precomputes the template's conjugated spectrum **once** at a fixed
-//!   block length `L = next_pow2(4 · template_len)`,
+//!   block length,
 //! * correlates arbitrarily long signals by **overlap-save**: each block of
 //!   `L` input samples yields `L − template_len + 1` valid lags from one
 //!   forward + one inverse FFT through a cached table-driven plan,
@@ -18,84 +18,107 @@
 //!   allocation-free and concurrent callers do not serialise on shared
 //!   buffers.
 //!
-//! Output is bit-for-bit the same definition as `xcorr_normalized` /
-//! `xcorr_fft` (valid lags only), to within floating-point rounding of the
-//! different FFT lengths.
+//! Output has the same definition as `xcorr_normalized` / `xcorr_fft`
+//! (valid lags only), to within the rounding of the path it runs on.
 //!
-//! ## Lane-kernel execution and batching
+//! ## One driver, per-path blocks
 //!
-//! The filter holds the template spectrum and its block scratch in
-//! **structure-of-arrays** form (`re[]` / `im[]` vectors) and drives the
-//! radix-2 plan through its native SoA entry points
-//! ([`crate::plan::Radix2Plan::forward_soa`]), so the FFT butterflies and
-//! the pointwise spectrum product all run through the `[f64; 4]` lane
-//! kernels in [`crate::lanes`] with no interleaving anywhere in the loop.
-//!
-//! [`MatchedFilter::correlate_normalized_batch`] correlates N links'
-//! captures through **one plan invocation**: all links share a single
-//! scratch checkout, and blocks are walked column-major (block `b` of every
-//! link before block `b+1` of any), so the multi-hundred-kilobyte template
-//! spectrum is re-used while cache-hot instead of being re-streamed per
-//! link. This is the entry point the serving layer's shard workers batch
-//! through.
+//! The driver — validation, the scratch pool, the walk over blocks, the
+//! normalisation — is generic over a [`Correlate`] path; a path supplies
+//! its template spectra, its per-call set-up and one block. The `f64`
+//! oracle ([`MatchedFilter`]) and Q15 ([`crate::fixed::Q15MatchedFilter`])
+//! run one complex [`Leg`] at `next_pow2(4 · template_len)`: the real block
+//! loaded into the SoA real lanes, a forward FFT, the pointwise product
+//! with the conjugated template spectrum, an inverse FFT. Q15 adds its
+//! per-call quantisation and BFP scale bookkeeping. The f32 path
+//! ([`crate::float32::F32MatchedFilter`]) runs a half-length real-input
+//! transform with a half-size tail leg for the final block.
 
 use crate::fft::next_pow2;
-use crate::lanes;
-use crate::plan::Radix2Plan;
+use crate::plan::{soa_zeros, Lanes, Path, Radix2, Soa, Stash};
 use crate::{DspError, Result};
-use std::sync::Mutex;
+use std::ops::Add;
 
-/// Reusable per-call buffers, checked out of the filter's pool.
-struct Scratch {
-    /// SoA real half of the block buffer (the filter's FFT length).
-    block_re: Vec<f64>,
-    /// SoA imaginary half of the block buffer.
-    block_im: Vec<f64>,
-    /// Prefix-sum buffer for sliding window energies (`signal.len() + 1`).
-    prefix: Vec<f64>,
+/// The per-path half of the overlap-save matched filter: template spectra,
+/// per-call set-up, one block, and the window energies the normalisation
+/// divides by.
+pub trait Correlate: Path {
+    /// The template's precomputed spectra, plans and scales on this path.
+    type Template: Clone;
+    /// Per-call buffers, pooled by the filter.
+    type Scratch;
+
+    /// Precomputes the spectra of a non-empty `template`; returns them with
+    /// the template's L2 norm as this path quantises it.
+    fn template(template: &[f64]) -> Result<(Self::Template, f64)>;
+    /// Overlap-save block length in samples.
+    fn block_len(t: &Self::Template) -> usize;
+    /// Fresh per-call buffers.
+    fn scratch(t: &Self::Template) -> Self::Scratch;
+    /// Per-call set-up before the first block (Q15 quantises the signal).
+    fn prepare(_signal: &[f64], _s: &mut Self::Scratch) {}
+    /// Appends lags `p .. p + take` of the raw correlation to `out`.
+    fn block(
+        t: &Self::Template,
+        signal: &[f64],
+        p: usize,
+        take: usize,
+        out: &mut Vec<f64>,
+        s: &mut Self::Scratch,
+    ) -> Result<()>;
+    /// Divides each raw lag of `out` by `template_norm` times the root of
+    /// its `m`-sample signal window's energy, as this path quantises the
+    /// signal (0 where the window is silent). Runs after the blocks, so
+    /// the energies are computed while the division reads them hot.
+    fn normalize_lags(
+        signal: &[f64],
+        out: &mut [f64],
+        template_norm: f64,
+        m: usize,
+        s: &mut Self::Scratch,
+    );
 }
 
-/// A precomputed matched filter for one fixed template.
-pub struct MatchedFilter {
+/// A precomputed overlap-save matched filter for one fixed template, on
+/// one numeric path. `f64` at the API boundary on every path: signals
+/// arrive from the capture layer as `f64`.
+pub struct OverlapSave<T: Correlate> {
     template_len: usize,
-    fft_len: usize,
-    /// Valid lags produced per block: `fft_len − template_len + 1`.
-    step: usize,
-    /// Real parts of the conjugated template spectrum at `fft_len`.
-    tspec_re: Vec<f64>,
-    /// Imaginary parts of the conjugated template spectrum.
-    tspec_im: Vec<f64>,
-    /// L2 norm of the template (for normalisation).
+    /// L2 norm of the template as the path sees it (for normalisation).
     template_norm: f64,
-    plan: Radix2Plan,
-    pool: Mutex<Vec<Scratch>>,
+    /// Valid lags produced per block: `block_len − template_len + 1`.
+    step: usize,
+    template: T::Template,
+    pool: Stash<T::Scratch>,
 }
 
-impl std::fmt::Debug for MatchedFilter {
+/// The `f64` matched filter: one complex leg at
+/// `next_pow2(4 · template_len)` through the `[f64; 4]` lane kernels.
+pub type MatchedFilter = OverlapSave<f64>;
+
+impl<T: Correlate> std::fmt::Debug for OverlapSave<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MatchedFilter")
+        f.debug_struct("OverlapSave")
+            .field("path", &std::any::type_name::<T>())
             .field("template_len", &self.template_len)
-            .field("fft_len", &self.fft_len)
+            .field("block_len", &self.block_len())
             .finish()
     }
 }
 
-impl Clone for MatchedFilter {
+impl<T: Correlate> Clone for OverlapSave<T> {
     fn clone(&self) -> Self {
         Self {
             template_len: self.template_len,
-            fft_len: self.fft_len,
-            step: self.step,
-            tspec_re: self.tspec_re.clone(),
-            tspec_im: self.tspec_im.clone(),
             template_norm: self.template_norm,
-            plan: self.plan.clone(),
-            pool: Mutex::new(Vec::new()),
+            step: self.step,
+            template: self.template.clone(),
+            pool: Stash::new(Vec::new()),
         }
     }
 }
 
-impl MatchedFilter {
+impl<T: Correlate> OverlapSave<T> {
     /// Builds a matched filter for `template`. The template must be
     /// non-empty and carry non-zero energy (a zero template cannot be
     /// normalised against).
@@ -105,33 +128,18 @@ impl MatchedFilter {
                 reason: "matched-filter template must be non-empty",
             });
         }
-        let template_norm = template.iter().map(|t| t * t).sum::<f64>().sqrt();
+        let (state, template_norm) = T::template(template)?;
         if template_norm == 0.0 {
             return Err(DspError::InvalidParameter {
                 reason: "template has zero energy",
             });
         }
-        let m = template.len();
-        // ~4× the template per block amortises the FFT cost well: each
-        // block's two transforms yield ≥ 3m valid lags.
-        let fft_len = next_pow2(4 * m).max(1024);
-        let plan = Radix2Plan::new(fft_len)?;
-        let mut tspec_re = vec![0.0; fft_len];
-        let mut tspec_im = vec![0.0; fft_len];
-        tspec_re[..m].copy_from_slice(template);
-        plan.forward_soa(&mut tspec_re, &mut tspec_im)?;
-        for x in tspec_im.iter_mut() {
-            *x = -*x;
-        }
         Ok(Self {
-            template_len: m,
-            fft_len,
-            step: fft_len - m + 1,
-            tspec_re,
-            tspec_im,
+            template_len: template.len(),
             template_norm,
-            plan,
-            pool: Mutex::new(Vec::new()),
+            step: T::block_len(&state) - template.len() + 1,
+            template: state,
+            pool: Stash::new(Vec::new()),
         })
     }
 
@@ -146,9 +154,10 @@ impl MatchedFilter {
         self.template_len == 0
     }
 
-    /// FFT block length used internally.
+    /// FFT block length used internally (on the f32 path the main leg's;
+    /// the final block of a stream may run through a half-size tail leg).
     pub fn block_len(&self) -> usize {
-        self.fft_len
+        T::block_len(&self.template)
     }
 
     /// Number of valid correlation lags for a signal of `signal_len`
@@ -184,75 +193,6 @@ impl MatchedFilter {
         Ok(out)
     }
 
-    /// Normalised correlation of N links' captures through one plan
-    /// invocation (see the module notes on batching). Returns one output
-    /// vector per input signal; each is identical to what
-    /// [`MatchedFilter::correlate_normalized`] would produce for that
-    /// signal alone.
-    pub fn correlate_normalized_batch(&self, signals: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
-        let mut outs: Vec<Vec<f64>> = signals.iter().map(|_| Vec::new()).collect();
-        self.correlate_normalized_batch_into(signals, &mut outs)?;
-        Ok(outs)
-    }
-
-    /// Batched normalised correlation into caller buffers. Steady-state
-    /// allocation-free when every `outs[i]` has capacity. `outs` must have
-    /// one slot per signal.
-    pub fn correlate_normalized_batch_into(
-        &self,
-        signals: &[&[f64]],
-        outs: &mut [Vec<f64>],
-    ) -> Result<()> {
-        if signals.len() != outs.len() {
-            return Err(DspError::InvalidLength {
-                reason: "batched correlation needs one output slot per signal",
-            });
-        }
-        // Validate the whole batch before touching any scratch. Output
-        // lengths are recomputed where needed below instead of staged in a
-        // side vector, keeping the steady state allocation-free.
-        for signal in signals {
-            if signal.is_empty() {
-                return Err(DspError::InvalidLength {
-                    reason: "correlation inputs must be non-empty",
-                });
-            }
-            self.output_len(signal.len())?;
-        }
-        let n_out_of = |signal: &[f64]| signal.len() - self.template_len + 1;
-        let mut scratch = self.acquire();
-        let result = (|| {
-            for (out, signal) in outs.iter_mut().zip(signals.iter()) {
-                out.clear();
-                out.reserve(n_out_of(signal));
-            }
-            // Column-major over blocks: every link's block `b` runs while
-            // the template spectrum is still cache-hot from the previous
-            // link's block `b`.
-            let max_blocks = signals
-                .iter()
-                .map(|s| n_out_of(s).div_ceil(self.step))
-                .max()
-                .unwrap_or(0);
-            for b in 0..max_blocks {
-                let p = b * self.step;
-                for (signal, out) in signals.iter().zip(outs.iter_mut()) {
-                    let n_out = n_out_of(signal);
-                    if p < n_out {
-                        self.one_block(signal, p, n_out, out, &mut scratch)?;
-                    }
-                }
-            }
-            for (signal, out) in signals.iter().zip(outs.iter_mut()) {
-                debug_assert_eq!(out.len(), n_out_of(signal));
-                self.normalize(signal, out, &mut scratch);
-            }
-            Ok(())
-        })();
-        self.release(scratch);
-        result
-    }
-
     fn run(&self, signal: &[f64], out: &mut Vec<f64>, normalize: bool) -> Result<()> {
         if signal.is_empty() {
             return Err(DspError::InvalidLength {
@@ -260,95 +200,195 @@ impl MatchedFilter {
             });
         }
         let n_out = self.output_len(signal.len())?;
-        let mut scratch = self.acquire();
-        let result = (|| {
-            out.clear();
-            out.reserve(n_out);
-            // Overlap-save: block `p` covers signal[p .. p+L); its circular
-            // correlation is linear (wrap-free) on the first L − m + 1 lags.
-            let mut p = 0usize;
-            while p < n_out {
-                self.one_block(signal, p, n_out, out, &mut scratch)?;
-                p += self.step;
-            }
-            if normalize {
-                self.normalize(signal, out, &mut scratch);
-            }
-            Ok(())
-        })();
-        self.release(scratch);
-        result
+        self.pool.with(
+            || T::scratch(&self.template),
+            |s| self.run_with(signal, n_out, out, normalize, s),
+        )
     }
 
-    /// One overlap-save block starting at lag `p`: load, forward FFT,
-    /// pointwise product with the conjugated template spectrum, inverse
-    /// FFT, and append the valid lags to `out`. All SoA lane kernels.
-    fn one_block(
+    fn run_with(
         &self,
         signal: &[f64],
-        p: usize,
         n_out: usize,
         out: &mut Vec<f64>,
-        scratch: &mut Scratch,
+        normalize: bool,
+        s: &mut T::Scratch,
     ) -> Result<()> {
-        let n = signal.len();
-        let l = self.fft_len;
-        let re = &mut scratch.block_re;
-        let im = &mut scratch.block_im;
-        let available = (n - p).min(l);
-        re[..available].copy_from_slice(&signal[p..p + available]);
-        for slot in re[available..l].iter_mut() {
-            *slot = 0.0;
+        T::prepare(signal, s);
+        out.clear();
+        out.reserve(n_out);
+        // Overlap-save: block `p` covers signal[p .. p+L); its circular
+        // correlation is linear (wrap-free) on the first L − m + 1 lags.
+        for p in (0..n_out).step_by(self.step) {
+            T::block(&self.template, signal, p, self.step.min(n_out - p), out, s)?;
         }
-        for slot in im.iter_mut() {
-            *slot = 0.0;
+        if normalize {
+            T::normalize_lags(signal, out, self.template_norm, self.template_len, s);
         }
-        self.plan.forward_soa(re, im)?;
-        lanes::cmul_f64(re, im, &self.tspec_re, &self.tspec_im);
-        self.plan.inverse_soa(re, im)?;
-        let take = self.step.min(n_out - p);
+        Ok(())
+    }
+}
+
+/// Replaces `prefix` with the running sums of `energies`, starting at 0.
+pub(crate) fn prefix_sums<E: Copy + Default + Add<Output = E>>(
+    prefix: &mut Vec<E>,
+    energies: impl ExactSizeIterator<Item = E>,
+) {
+    prefix.clear();
+    prefix.reserve(energies.len() + 1);
+    let mut acc = E::default();
+    prefix.push(acc);
+    for e in energies {
+        acc = acc + e;
+        prefix.push(acc);
+    }
+}
+
+/// Divides each raw lag `out[k]` by `template_norm` times the root of its
+/// window energy, `energy(prefix[k + m], prefix[k])` over running sums of
+/// the squared samples; lags whose window has no energy become 0.
+pub(crate) fn divide_by_windows<E: Copy>(
+    out: &mut [f64],
+    prefix: &[E],
+    m: usize,
+    template_norm: f64,
+    energy: impl Fn(E, E) -> f64,
+) {
+    for ((r, &hi), &lo) in out.iter_mut().zip(&prefix[m..]).zip(prefix) {
+        let denom = template_norm * energy(hi, lo).sqrt();
+        *r = if denom > 0.0 { *r / denom } else { 0.0 };
+    }
+}
+
+/// Per-call buffers of the float paths: one SoA block and the sliding
+/// window energies as `f64` prefix sums.
+pub struct FloatScratch<R> {
+    pub(crate) lanes: Lanes<R>,
+    pub(crate) prefix: Vec<f64>,
+}
+
+impl<R: Copy + Default> FloatScratch<R> {
+    pub(crate) fn new(block: usize) -> Self {
+        Self {
+            lanes: Lanes::new(block),
+            prefix: Vec::new(),
+        }
+    }
+}
+
+/// One overlap-save leg over the complex transform: the conjugated
+/// template spectrum at one block length and the radix-2 plan that runs
+/// it. The f64 and Q15 filters each run one.
+#[derive(Clone)]
+pub struct Leg<T: Path> {
+    spec: Soa<T::Real>,
+    plan: Radix2<T>,
+}
+
+impl<T: Path> Leg<T> {
+    /// The block length `next_pow2(4·m)` (at least 1024) for an `m`-sample
+    /// template: each block's two transforms yield ≥ 3m valid lags.
+    pub(crate) fn block_len(m: usize) -> usize {
+        next_pow2(4 * m).max(1024)
+    }
+
+    /// Transforms the template, already on this path, at `fft_len` and
+    /// conjugates its spectrum. Returns the leg and the transform's shift.
+    pub(crate) fn new(
+        template: impl Iterator<Item = T::Real>,
+        fft_len: usize,
+    ) -> Result<(Self, i32)> {
+        let plan = Radix2::new(fft_len)?;
+        let (mut re, mut im) = soa_zeros(fft_len);
+        for (slot, t) in re.iter_mut().zip(template) {
+            *slot = t;
+        }
+        let shift = plan.soa(&mut re, &mut im, true)?;
+        for (r, i) in re.iter_mut().zip(im.iter_mut()) {
+            (*r, *i) = T::split(T::conj(T::join(*r, *i)));
+        }
+        Ok((
+            Self {
+                spec: (re, im),
+                plan,
+            },
+            shift,
+        ))
+    }
+
+    /// Block length in samples.
+    pub(crate) fn len(&self) -> usize {
+        self.plan.len()
+    }
+
+    /// Correlates `block` (at most [`Leg::len`] samples, zero-padded)
+    /// against the template, leaving the circular correlation in `re`.
+    /// Returns the net right shift (0 on the float paths).
+    pub(crate) fn correlate<S: Copy>(
+        &self,
+        block: &[S],
+        load: impl Fn(S) -> T::Real,
+        re: &mut [T::Real],
+        im: &mut [T::Real],
+    ) -> Result<i32> {
+        for (slot, &x) in re.iter_mut().zip(block) {
+            *slot = load(x);
+        }
+        re[block.len()..].fill(T::Real::default());
+        im.fill(T::Real::default());
+        let shift = self.plan.soa(re, im, true)?;
+        T::mul_spectrum(re, im, &self.spec.0, &self.spec.1);
+        let shift = shift + self.plan.soa(re, im, false)?;
+        T::normalize(re, im, self.len());
+        Ok(shift + T::PRODUCT_SHIFT)
+    }
+}
+
+impl Correlate for f64 {
+    type Template = Leg<f64>;
+    type Scratch = FloatScratch<f64>;
+
+    fn template(template: &[f64]) -> Result<(Leg<f64>, f64)> {
+        let norm = template.iter().map(|t| t * t).sum::<f64>().sqrt();
+        let (leg, _) = Leg::new(
+            template.iter().copied(),
+            Leg::<f64>::block_len(template.len()),
+        )?;
+        Ok((leg, norm))
+    }
+
+    fn block_len(t: &Leg<f64>) -> usize {
+        t.len()
+    }
+
+    fn scratch(t: &Leg<f64>) -> FloatScratch<f64> {
+        FloatScratch::new(t.len())
+    }
+
+    fn block(
+        t: &Leg<f64>,
+        signal: &[f64],
+        p: usize,
+        take: usize,
+        out: &mut Vec<f64>,
+        s: &mut FloatScratch<f64>,
+    ) -> Result<()> {
+        let end = signal.len().min(p + t.len());
+        let (re, im) = s.lanes.split();
+        t.correlate(&signal[p..end], |x| x, re, im)?;
         out.extend_from_slice(&re[..take]);
         Ok(())
     }
 
-    /// Sliding window energy of the signal via prefix sums, exactly as in
-    /// `xcorr_normalized`.
-    fn normalize(&self, signal: &[f64], out: &mut [f64], scratch: &mut Scratch) {
-        let n = signal.len();
-        let prefix = &mut scratch.prefix;
-        prefix.clear();
-        prefix.reserve(n + 1);
-        prefix.push(0.0);
-        let mut acc = 0.0;
-        for &s in signal.iter() {
-            acc += s * s;
-            prefix.push(acc);
-        }
-        let m = self.template_len;
-        for (k, r) in out.iter_mut().enumerate() {
-            let win_energy = prefix[k + m] - prefix[k];
-            let denom = self.template_norm * win_energy.sqrt();
-            *r = if denom > 0.0 { *r / denom } else { 0.0 };
-        }
-    }
-
-    fn acquire(&self) -> Scratch {
-        self.pool
-            .lock()
-            .expect("matched-filter pool poisoned")
-            .pop()
-            .unwrap_or_else(|| Scratch {
-                block_re: vec![0.0; self.fft_len],
-                block_im: vec![0.0; self.fft_len],
-                prefix: Vec::new(),
-            })
-    }
-
-    fn release(&self, scratch: Scratch) {
-        self.pool
-            .lock()
-            .expect("matched-filter pool poisoned")
-            .push(scratch);
+    fn normalize_lags(
+        signal: &[f64],
+        out: &mut [f64],
+        template_norm: f64,
+        m: usize,
+        s: &mut FloatScratch<f64>,
+    ) {
+        prefix_sums(&mut s.prefix, signal.iter().map(|&x| x * x));
+        divide_by_windows(out, &s.prefix, m, template_norm, |hi, lo| hi - lo);
     }
 }
 
@@ -423,38 +463,6 @@ mod tests {
         // A clone starts with an empty pool but computes the same result.
         let cloned = filter.clone();
         assert_eq!(cloned.correlate_normalized(&signal).unwrap(), first);
-    }
-
-    #[test]
-    fn batched_correlation_is_bit_identical_to_per_link_calls() {
-        let template: Vec<f64> = (0..200).map(|i| ((i as f64) * 0.41).sin()).collect();
-        let filter = MatchedFilter::new(&template).unwrap();
-        // Links of different lengths, one spanning several blocks.
-        let sig_a = signal_with_template(&template, 57, 900);
-        let sig_b = signal_with_template(&template, 700, filter.block_len() * 2 + 31);
-        let sig_c = signal_with_template(&template, 311, 2400);
-        let signals: Vec<&[f64]> = vec![&sig_a, &sig_b, &sig_c];
-        let batched = filter.correlate_normalized_batch(&signals).unwrap();
-        assert_eq!(batched.len(), 3);
-        for (signal, got) in signals.iter().zip(batched.iter()) {
-            let solo = filter.correlate_normalized(signal).unwrap();
-            assert_eq!(&solo, got);
-        }
-        // Empty batch is a clean no-op.
-        assert!(filter.correlate_normalized_batch(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn batched_correlation_rejects_bad_batches() {
-        let filter = MatchedFilter::new(&[1.0, -1.0, 0.5]).unwrap();
-        let good = vec![0.5; 64];
-        let short = vec![0.5; 2];
-        assert!(filter.correlate_normalized_batch(&[&good, &short]).is_err());
-        assert!(filter.correlate_normalized_batch(&[&good, &[]]).is_err());
-        let mut one_slot = vec![Vec::new()];
-        assert!(filter
-            .correlate_normalized_batch_into(&[&good, &good], &mut one_slot)
-            .is_err());
     }
 
     #[test]

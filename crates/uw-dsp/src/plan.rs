@@ -1,4 +1,4 @@
-//! Plan-based FFT execution.
+//! Plan-based FFT execution, one core for all three numeric paths.
 //!
 //! The free functions in [`crate::fft`] recompute twiddle factors (and, for
 //! non-power-of-two lengths, the entire Bluestein chirp setup) on every
@@ -7,101 +7,336 @@
 //! thousands of times per session: 2048/4096-point FFTs inside the
 //! correlators and 1920-point Bluestein transforms for every OFDM symbol.
 //!
-//! An [`FftPlan`] precomputes everything that depends only on the length —
+//! A [`Plan`] precomputes everything that depends only on the length —
 //! the bit-reversal permutation, per-stage twiddle tables (forward and
 //! inverse), and for Bluestein lengths the chirp sequence, the chirp's
 //! padded spectrum, and a scratch buffer — so steady-state
-//! [`FftPlan::process_forward`] / [`FftPlan::process_inverse`] calls are
-//! allocation-free. [`FftPlanner`] caches plans by length, and
-//! [`PlanPool`] shares plans of one fixed length across threads without
-//! serialising the transforms themselves.
+//! [`Plan::process_forward`] / [`Plan::process_inverse`] calls are
+//! allocation-free. [`Pool`] shares plans of one fixed length across
+//! threads without serialising the transforms themselves.
 //!
-//! ## Lane-kernel execution
+//! ## One core, three paths
 //!
-//! Since the vectorization pass, the butterflies run in **structure-of-
-//! arrays** form: twiddle tables are stored as separate `re[]` / `im[]`
-//! vectors and the transform executes on split real/imaginary buffers
-//! through the fixed-width `[f64; 4]` kernels in [`crate::lanes`]. The
-//! public [`Radix2Plan::forward`] / [`Radix2Plan::inverse`] entry points
-//! keep their interleaved [`Complex64`] signatures — they deinterleave into
-//! a pooled SoA scratch (fusing the bit-reversal permutation into the
-//! gather), run the lane-kernel stages, and interleave back — while SoA
-//! callers like [`crate::matched::MatchedFilter`] use
-//! [`Radix2Plan::forward_soa`] / [`Radix2Plan::inverse_soa`] directly and
-//! never touch interleaved storage at all. The retired one-lane-per-sample
-//! implementation is retained as [`Radix2Plan::forward_scalar`] /
-//! [`Radix2Plan::inverse_scalar`]: the differential harness
-//! (`tests/fixed_vs_float.rs`) pins the lane path bit-identical to it, so
-//! vectorization can never silently change answers.
+//! [`Radix2`], the Bluestein wrapper, [`Plan`] and [`Pool`] are generic
+//! over a [`Path`]: `f64` (the oracle), `f32` (the phone-float path in
+//! [`crate::float32`]) and [`crate::fixed::Q15`] (block floating point in
+//! [`crate::fixed`]). The core owns the tables, the bit reversal, the
+//! structure-of-arrays scratch, the chirp-z algorithm and the pooling; a
+//! path supplies only what really differs — how a table entry is rounded,
+//! its butterfly stages (plain `[f64; 4]` lanes, fused `[f32; 8]` stages,
+//! or `[i32; 8]` stages with per-stage BFP guard shifts), its pointwise
+//! products, and what an inverse does with `1/N` (the float paths scale
+//! the buffer, Q15 folds it into the scale the transform returns). The
+//! public names callers use are type aliases over the core:
+//! [`Radix2Plan`], [`FftPlan`] and [`PlanPool`] here, their `F32*` twins in
+//! [`crate::float32`] and their `Fixed*` twins in [`crate::fixed`].
+//!
+//! The butterflies run in structure-of-arrays form on split `re[]` /
+//! `im[]` buffers through the fixed-width kernels in [`crate::lanes`]. The
+//! interleaved entry points gather through the bit-reversal permutation
+//! into a pooled SoA scratch, run the stages, and scatter back; SoA callers
+//! such as the matched filters use [`Radix2::forward_soa`] directly and
+//! never interleave. The one-lane-per-sample transforms remain as
+//! reference methods ([`Radix2::forward_scalar`] on the float paths, the
+//! BFP twin on Q15), and the tests pin the lane path bit-identical to
+//! them, so vectorization can never silently change answers.
 
 use crate::complex::Complex64;
 use crate::fft::{is_pow2, next_pow2};
 use crate::lanes;
 use crate::{DspError, Result};
-use std::collections::HashMap;
+use std::ops::{Add, Mul, Sub};
 use std::sync::Mutex;
 
-/// Reusable SoA buffers for the interleaved entry points.
-#[derive(Debug, Default)]
-struct SoaScratch {
-    re: Vec<f64>,
-    im: Vec<f64>,
+/// The arithmetic of one numeric path, as the generic plan core needs it.
+///
+/// Implemented by `f64`, `f32` and [`crate::fixed::Q15`]. Everything that
+/// depends only on the transform length lives in the core; a path supplies
+/// its sample types, table rounding, butterfly stages, pointwise products
+/// and the bookkeeping of its scale.
+pub trait Path: Copy + Send + Sync + 'static {
+    /// One lane of a structure-of-arrays buffer: `f64`, `f32`, or the Q15
+    /// mantissa widened to `i32`.
+    type Real: Copy
+        + Default
+        + Send
+        + Sync
+        + Add<Output = Self::Real>
+        + Sub<Output = Self::Real>
+        + Mul<Output = Self::Real>;
+    /// The interleaved complex sample the public entry points take.
+    type Complex: Copy;
+    /// What a radix-2 transform reports: nothing on the float paths, the
+    /// net right-shift count on Q15.
+    type Shift;
+    /// What a [`Plan`] transform reports: nothing on the float paths; on
+    /// Q15 the factor that turns the dequantised output into the true
+    /// transform.
+    type Scale;
+    /// Right shift one pointwise-product pass contributes: Q15 products
+    /// are half-scaled, float products are exact to rounding.
+    const PRODUCT_SHIFT: i32 = 0;
+
+    /// Rounds a table entry computed in `f64` (twiddle, chirp, spectrum).
+    fn quantize(c: Complex64) -> Self::Complex;
+    /// Complex conjugate.
+    fn conj(c: Self::Complex) -> Self::Complex;
+    /// Splits a sample into its SoA lanes.
+    fn split(c: Self::Complex) -> (Self::Real, Self::Real);
+    /// Joins SoA lanes into a sample.
+    fn join(re: Self::Real, im: Self::Real) -> Self::Complex;
+    /// Runs every butterfly stage on bit-reversed data of length ≥ 2 with
+    /// the concatenated per-stage twiddle tables; returns the net right
+    /// shift applied (0 on the float paths).
+    fn stages(
+        re: &mut [Self::Real],
+        im: &mut [Self::Real],
+        twr: &[Self::Real],
+        twi: &[Self::Real],
+    ) -> i32;
+    /// Pays an inverse transform's `1/n` in place. The float paths scale
+    /// the buffer; Q15 leaves it to the scale it returns.
+    fn normalize(re: &mut [Self::Real], im: &mut [Self::Real], n: usize);
+    /// Pointwise product `x[k] ← x[k] · t[k]` with a precomputed spectrum.
+    fn mul_spectrum(
+        x_re: &mut [Self::Real],
+        x_im: &mut [Self::Real],
+        t_re: &[Self::Real],
+        t_im: &[Self::Real],
+    );
+    /// One complex product `x · w` (the Bluestein chirp multiply).
+    #[inline]
+    fn mul(x: (Self::Real, Self::Real), w: (Self::Real, Self::Real)) -> (Self::Real, Self::Real) {
+        (x.0 * w.0 - x.1 * w.1, x.0 * w.1 + x.1 * w.0)
+    }
+    /// Gain a precomputed spectrum is divided by before rounding: 1 on the
+    /// float paths, the peak component on Q15 (whose tables must fit the
+    /// mantissa).
+    fn spectrum_gain(_spec: &[Complex64]) -> f64 {
+        1.0
+    }
+    /// The radix-2 report for a net right shift.
+    fn shift(shift: i32) -> Self::Shift;
+    /// The plan report for a transform that applied a net right `shift`,
+    /// carries a table `gain` and still owes a division by `divisor`.
+    fn scale(shift: i32, gain: f64, divisor: usize) -> Self::Scale;
 }
 
-/// A radix-2 decimation-in-time FFT with precomputed bit-reversal and
-/// structure-of-arrays twiddle tables, executed through the `[f64; 4]`
-/// lane kernels in [`crate::lanes`]. The tables are read-only after
-/// construction; the small internal SoA scratch pool is mutex-guarded, so
-/// one plan can serve many threads concurrently.
-pub struct Radix2Plan {
-    n: usize,
-    /// Bit-reversed index for every position (length `n`).
-    bitrev: Vec<u32>,
-    /// Forward twiddle real parts, concatenated per stage: stage `s`
-    /// (butterfly half-width `2^s`) occupies indices
-    /// `2^s - 1 .. 2^(s+1) - 1`.
-    tw_re_fwd: Vec<f64>,
-    /// Forward twiddle imaginary parts with the same layout.
-    tw_im_fwd: Vec<f64>,
-    /// Inverse twiddle real parts with the same layout.
-    tw_re_inv: Vec<f64>,
-    /// Inverse twiddle imaginary parts with the same layout.
-    tw_im_inv: Vec<f64>,
-    /// Pooled SoA buffers for the interleaved `forward`/`inverse` wrappers.
-    scratch: Mutex<Vec<SoaScratch>>,
+/// The IEEE paths (`f64`, `f32`): nothing to track beyond the samples,
+/// and inverse transforms pay `1/N` in the buffer.
+pub trait Float: Path<Shift = (), Scale = ()> {
+    /// `1 / n` in this precision.
+    fn recip_len(n: usize) -> Self::Real;
 }
 
-impl std::fmt::Debug for Radix2Plan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Radix2Plan").field("n", &self.n).finish()
+impl Path for f64 {
+    type Real = f64;
+    type Complex = Complex64;
+    type Shift = ();
+    type Scale = ();
+
+    #[inline]
+    fn quantize(c: Complex64) -> Complex64 {
+        c
+    }
+    #[inline]
+    fn conj(c: Complex64) -> Complex64 {
+        c.conj()
+    }
+    #[inline]
+    fn split(c: Complex64) -> (f64, f64) {
+        (c.re, c.im)
+    }
+    #[inline]
+    fn join(re: f64, im: f64) -> Complex64 {
+        Complex64::new(re, im)
+    }
+    fn stages(re: &mut [f64], im: &mut [f64], twr: &[f64], twi: &[f64]) -> i32 {
+        let mut half = 1usize;
+        while half < re.len() {
+            let (swr, swi) = stage_twiddles(twr, twi, half);
+            if half < lanes::F64_LANES {
+                // Early stages have sub-lane groups; run the whole stage in
+                // one flat kernel pass instead of n/(2·half) tiny calls.
+                lanes::butterfly_f64_small(re, im, swr, swi);
+            } else {
+                for_each_group(re, im, half, |er, ei, or, oi| {
+                    lanes::butterfly_f64(er, ei, or, oi, swr, swi)
+                });
+            }
+            half <<= 1;
+        }
+        0
+    }
+    fn normalize(re: &mut [f64], im: &mut [f64], n: usize) {
+        lanes::scale_f64(re, im, Self::recip_len(n));
+    }
+    fn mul_spectrum(x_re: &mut [f64], x_im: &mut [f64], t_re: &[f64], t_im: &[f64]) {
+        lanes::cmul_f64(x_re, x_im, t_re, t_im);
+    }
+    fn shift(_: i32) {}
+    fn scale(_: i32, _: f64, _: usize) {}
+}
+
+impl Float for f64 {
+    #[inline]
+    fn recip_len(n: usize) -> f64 {
+        1.0 / n as f64
     }
 }
 
-impl Clone for Radix2Plan {
+/// Stage `half`'s slice of a concatenated twiddle table: stage `s` (half
+/// width `2^s`) occupies indices `2^s − 1 .. 2^(s+1) − 1`.
+#[inline]
+pub(crate) fn stage_twiddles<'a, R>(twr: &'a [R], twi: &'a [R], half: usize) -> (&'a [R], &'a [R]) {
+    (&twr[half - 1..2 * half - 1], &twi[half - 1..2 * half - 1])
+}
+
+/// Calls `f(even_re, even_im, odd_re, odd_im)` for every butterfly group
+/// of one stage with half width `half`.
+#[inline]
+pub(crate) fn for_each_group<R>(
+    re: &mut [R],
+    im: &mut [R],
+    half: usize,
+    mut f: impl FnMut(&mut [R], &mut [R], &mut [R], &mut [R]),
+) {
+    for (gre, gim) in re
+        .chunks_exact_mut(2 * half)
+        .zip(im.chunks_exact_mut(2 * half))
+    {
+        let (er, or) = gre.split_at_mut(half);
+        let (ei, oi) = gim.split_at_mut(half);
+        f(er, ei, or, oi);
+    }
+}
+
+/// A mutex-guarded stash of reusable values: [`Stash::with`] checks one
+/// out (building a fresh one only when every stashed value is in use),
+/// runs the closure, and puts it back. In steady state the stash holds as
+/// many values as the peak concurrency, so checkouts never allocate.
+pub(crate) struct Stash<X>(Mutex<Vec<X>>);
+
+impl<X> Stash<X> {
+    pub(crate) fn new(items: Vec<X>) -> Self {
+        Stash(Mutex::new(items))
+    }
+
+    pub(crate) fn with<R>(&self, make: impl FnOnce() -> X, f: impl FnOnce(&mut X) -> R) -> R {
+        let item = self.0.lock().expect("stash poisoned").pop();
+        let mut item = item.unwrap_or_else(make);
+        let result = f(&mut item);
+        self.0.lock().expect("stash poisoned").push(item);
+        result
+    }
+}
+
+/// A structure-of-arrays complex table: real lanes, imaginary lanes.
+pub(crate) type Soa<R> = (Vec<R>, Vec<R>);
+
+/// A zeroed SoA table of `n` samples.
+pub(crate) fn soa_zeros<R: Copy + Default>(n: usize) -> Soa<R> {
+    (vec![R::default(); n], vec![R::default(); n])
+}
+
+/// Reusable SoA scratch: a real and an imaginary lane of `n` samples cut
+/// from one allocation, both 64-byte aligned, the imaginary lane starting
+/// one cache line after the real lane's end. Butterfly partners sit
+/// power-of-two strides apart, so lanes whose distance is a multiple of
+/// 2 KiB make stores to one lane falsely alias loads from the other
+/// (4K aliasing); separate allocations land there by chance and cost the
+/// f32 correlator up to ~20%.
+#[derive(Clone)]
+pub(crate) struct Lanes<R> {
+    buf: Vec<R>,
+    n: usize,
+}
+
+impl<R: Copy + Default> Lanes<R> {
+    /// Samples per 64-byte cache line.
+    const LINE: usize = 64 / std::mem::size_of::<R>();
+
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            buf: vec![R::default(); 2 * n + 2 * Self::LINE],
+            n,
+        }
+    }
+
+    /// Lane length.
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// The real and imaginary lanes.
+    pub(crate) fn split(&mut self) -> (&mut [R], &mut [R]) {
+        let skew = self.buf.as_ptr() as usize % 64 / std::mem::size_of::<R>();
+        let start = (Self::LINE - skew) % Self::LINE;
+        let (re, rest) = self.buf[start..].split_at_mut(self.n);
+        (re, &mut rest[Self::LINE..Self::LINE + self.n])
+    }
+}
+
+fn length_error() -> DspError {
+    DspError::InvalidLength {
+        reason: "buffer length does not match the FFT plan length",
+    }
+}
+
+fn positive(n: usize) -> Result<()> {
+    if n == 0 {
+        return Err(DspError::InvalidLength {
+            reason: "FFT plan length must be positive",
+        });
+    }
+    Ok(())
+}
+
+/// A radix-2 decimation-in-time FFT on one numeric path, with precomputed
+/// bit reversal and structure-of-arrays twiddle tables (computed in `f64`
+/// and rounded once). The tables are read-only after construction; the
+/// small internal SoA scratch behind the interleaved entry points is
+/// mutex-guarded, so one plan can serve many threads concurrently.
+pub struct Radix2<T: Path> {
+    n: usize,
+    /// Bit-reversed index for every position (length `n`).
+    bitrev: Vec<u32>,
+    /// Forward and inverse twiddles, real and imaginary lanes, concatenated
+    /// per stage (see [`stage_twiddles`]).
+    tw_fwd: Soa<T::Real>,
+    tw_inv: Soa<T::Real>,
+    /// Pooled SoA buffers for the interleaved entry points.
+    scratch: Stash<Lanes<T::Real>>,
+}
+
+/// The `f64` radix-2 plan, executed through the `[f64; 4]` lane kernels.
+pub type Radix2Plan = Radix2<f64>;
+
+impl<T: Path> std::fmt::Debug for Radix2<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Radix2")
+            .field("path", &std::any::type_name::<T>())
+            .field("n", &self.n)
+            .finish()
+    }
+}
+
+impl<T: Path> Clone for Radix2<T> {
     fn clone(&self) -> Self {
         Self {
             n: self.n,
             bitrev: self.bitrev.clone(),
-            tw_re_fwd: self.tw_re_fwd.clone(),
-            tw_im_fwd: self.tw_im_fwd.clone(),
-            tw_re_inv: self.tw_re_inv.clone(),
-            tw_im_inv: self.tw_im_inv.clone(),
-            scratch: Mutex::new(vec![SoaScratch {
-                re: vec![0.0; self.n],
-                im: vec![0.0; self.n],
-            }]),
+            tw_fwd: self.tw_fwd.clone(),
+            tw_inv: self.tw_inv.clone(),
+            scratch: Stash::new(vec![Lanes::new(self.n)]),
         }
     }
 }
 
-impl Radix2Plan {
+impl<T: Path> Radix2<T> {
     /// Builds a plan for a power-of-two length `n ≥ 1`.
     pub fn new(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(DspError::InvalidLength {
-                reason: "FFT plan length must be positive",
-            });
-        }
+        positive(n)?;
         if !is_pow2(n) {
             return Err(DspError::InvalidLength {
                 reason: "radix-2 plan length must be a power of two",
@@ -118,33 +353,28 @@ impl Radix2Plan {
             })
             .collect();
         // One table entry per butterfly twiddle; n-1 in total.
-        let mut tw_re_fwd = Vec::with_capacity(n.saturating_sub(1));
-        let mut tw_im_fwd = Vec::with_capacity(n.saturating_sub(1));
-        let mut tw_re_inv = Vec::with_capacity(n.saturating_sub(1));
-        let mut tw_im_inv = Vec::with_capacity(n.saturating_sub(1));
+        let mut tw_fwd = (Vec::with_capacity(n - 1), Vec::with_capacity(n - 1));
+        let mut tw_inv = (Vec::with_capacity(n - 1), Vec::with_capacity(n - 1));
         let mut half = 1usize;
         while half < n {
             let ang = std::f64::consts::PI / half as f64;
             for k in 0..half {
-                let w = Complex64::from_angle(-ang * k as f64);
-                tw_re_fwd.push(w.re);
-                tw_im_fwd.push(w.im);
-                tw_re_inv.push(w.re);
-                tw_im_inv.push(-w.im);
+                let w = T::quantize(Complex64::from_angle(-ang * k as f64));
+                let (re, im) = T::split(w);
+                tw_fwd.0.push(re);
+                tw_fwd.1.push(im);
+                let (re, im) = T::split(T::conj(w));
+                tw_inv.0.push(re);
+                tw_inv.1.push(im);
             }
             half <<= 1;
         }
         Ok(Self {
             n,
             bitrev,
-            tw_re_fwd,
-            tw_im_fwd,
-            tw_re_inv,
-            tw_im_inv,
-            scratch: Mutex::new(vec![SoaScratch {
-                re: vec![0.0; n],
-                im: vec![0.0; n],
-            }]),
+            tw_fwd,
+            tw_inv,
+            scratch: Stash::new(vec![Lanes::new(n)]),
         })
     }
 
@@ -158,225 +388,180 @@ impl Radix2Plan {
         self.n == 0
     }
 
-    /// In-place forward FFT (unnormalised). Allocation-free in steady state.
-    pub fn forward(&self, data: &mut [Complex64]) -> Result<()> {
-        self.check(data.len())?;
-        self.with_scratch(|re, im| {
-            // Fuse the bit-reversal permutation into the deinterleave.
-            for (i, (r, x)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-                let c = data[self.bitrev[i] as usize];
-                *r = c.re;
-                *x = c.im;
-            }
-            self.stages(re, im, true);
-            for (c, (r, x)) in data.iter_mut().zip(re.iter().zip(im.iter())) {
-                *c = Complex64::new(*r, *x);
-            }
-        });
+    /// In-place forward FFT (unnormalised). Allocation-free in steady
+    /// state. On Q15 returns the net right-shift count (negative when a
+    /// quiet block is first shifted *up* to a full mantissa): the true DFT
+    /// equals the dequantised output times `2^shifts`.
+    pub fn forward(&self, data: &mut [T::Complex]) -> Result<T::Shift> {
+        self.interleaved(data, true).map(T::shift)
+    }
+
+    /// In-place forward FFT on split real/imaginary buffers. The native
+    /// SoA entry point: no interleaving, no scratch checkout,
+    /// allocation-free.
+    pub fn forward_soa(&self, re: &mut [T::Real], im: &mut [T::Real]) -> Result<T::Shift> {
+        self.soa(re, im, true).map(T::shift)
+    }
+
+    /// In-place conjugate-twiddle transform on split buffers **without**
+    /// the `1/N` normalisation: the true inverse DFT equals the output
+    /// times `1/N` (and, on Q15, times `2^shifts`). Composites that fold
+    /// `1/N` into a precomputed spectrum or a tracked scale use this.
+    pub fn inverse_raw_soa(&self, re: &mut [T::Real], im: &mut [T::Real]) -> Result<T::Shift> {
+        self.soa(re, im, false).map(T::shift)
+    }
+
+    pub(crate) fn check(&self, len: usize) -> Result<()> {
+        if len != self.n {
+            return Err(length_error());
+        }
         Ok(())
     }
 
+    pub(crate) fn tables(&self, forward: bool) -> (&[T::Real], &[T::Real]) {
+        let (re, im) = if forward { &self.tw_fwd } else { &self.tw_inv };
+        (re, im)
+    }
+
+    /// Interleaved transform through the pooled SoA scratch, with the
+    /// bit-reversal permutation fused into the gather. Inverses pay the
+    /// path's `1/N` ([`Path::normalize`]).
+    pub(crate) fn interleaved(&self, data: &mut [T::Complex], forward: bool) -> Result<i32> {
+        self.check(data.len())?;
+        let n = self.n;
+        Ok(self.scratch.with(
+            || Lanes::new(n),
+            |lanes| {
+                let (re, im) = lanes.split();
+                for (i, (r, x)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
+                    (*r, *x) = T::split(data[self.bitrev[i] as usize]);
+                }
+                let shift = if n == 1 {
+                    0
+                } else {
+                    let (twr, twi) = self.tables(forward);
+                    T::stages(re, im, twr, twi)
+                };
+                if !forward {
+                    T::normalize(re, im, n);
+                }
+                for (c, (r, x)) in data.iter_mut().zip(re.iter().zip(im.iter())) {
+                    *c = T::join(*r, *x);
+                }
+                shift
+            },
+        ))
+    }
+
+    /// In-place SoA transform (no `1/N` on inverses).
+    pub(crate) fn soa(&self, re: &mut [T::Real], im: &mut [T::Real], forward: bool) -> Result<i32> {
+        if re.len() != self.n || im.len() != self.n {
+            return Err(length_error());
+        }
+        if self.n == 1 {
+            return Ok(0);
+        }
+        self.permute(|i, j| {
+            re.swap(i, j);
+            im.swap(i, j);
+        });
+        let (twr, twi) = self.tables(forward);
+        Ok(T::stages(re, im, twr, twi))
+    }
+
+    /// In-place bit-reversal permutation: `swap(i, j)` for every index
+    /// pair the permutation exchanges.
+    pub(crate) fn permute(&self, mut swap: impl FnMut(usize, usize)) {
+        for i in 0..self.n {
+            let j = self.bitrev[i] as usize;
+            if j > i {
+                swap(i, j);
+            }
+        }
+    }
+}
+
+impl<T: Float> Radix2<T> {
     /// In-place inverse FFT (normalised by 1/N). Allocation-free in steady
     /// state.
-    pub fn inverse(&self, data: &mut [Complex64]) -> Result<()> {
-        self.check(data.len())?;
-        let scale = 1.0 / self.n as f64;
-        self.with_scratch(|re, im| {
-            for (i, (r, x)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-                let c = data[self.bitrev[i] as usize];
-                *r = c.re;
-                *x = c.im;
-            }
-            self.stages(re, im, false);
-            lanes::scale_f64(re, im, scale);
-            for (c, (r, x)) in data.iter_mut().zip(re.iter().zip(im.iter())) {
-                *c = Complex64::new(*r, *x);
-            }
-        });
-        Ok(())
-    }
-
-    /// In-place forward FFT on split real/imaginary buffers (unnormalised).
-    /// The native SoA entry point: no interleaving, no scratch checkout,
-    /// allocation-free.
-    pub fn forward_soa(&self, re: &mut [f64], im: &mut [f64]) -> Result<()> {
-        self.check_soa(re, im)?;
-        self.permute_soa(re, im);
-        self.stages(re, im, true);
-        Ok(())
+    pub fn inverse(&self, data: &mut [T::Complex]) -> Result<()> {
+        self.interleaved(data, false).map(drop)
     }
 
     /// In-place inverse FFT on split real/imaginary buffers (normalised by
     /// 1/N). Allocation-free.
-    pub fn inverse_soa(&self, re: &mut [f64], im: &mut [f64]) -> Result<()> {
-        self.check_soa(re, im)?;
-        self.permute_soa(re, im);
-        self.stages(re, im, false);
-        lanes::scale_f64(re, im, 1.0 / self.n as f64);
+    pub fn inverse_soa(&self, re: &mut [T::Real], im: &mut [T::Real]) -> Result<()> {
+        self.soa(re, im, false)?;
+        T::normalize(re, im, self.n);
         Ok(())
     }
 
-    /// The retired one-lane-per-sample forward transform, kept as the
-    /// reference the differential harness pins the lane kernels against
-    /// (bit-identical output required).
-    pub fn forward_scalar(&self, data: &mut [Complex64]) -> Result<()> {
+    /// The one-lane-per-sample forward transform, kept as the reference
+    /// the tests pin the lane kernels against (bit-identical output
+    /// required).
+    pub fn forward_scalar(&self, data: &mut [T::Complex]) -> Result<()> {
         self.check(data.len())?;
-        self.transform_scalar(data, true);
+        self.scalar(data, true);
         Ok(())
     }
 
-    /// The retired one-lane-per-sample inverse transform (normalised by
-    /// 1/N); reference twin of [`Radix2Plan::inverse`].
-    pub fn inverse_scalar(&self, data: &mut [Complex64]) -> Result<()> {
+    /// The one-lane-per-sample inverse transform (normalised by 1/N);
+    /// reference twin of [`Radix2::inverse`].
+    pub fn inverse_scalar(&self, data: &mut [T::Complex]) -> Result<()> {
         self.check(data.len())?;
-        self.transform_scalar(data, false);
-        let scale = 1.0 / self.n as f64;
+        self.scalar(data, false);
+        let s = T::recip_len(self.n);
         for x in data.iter_mut() {
-            *x = *x * scale;
+            let (re, im) = T::split(*x);
+            *x = T::join(re * s, im * s);
         }
         Ok(())
     }
 
-    fn check(&self, len: usize) -> Result<()> {
-        if len != self.n {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
-        }
-        Ok(())
-    }
-
-    fn check_soa(&self, re: &[f64], im: &[f64]) -> Result<()> {
-        if re.len() != self.n || im.len() != self.n {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
-        }
-        Ok(())
-    }
-
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut [f64], &mut [f64]) -> R) -> R {
-        let mut buf = self
-            .scratch
-            .lock()
-            .expect("radix-2 scratch pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        buf.re.resize(self.n, 0.0);
-        buf.im.resize(self.n, 0.0);
-        let result = f(&mut buf.re, &mut buf.im);
-        self.scratch
-            .lock()
-            .expect("radix-2 scratch pool poisoned")
-            .push(buf);
-        result
-    }
-
-    /// In-place bit-reversal permutation on SoA buffers.
-    fn permute_soa(&self, re: &mut [f64], im: &mut [f64]) {
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-    }
-
-    /// Runs the butterfly stages on bit-reversed SoA data through the lane
-    /// kernels.
-    fn stages(&self, re: &mut [f64], im: &mut [f64], forward: bool) {
+    fn scalar(&self, data: &mut [T::Complex], forward: bool) {
         let n = self.n;
         if n == 1 {
             return;
         }
-        let (twr, twi) = if forward {
-            (&self.tw_re_fwd, &self.tw_im_fwd)
-        } else {
-            (&self.tw_re_inv, &self.tw_im_inv)
-        };
+        self.permute(|i, j| data.swap(i, j));
+        let (twr, twi) = self.tables(forward);
         let mut half = 1usize;
         while half < n {
-            // Table slice for this stage (see the layout note on the field).
-            let swr = &twr[half - 1..2 * half - 1];
-            let swi = &twi[half - 1..2 * half - 1];
-            if half < lanes::F64_LANES {
-                // Early stages have sub-lane groups; run the whole stage in
-                // one flat kernel pass instead of n/(2·half) tiny calls.
-                lanes::butterfly_f64_small(re, im, swr, swi);
-            } else {
-                let mut start = 0usize;
-                while start < n {
-                    let (e_re, o_re) = re[start..start + 2 * half].split_at_mut(half);
-                    let (e_im, o_im) = im[start..start + 2 * half].split_at_mut(half);
-                    lanes::butterfly_f64(e_re, e_im, o_re, o_im, swr, swi);
-                    start += half << 1;
-                }
-            }
-            half <<= 1;
-        }
-    }
-
-    fn transform_scalar(&self, data: &mut [Complex64], forward: bool) {
-        let n = self.n;
-        if n == 1 {
-            return;
-        }
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                data.swap(i, j);
-            }
-        }
-        let (twr, twi) = if forward {
-            (&self.tw_re_fwd, &self.tw_im_fwd)
-        } else {
-            (&self.tw_re_inv, &self.tw_im_inv)
-        };
-        let mut half = 1usize;
-        while half < n {
-            let swr = &twr[half - 1..2 * half - 1];
-            let swi = &twi[half - 1..2 * half - 1];
-            let mut start = 0usize;
-            while start < n {
+            let (swr, swi) = stage_twiddles(twr, twi, half);
+            for start in (0..n).step_by(2 * half) {
                 for k in 0..half {
-                    let even = data[start + k];
-                    let odd = data[start + k + half];
-                    let pr = odd.re * swr[k] - odd.im * swi[k];
-                    let pi = odd.re * swi[k] + odd.im * swr[k];
-                    data[start + k] = Complex64::new(even.re + pr, even.im + pi);
-                    data[start + k + half] = Complex64::new(even.re - pr, even.im - pi);
+                    let (er, ei) = T::split(data[start + k]);
+                    let (or, oi) = T::split(data[start + k + half]);
+                    let pr = or * swr[k] - oi * swi[k];
+                    let pi = or * swi[k] + oi * swr[k];
+                    data[start + k] = T::join(er + pr, ei + pi);
+                    data[start + k + half] = T::join(er - pr, ei - pi);
                 }
-                start += half << 1;
             }
             half <<= 1;
         }
     }
 }
 
-/// Bluestein (chirp-z) state for one non-power-of-two length, held in SoA
-/// form so every step runs through the lane kernels.
-#[derive(Debug, Clone)]
-struct BluesteinPlan {
+/// Bluestein (chirp-z) state for one non-power-of-two length `n`, held in
+/// SoA form so every step runs through the path's lane kernels.
+#[derive(Clone)]
+struct Bluestein<T: Path> {
     /// Inner radix-2 plan of length `m = next_pow2(2n − 1)`.
-    inner: Radix2Plan,
-    /// Real parts of the chirp `w[j] = exp(−iπ j²/n)`, length `n`.
-    chirp_re: Vec<f64>,
-    /// Imaginary parts of the chirp, length `n`.
-    chirp_im: Vec<f64>,
-    /// Real parts of the FFT of the symmetrically extended conjugate chirp.
-    spec_re: Vec<f64>,
-    /// Imaginary parts of the chirp spectrum, length `m`.
-    spec_im: Vec<f64>,
+    inner: Radix2<T>,
+    /// The chirp `w[j] = exp(−iπ j²/n)`, length `n`.
+    chirp: Soa<T::Real>,
+    /// FFT of the symmetrically extended conjugate chirp, length `m`,
+    /// computed in `f64` and divided by `gain` before rounding.
+    spec: Soa<T::Real>,
+    gain: f64,
     /// Reusable SoA convolution buffers, length `m`.
-    scratch_re: Vec<f64>,
-    scratch_im: Vec<f64>,
+    scratch: Lanes<T::Real>,
 }
 
-impl BluesteinPlan {
+impl<T: Path> Bluestein<T> {
     fn new(n: usize) -> Result<Self> {
         let m = next_pow2(2 * n - 1);
-        let inner = Radix2Plan::new(m)?;
         let chirp: Vec<Complex64> = (0..n)
             .map(|j| {
                 // j² mod 2n keeps the phase argument small and exact.
@@ -384,98 +569,111 @@ impl BluesteinPlan {
                 Complex64::from_angle(-std::f64::consts::PI * jj as f64 / n as f64)
             })
             .collect();
-        let mut spec_re = vec![0.0; m];
-        let mut spec_im = vec![0.0; m];
-        for j in 0..n {
-            let c = chirp[j].conj();
-            spec_re[j] = c.re;
-            spec_im[j] = c.im;
+        // The chirp spectrum is computed once at full f64 precision and
+        // rounded once, so the convolution kernel carries table rounding
+        // only, not a reduced-precision FFT's accumulated error.
+        let mut spec = vec![Complex64::ZERO; m];
+        for (j, c) in chirp.iter().enumerate() {
+            spec[j] = c.conj();
             if j != 0 {
-                spec_re[m - j] = c.re;
-                spec_im[m - j] = c.im;
+                spec[m - j] = c.conj();
             }
         }
-        inner.forward_soa(&mut spec_re, &mut spec_im)?;
+        Radix2::<f64>::new(m)?.forward(&mut spec)?;
+        let gain = T::spectrum_gain(&spec);
         Ok(Self {
-            inner,
-            chirp_re: chirp.iter().map(|c| c.re).collect(),
-            chirp_im: chirp.iter().map(|c| c.im).collect(),
-            spec_re,
-            spec_im,
-            scratch_re: vec![0.0; m],
-            scratch_im: vec![0.0; m],
+            inner: Radix2::new(m)?,
+            chirp: chirp.iter().map(|&c| T::split(T::quantize(c))).unzip(),
+            spec: spec
+                .iter()
+                .map(|&c| T::split(T::quantize(c / gain)))
+                .unzip(),
+            gain,
+            scratch: Lanes::new(m),
         })
     }
 
-    /// In-place forward DFT of length `n` via chirp-z. Allocation-free.
-    fn forward(&mut self, data: &mut [Complex64]) -> Result<()> {
+    /// In-place DFT of length `n` via chirp-z; the inverse runs as
+    /// `conj(DFT(conj(x))) / n`. Allocation-free.
+    fn run(&mut self, data: &mut [T::Complex], inverse: bool) -> Result<T::Scale> {
         let n = data.len();
-        let m = self.scratch_re.len();
-        let (s_re, s_im) = (&mut self.scratch_re, &mut self.scratch_im);
+        let m = self.scratch.len();
+        let (s_re, s_im) = self.scratch.split();
+        let (c_re, c_im) = (&self.chirp.0, &self.chirp.1);
+        for (j, d) in data.iter().enumerate() {
+            let d = if inverse { T::conj(*d) } else { *d };
+            (s_re[j], s_im[j]) = T::mul(T::split(d), (c_re[j], c_im[j]));
+        }
+        s_re[n..].fill(T::Real::default());
+        s_im[n..].fill(T::Real::default());
+        let shift = self.inner.soa(s_re, s_im, true)?;
+        T::mul_spectrum(s_re, s_im, &self.spec.0, &self.spec.1);
+        let shift = shift + self.inner.soa(s_re, s_im, false)?;
+        T::normalize(s_re, s_im, m);
         for j in 0..n {
-            let d = data[j];
-            let (cr, ci) = (self.chirp_re[j], self.chirp_im[j]);
-            s_re[j] = d.re * cr - d.im * ci;
-            s_im[j] = d.re * ci + d.im * cr;
+            (s_re[j], s_im[j]) = T::mul((s_re[j], s_im[j]), (c_re[j], c_im[j]));
         }
-        for j in n..m {
-            s_re[j] = 0.0;
-            s_im[j] = 0.0;
+        if inverse {
+            T::normalize(&mut s_re[..n], &mut s_im[..n], n);
         }
-        self.inner.forward_soa(s_re, s_im)?;
-        lanes::cmul_f64(s_re, s_im, &self.spec_re, &self.spec_im);
-        self.inner.inverse_soa(s_re, s_im)?;
         for (j, d) in data.iter_mut().enumerate() {
-            let (sr, si) = (s_re[j], s_im[j]);
-            let (cr, ci) = (self.chirp_re[j], self.chirp_im[j]);
-            *d = Complex64::new(sr * cr - si * ci, sr * ci + si * cr);
+            let c = T::join(s_re[j], s_im[j]);
+            *d = if inverse { T::conj(c) } else { c };
         }
-        Ok(())
+        // Three pointwise products: chirp in, spectrum, chirp out.
+        let divisor = if inverse { m * n } else { m };
+        Ok(T::scale(shift + 3 * T::PRODUCT_SHIFT, self.gain, divisor))
     }
 }
 
-enum PlanKind {
-    Radix2(Radix2Plan),
-    Bluestein(BluesteinPlan),
+#[derive(Clone)]
+enum Kind<T: Path> {
+    Radix2(Radix2<T>),
+    Bluestein(Bluestein<T>),
 }
 
-/// A reusable FFT plan for one fixed transform length (any length ≥ 1).
+/// A reusable FFT plan on one numeric path for one fixed transform length
+/// (any length ≥ 1).
 ///
 /// Power-of-two lengths run the table-driven radix-2 path; other lengths run
 /// Bluestein's chirp-z algorithm against cached chirp state. `process_*`
 /// calls on a constructed plan perform **no heap allocation** — the scratch
 /// the Bluestein path needs lives inside the plan, which is why the
-/// processing methods take `&mut self`.
-pub struct FftPlan {
+/// processing methods take `&mut self`. On Q15 each transform returns a
+/// scale `s` such that the true transform equals the dequantised output
+/// times `s`: an exact power of two on the radix-2 path, times the chirp
+/// spectrum's quantisation gain on the Bluestein path.
+#[derive(Clone)]
+pub struct Plan<T: Path> {
     len: usize,
-    kind: PlanKind,
+    kind: Kind<T>,
 }
 
-impl std::fmt::Debug for FftPlan {
+/// The `f64` FFT plan: radix-2 or Bluestein, any length ≥ 1.
+pub type FftPlan = Plan<f64>;
+
+impl<T: Path> std::fmt::Debug for Plan<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match &self.kind {
-            PlanKind::Radix2(_) => "radix-2",
-            PlanKind::Bluestein(_) => "bluestein",
+            Kind::Radix2(_) => "radix-2",
+            Kind::Bluestein(_) => "bluestein",
         };
-        f.debug_struct("FftPlan")
+        f.debug_struct("Plan")
+            .field("path", &std::any::type_name::<T>())
             .field("len", &self.len)
             .field("kind", &kind)
             .finish()
     }
 }
 
-impl FftPlan {
+impl<T: Path> Plan<T> {
     /// Builds a plan for transforms of length `n` (any `n ≥ 1`).
     pub fn new(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(DspError::InvalidLength {
-                reason: "FFT plan length must be positive",
-            });
-        }
+        positive(n)?;
         let kind = if is_pow2(n) {
-            PlanKind::Radix2(Radix2Plan::new(n)?)
+            Kind::Radix2(Radix2::new(n)?)
         } else {
-            PlanKind::Bluestein(BluesteinPlan::new(n)?)
+            Kind::Bluestein(Bluestein::new(n)?)
         };
         Ok(Self { len: n, kind })
     }
@@ -492,120 +690,71 @@ impl FftPlan {
 
     /// In-place forward DFT (unnormalised). Fails cleanly when `data` does
     /// not match the plan length; allocation-free otherwise.
-    pub fn process_forward(&mut self, data: &mut [Complex64]) -> Result<()> {
-        self.check(data)?;
-        match &mut self.kind {
-            PlanKind::Radix2(p) => p.forward(data),
-            PlanKind::Bluestein(p) => p.forward(data),
-        }
-    }
-
-    /// In-place inverse DFT (normalised by 1/N). Fails cleanly when `data`
-    /// does not match the plan length; allocation-free otherwise.
-    pub fn process_inverse(&mut self, data: &mut [Complex64]) -> Result<()> {
-        self.check(data)?;
-        match &mut self.kind {
-            PlanKind::Radix2(p) => p.inverse(data),
-            PlanKind::Bluestein(p) => {
-                // DFT⁻¹(x) = conj(DFT(conj(x))) / N.
-                for x in data.iter_mut() {
-                    *x = x.conj();
-                }
-                p.forward(data)?;
-                let scale = 1.0 / self.len as f64;
-                for x in data.iter_mut() {
-                    *x = x.conj() * scale;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn check(&self, data: &[Complex64]) -> Result<()> {
+    pub fn process_forward(&mut self, data: &mut [T::Complex]) -> Result<T::Scale> {
         if data.len() != self.len {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
+            return Err(length_error());
         }
-        Ok(())
-    }
-}
-
-/// A cache of [`FftPlan`]s keyed by transform length.
-///
-/// Holding a planner across calls turns repeated transforms of the same
-/// length into allocation-free table-driven passes; the first request for a
-/// new length pays the one-time plan construction.
-#[derive(Debug, Default)]
-pub struct FftPlanner {
-    plans: HashMap<usize, FftPlan>,
-}
-
-impl FftPlanner {
-    /// An empty planner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns (building on first use) the plan for length `n`.
-    pub fn plan(&mut self, n: usize) -> Result<&mut FftPlan> {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.plans.entry(n) {
-            e.insert(FftPlan::new(n)?);
+        match &mut self.kind {
+            Kind::Radix2(p) => Ok(T::scale(p.interleaved(data, true)?, 1.0, 1)),
+            Kind::Bluestein(p) => p.run(data, false),
         }
-        Ok(self.plans.get_mut(&n).expect("plan just inserted"))
     }
 
-    /// In-place forward DFT of any length through the cached plan.
-    pub fn fft_in_place(&mut self, data: &mut [Complex64]) -> Result<()> {
-        self.plan(data.len())?.process_forward(data)
-    }
-
-    /// In-place inverse DFT of any length through the cached plan.
-    pub fn ifft_in_place(&mut self, data: &mut [Complex64]) -> Result<()> {
-        self.plan(data.len())?.process_inverse(data)
-    }
-
-    /// Number of distinct lengths planned so far.
-    pub fn cached_plans(&self) -> usize {
-        self.plans.len()
+    /// In-place inverse DFT (normalised by 1/N — in the buffer on the float
+    /// paths, in the returned scale on Q15). Fails cleanly when `data`
+    /// does not match the plan length; allocation-free otherwise.
+    pub fn process_inverse(&mut self, data: &mut [T::Complex]) -> Result<T::Scale> {
+        if data.len() != self.len {
+            return Err(length_error());
+        }
+        match &mut self.kind {
+            Kind::Radix2(p) => Ok(T::scale(p.interleaved(data, false)?, 1.0, self.len)),
+            Kind::Bluestein(p) => p.run(data, true),
+        }
     }
 }
 
-/// A thread-safe pool of [`FftPlan`]s for **one fixed length**.
+/// A thread-safe pool of [`Plan`]s for **one fixed length**.
 ///
-/// `with` checks a plan out of the pool (cloning a fresh one only when every
-/// pooled plan is in use), runs the closure, and returns the plan to the
-/// pool. Concurrent users therefore never serialise on a shared plan's
+/// `with` checks a plan out of the pool (building a fresh one only when
+/// every pooled plan is in use), runs the closure, and returns the plan to
+/// the pool. Concurrent users therefore never serialise on a shared plan's
 /// scratch, and in steady state the pool size equals the peak concurrency —
 /// no per-call allocation.
-pub struct PlanPool {
+pub struct Pool<T: Path> {
     len: usize,
-    pool: Mutex<Vec<FftPlan>>,
+    plans: Stash<Plan<T>>,
 }
 
-impl std::fmt::Debug for PlanPool {
+/// The pool of `f64` FFT plans.
+pub type PlanPool = Pool<f64>;
+
+impl<T: Path> std::fmt::Debug for Pool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanPool").field("len", &self.len).finish()
+        f.debug_struct("Pool")
+            .field("path", &std::any::type_name::<T>())
+            .field("len", &self.len)
+            .finish()
     }
 }
 
-impl Clone for PlanPool {
+impl<T: Path> Clone for Pool<T> {
     fn clone(&self) -> Self {
         Self {
             len: self.len,
-            pool: Mutex::new(Vec::new()),
+            plans: Stash::new(Vec::new()),
         }
     }
 }
 
-impl PlanPool {
+impl<T: Path> Pool<T> {
     /// Creates a pool for transforms of length `n`, with one plan built
     /// eagerly so the first caller does not pay construction cost.
     pub fn new(n: usize) -> Result<Self> {
-        let first = FftPlan::new(n)?;
+        let first = Plan::new(n)?;
         Ok(Self {
             len: n,
-            pool: Mutex::new(vec![first]),
+            plans: Stash::new(vec![first]),
         })
     }
 
@@ -620,22 +769,17 @@ impl PlanPool {
     }
 
     /// Runs `f` with a checked-out plan.
-    pub fn with<R>(&self, f: impl FnOnce(&mut FftPlan) -> R) -> R {
-        let plan = self.pool.lock().expect("plan pool poisoned").pop();
-        let mut plan = match plan {
-            Some(p) => p,
-            None => FftPlan::new(self.len).expect("pool length was validated at construction"),
-        };
-        let result = f(&mut plan);
-        self.pool.lock().expect("plan pool poisoned").push(plan);
-        result
+    pub fn with<R>(&self, f: impl FnOnce(&mut Plan<T>) -> R) -> R {
+        self.plans.with(
+            || Plan::new(self.len).expect("pool length was validated at construction"),
+            f,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::to_complex;
     use crate::fft::{fft, fft_any, ifft_any};
 
     fn assert_spectra_close(a: &[Complex64], b: &[Complex64], tol: f64) {
@@ -782,25 +926,6 @@ mod tests {
     }
 
     #[test]
-    fn planner_caches_by_length() {
-        let mut planner = FftPlanner::new();
-        let signal = test_signal(96);
-        let mut buf = signal.clone();
-        planner.fft_in_place(&mut buf).unwrap();
-        planner.ifft_in_place(&mut buf).unwrap();
-        assert_spectra_close(&buf, &signal, 1e-9);
-        assert_eq!(planner.cached_plans(), 1);
-        let mut other = test_signal(128);
-        planner.fft_in_place(&mut other).unwrap();
-        assert_eq!(planner.cached_plans(), 2);
-        // Round-trip through the planner matches the one-shot reference.
-        let reference = fft_any(&signal).unwrap();
-        let mut again = signal.clone();
-        planner.fft_in_place(&mut again).unwrap();
-        assert_spectra_close(&again, &reference, 1e-8);
-    }
-
-    #[test]
     fn plan_pool_shares_and_replenishes() {
         let pool = PlanPool::new(1920).unwrap();
         assert_eq!(pool.len(), 1920);
@@ -819,18 +944,5 @@ mod tests {
         });
         assert_spectra_close(&out.0, &reference, 1e-8);
         assert_spectra_close(&out.1, &reference, 1e-8);
-    }
-
-    #[test]
-    fn planner_fft_matches_on_real_padded_signal() {
-        // The correlator use-case: real signal zero-padded to a power of two.
-        let signal: Vec<f64> = (0..300).map(|i| ((i as f64) * 0.173).sin()).collect();
-        let mut padded = to_complex(&signal);
-        padded.resize(512, Complex64::ZERO);
-        let reference = fft(&padded).unwrap();
-        let mut planner = FftPlanner::new();
-        let mut buf = padded.clone();
-        planner.fft_in_place(&mut buf).unwrap();
-        assert_spectra_close(&buf, &reference, 1e-9);
     }
 }

@@ -1,8 +1,7 @@
 //! Verifies the plan layer's allocation contract with a counting global
 //! allocator: once a plan (or matched filter) is warmed up, steady-state
 //! processing performs **zero** heap allocations — on all three numeric
-//! paths (f64, f32, Q15), through the structure-of-arrays entry points,
-//! and through the batched multi-link correlation used by serving shards.
+//! paths (f64, f32, Q15) and through the structure-of-arrays entry points.
 //! Construction-time allocation counts are also recorded against loose
 //! budgets so a pathological regression (per-stage allocation, repeated
 //! table rebuilds) shows up as a test failure rather than a perf mystery.
@@ -224,50 +223,6 @@ fn steady_state_processing_is_allocation_free() {
     assert_eq!(
         n, 0,
         "steady-state Q15MatchedFilter correlation allocated {n} times"
-    );
-
-    // --- Batched multi-link correlation into reused per-link buffers. ---
-    let signal_b: Vec<f64> = (0..20_000).map(|i| (i as f64 * 0.13).sin()).collect();
-    let links: Vec<&[f64]> = vec![&signal, &signal_b];
-    let mut outs = vec![Vec::new(), Vec::new()];
-    filter
-        .correlate_normalized_batch_into(&links, &mut outs)
-        .unwrap();
-    filter
-        .correlate_normalized_batch_into(&links, &mut outs)
-        .unwrap();
-    let n = allocations_during(|| {
-        filter
-            .correlate_normalized_batch_into(&links, &mut outs)
-            .unwrap();
-    });
-    assert_eq!(
-        n, 0,
-        "steady-state batched f64 correlation allocated {n} times"
-    );
-    f32_filter
-        .correlate_normalized_batch_into(&links, &mut outs)
-        .unwrap();
-    let n = allocations_during(|| {
-        f32_filter
-            .correlate_normalized_batch_into(&links, &mut outs)
-            .unwrap();
-    });
-    assert_eq!(
-        n, 0,
-        "steady-state batched f32 correlation allocated {n} times"
-    );
-    q15_filter
-        .correlate_normalized_batch_into(&links, &mut outs)
-        .unwrap();
-    let n = allocations_during(|| {
-        q15_filter
-            .correlate_normalized_batch_into(&links, &mut outs)
-            .unwrap();
-    });
-    assert_eq!(
-        n, 0,
-        "steady-state batched Q15 correlation allocated {n} times"
     );
 
     // --- Construction-time allocation budgets. ---

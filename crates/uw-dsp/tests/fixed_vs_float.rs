@@ -24,7 +24,6 @@
 //! | `F32MatchedFilter` peak location  | within ±1 sample of the f64 peak             |
 //! | `F32MatchedFilter` peak value     | |Δ| ≤ 1e-3 normalised correlation            |
 //! | lane kernels vs scalar reference  | bit-identical (all three paths)              |
-//! | batched vs per-link correlation   | bit-identical (all three paths)              |
 //! | saturation edge cases             | exact (±1.0 inputs never wrap, zeros stay 0) |
 //!
 //! The SQNR bounds hold for signals exercising at least a few percent of
@@ -362,48 +361,6 @@ proptest! {
         let scalar_shifts = plan.inverse_raw_scalar(&mut scalar).unwrap();
         prop_assert_eq!(lane_shifts, scalar_shifts);
         prop_assert_eq!(&lane, &scalar);
-    }
-
-    #[test]
-    fn batched_correlation_is_bit_identical_to_per_link_calls(
-        offset_a in 0usize..1500,
-        offset_b in 0usize..1500,
-        gain in 0.1f64..1.0,
-    ) {
-        let template: Vec<f64> = (0..200).map(|i| ((i as f64) * 0.61).sin()).collect();
-        let make = |offset: usize, phase: f64| -> Vec<f64> {
-            let mut s: Vec<f64> = (0..2600)
-                .map(|i| 0.03 * ((i as f64 * 0.47 + phase).sin()))
-                .collect();
-            for (i, &t) in template.iter().enumerate() {
-                s[offset + i] += gain * t;
-            }
-            s
-        };
-        let link_a = make(offset_a, 0.0);
-        let link_b = make(offset_b, 2.1);
-        let links: Vec<&[f64]> = vec![&link_a, &link_b];
-
-        let f64_filter = MatchedFilter::new(&template).unwrap();
-        let f32_filter = F32MatchedFilter::new(&template).unwrap();
-        let q15_filter = Q15MatchedFilter::new(&template).unwrap();
-        for solo_vs_batch in [
-            (
-                links.iter().map(|l| f64_filter.correlate_normalized(l).unwrap()).collect::<Vec<_>>(),
-                f64_filter.correlate_normalized_batch(&links).unwrap(),
-            ),
-            (
-                links.iter().map(|l| f32_filter.correlate_normalized(l).unwrap()).collect::<Vec<_>>(),
-                f32_filter.correlate_normalized_batch(&links).unwrap(),
-            ),
-            (
-                links.iter().map(|l| q15_filter.correlate_normalized(l).unwrap()).collect::<Vec<_>>(),
-                q15_filter.correlate_normalized_batch(&links).unwrap(),
-            ),
-        ] {
-            let (solo, batch) = solo_vs_batch;
-            prop_assert_eq!(solo, batch);
-        }
     }
 }
 

@@ -44,25 +44,21 @@ pub struct RangingPreamble {
     pub first_bin: usize,
     /// PN signs of the preamble symbols.
     pub pn_signs: Vec<f64>,
-    /// Overlap-save correlator with the waveform's spectrum precomputed
-    /// (present on the f64 path only — exactly one of `filter` /
-    /// `q15_filter` exists per preamble).
-    filter: Option<MatchedFilter>,
-    /// Pooled FFT plans for the symbol length (Bluestein for 1920;
-    /// present on the f64 path only).
-    symbol_plans: Option<PlanPool>,
-    /// Which numeric implementation receive-side processing runs on.
-    numeric_path: NumericPath,
-    /// Q15 overlap-save correlator (present on the Q15 path only).
-    q15_filter: Option<Q15MatchedFilter>,
-    /// Pooled fixed-point symbol-length plans (present on the Q15 path
-    /// only).
-    fixed_symbol_plans: Option<FixedPlanPool>,
-    /// f32 overlap-save correlator (present on the F32 path only).
-    f32_filter: Option<F32MatchedFilter>,
-    /// Pooled single-precision symbol-length plans (present on the F32
-    /// path only).
-    f32_symbol_plans: Option<F32PlanPool>,
+    /// The receive-side execution state of the one numeric path this
+    /// preamble was built for.
+    state: PathState,
+}
+
+/// One numeric path's receive-side execution state: the overlap-save
+/// correlator with the waveform's spectrum precomputed, and the pooled
+/// symbol-length FFT plans (Bluestein for 1920) the LS channel estimator
+/// checks out. The f32 filter carries two legs, so it is boxed to keep the
+/// variants of similar size.
+#[derive(Debug, Clone)]
+enum PathState {
+    F64(MatchedFilter, PlanPool),
+    F32(Box<F32MatchedFilter>, F32PlanPool),
+    Q15(Q15MatchedFilter, FixedPlanPool),
 }
 
 impl RangingPreamble {
@@ -89,46 +85,27 @@ impl RangingPreamble {
         let pn_signs = config.pn_signs();
         // Exactly one path's execution state is built: a Q15 preamble
         // carries no (unused) f64 filter or plans and vice versa.
-        let (filter, symbol_plans, q15_filter, fixed_symbol_plans, f32_filter, f32_symbol_plans) =
-            match numeric_path {
-                NumericPath::F64 => (
-                    Some(MatchedFilter::new(&waveform)?),
-                    Some(PlanPool::new(config.fft_len())?),
-                    None,
-                    None,
-                    None,
-                    None,
-                ),
-                NumericPath::Q15 => (
-                    None,
-                    None,
-                    Some(Q15MatchedFilter::new(&waveform)?),
-                    Some(FixedPlanPool::new(config.fft_len())?),
-                    None,
-                    None,
-                ),
-                NumericPath::F32 => (
-                    None,
-                    None,
-                    None,
-                    None,
-                    Some(F32MatchedFilter::new(&waveform)?),
-                    Some(F32PlanPool::new(config.fft_len())?),
-                ),
-            };
+        let n_fft = config.fft_len();
+        let state = match numeric_path {
+            NumericPath::F64 => {
+                PathState::F64(MatchedFilter::new(&waveform)?, PlanPool::new(n_fft)?)
+            }
+            NumericPath::F32 => PathState::F32(
+                Box::new(F32MatchedFilter::new(&waveform)?),
+                F32PlanPool::new(n_fft)?,
+            ),
+            NumericPath::Q15 => PathState::Q15(
+                Q15MatchedFilter::new(&waveform)?,
+                FixedPlanPool::new(n_fft)?,
+            ),
+        };
         Ok(Self {
             config,
             waveform,
             base_bins: spectrum.bins,
             first_bin: spectrum.first_bin,
             pn_signs,
-            filter,
-            symbol_plans,
-            numeric_path,
-            q15_filter,
-            fixed_symbol_plans,
-            f32_filter,
-            f32_symbol_plans,
+            state,
         })
     }
 
@@ -151,7 +128,11 @@ impl RangingPreamble {
 
     /// The numeric path receive-side processing runs on.
     pub fn numeric_path(&self) -> NumericPath {
-        self.numeric_path
+        match self.state {
+            PathState::F64(..) => NumericPath::F64,
+            PathState::F32(..) => NumericPath::F32,
+            PathState::Q15(..) => NumericPath::Q15,
+        }
     }
 
     /// Length of one symbol block (cyclic prefix + symbol) in samples.
@@ -185,7 +166,10 @@ impl RangingPreamble {
     /// built for the f64 path (`None` on a Q15 preamble, which owns a
     /// `Q15MatchedFilter` instead).
     pub fn matched_filter(&self) -> Option<&MatchedFilter> {
-        self.filter.as_ref()
+        match &self.state {
+            PathState::F64(filter, _) => Some(filter),
+            _ => None,
+        }
     }
 
     /// Normalised cross-correlation of `stream` against the preamble
@@ -196,37 +180,19 @@ impl RangingPreamble {
     /// its peak positions agree with the `f64` path to within ±1 sample
     /// (bounded by `uw-dsp`'s differential test suite).
     pub fn correlate_normalized(&self, stream: &[f64]) -> Result<Vec<f64>> {
-        match (&self.q15_filter, &self.f32_filter, &self.filter) {
-            (Some(q15), _, _) => Ok(q15.correlate_normalized(stream)?),
-            (None, Some(f32f), _) => Ok(f32f.correlate_normalized(stream)?),
-            (None, None, Some(f)) => Ok(f.correlate_normalized(stream)?),
-            (None, None, None) => unreachable!("one numeric path's filter always exists"),
-        }
+        let mut out = Vec::new();
+        self.correlate_normalized_into(stream, &mut out)?;
+        Ok(out)
     }
 
     /// As [`Self::correlate_normalized`] but reusing a caller-provided
     /// output buffer (allocation-free in steady state).
     pub fn correlate_normalized_into(&self, stream: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        match (&self.q15_filter, &self.f32_filter, &self.filter) {
-            (Some(q15), _, _) => Ok(q15.correlate_normalized_into(stream, out)?),
-            (None, Some(f32f), _) => Ok(f32f.correlate_normalized_into(stream, out)?),
-            (None, None, Some(f)) => Ok(f.correlate_normalized_into(stream, out)?),
-            (None, None, None) => unreachable!("one numeric path's filter always exists"),
-        }
-    }
-
-    /// Batched normalised correlation of N links' streams through one
-    /// filter checkout on whichever numeric path this preamble was built
-    /// for (see `uw_dsp::MatchedFilter::correlate_normalized_batch`). Each
-    /// output is identical to the per-link [`Self::correlate_normalized`]
-    /// call. This is the entry point serving-shard workers batch through.
-    pub fn correlate_normalized_batch(&self, streams: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
-        match (&self.q15_filter, &self.f32_filter, &self.filter) {
-            (Some(q15), _, _) => Ok(q15.correlate_normalized_batch(streams)?),
-            (None, Some(f32f), _) => Ok(f32f.correlate_normalized_batch(streams)?),
-            (None, None, Some(f)) => Ok(f.correlate_normalized_batch(streams)?),
-            (None, None, None) => unreachable!("one numeric path's filter always exists"),
-        }
+        Ok(match &self.state {
+            PathState::F64(filter, _) => filter.correlate_normalized_into(stream, out),
+            PathState::F32(filter, _) => filter.correlate_normalized_into(stream, out),
+            PathState::Q15(filter, _) => filter.correlate_normalized_into(stream, out),
+        }?)
     }
 
     /// Runs `f` with a checked-out symbol-length FFT plan (1920-point
@@ -235,9 +201,9 @@ impl RangingPreamble {
     /// preamble built for the Q15 path, which carries no f64 plans — use
     /// [`Self::with_fixed_symbol_plan`] there.
     pub fn with_symbol_plan<R>(&self, f: impl FnOnce(&mut FftPlan) -> R) -> Result<R> {
-        match &self.symbol_plans {
-            Some(pool) => Ok(pool.with(f)),
-            None => Err(RangingError::InvalidInput {
+        match &self.state {
+            PathState::F64(_, pool) => Ok(pool.with(f)),
+            _ => Err(RangingError::InvalidInput {
                 reason: "preamble was built for the Q15 path; no f64 plans exist".into(),
             }),
         }
@@ -247,9 +213,9 @@ impl RangingPreamble {
     /// Fails on a preamble built for the `f64` path, which carries no
     /// fixed-point state.
     pub fn with_fixed_symbol_plan<R>(&self, f: impl FnOnce(&mut FixedFftPlan) -> R) -> Result<R> {
-        match &self.fixed_symbol_plans {
-            Some(pool) => Ok(pool.with(f)),
-            None => Err(RangingError::InvalidInput {
+        match &self.state {
+            PathState::Q15(_, pool) => Ok(pool.with(f)),
+            _ => Err(RangingError::InvalidInput {
                 reason: "preamble was built for the f64 path; no fixed-point plans exist".into(),
             }),
         }
@@ -259,9 +225,9 @@ impl RangingPreamble {
     /// plan. Fails on a preamble built for another path, which carries no
     /// f32 state.
     pub fn with_f32_symbol_plan<R>(&self, f: impl FnOnce(&mut F32FftPlan) -> R) -> Result<R> {
-        match &self.f32_symbol_plans {
-            Some(pool) => Ok(pool.with(f)),
-            None => Err(RangingError::InvalidInput {
+        match &self.state {
+            PathState::F32(_, pool) => Ok(pool.with(f)),
+            _ => Err(RangingError::InvalidInput {
                 reason: "preamble was not built for the f32 path; no f32 plans exist".into(),
             }),
         }
