@@ -99,6 +99,9 @@ pub use replay::{record_cell, Recording, ReplayAudio};
 pub use report::{CellReport, EvalReport};
 pub use runner::{run_matrix, run_suite, CellExecution, RoundSummary};
 pub use soak::{SoakCell, SoakPlan, SoakReport};
+/// The shared bounded byte codec of `uw-audio`, re-exported so that
+/// `uw-serve`'s wire format reaches it through its existing dependency.
+pub use uw_audio::codec;
 
 #[cfg(test)]
 mod tests {

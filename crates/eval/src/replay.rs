@@ -10,7 +10,8 @@
 //!   [`uw_core::waveform::synthesize_dual_mic`]) into a [`Recording`],
 //!   and [`Recording::to_wav_bytes`] encodes it as a standard 2-channel
 //!   WAV (one channel per microphone) with a segment directory in a
-//!   custom `uwRD` chunk. This is how the repo generates its own golden
+//!   custom `uwRD` chunk, written in the shared bounded codec
+//!   ([`crate::codec`]). This is how the repo generates its own golden
 //!   fixtures offline (`tests/fixtures/*.wav`).
 //! * **Replay** — [`Recording::from_wav_bytes`] streams the file back
 //!   through `uw-audio` (chunked decode, resampled to the pipeline rate
@@ -31,6 +32,9 @@
 use crate::matrix::{EvalCell, LinkProfile, MobilityProfile, ScenarioMatrix, Topology};
 use std::collections::HashMap;
 use std::sync::Arc;
+use uw_audio::codec::{
+    put_code, put_f64, put_str, put_u16, put_u32, put_u64, CodecError, Prefix, Reader,
+};
 use uw_audio::wav::{read_wav_bytes, SampleFormat, WavSpec, WavWriter};
 use uw_audio::ReplaySource;
 use uw_core::config::{Fidelity, NumericPath};
@@ -155,6 +159,24 @@ pub fn record_cell(cell: &EvalCell) -> Result<Recording> {
 // Directory (de)serialisation
 // ---------------------------------------------------------------------------
 
+/// `uwRD` numeric-path codes. The order (F64, Q15, F32) is this format's
+/// own and differs from the serving wire's.
+const PATHS: [NumericPath; 3] = [NumericPath::F64, NumericPath::Q15, NumericPath::F32];
+
+/// Encoded size of one directory entry: round u32, device u32, start u64
+/// and the two mic lengths u64.
+const ENTRY_BYTES: usize = 32;
+
+/// Link conditions travel as a code plus one `f64` parameter.
+const CONDITIONS: [fn(f64) -> LinkProfile; 4] = [
+    |_| LinkProfile::Clear,
+    |bias_m| LinkProfile::Occluded { bias_m },
+    |_| LinkProfile::MissingLink,
+    |round| LinkProfile::DeviceChurn {
+        after_round: round as usize,
+    },
+];
+
 fn condition_tag(c: &LinkProfile) -> (u8, f64) {
     match c {
         LinkProfile::Clear => (0, 0.0),
@@ -164,21 +186,13 @@ fn condition_tag(c: &LinkProfile) -> (u8, f64) {
     }
 }
 
-fn condition_from_tag(tag: u8, param: f64) -> Result<LinkProfile> {
-    Ok(match tag {
-        0 => LinkProfile::Clear,
-        1 => LinkProfile::Occluded { bias_m: param },
-        2 => LinkProfile::MissingLink,
-        3 => LinkProfile::DeviceChurn {
-            after_round: param as usize,
-        },
-        _ => {
-            return Err(SystemError::InvalidConfig {
-                reason: format!("unknown link-condition tag {tag} in recording directory"),
-            })
-        }
-    })
-}
+/// Mobility profiles travel as a code plus one `f64` speed.
+const MOBILITIES: [fn(f64) -> MobilityProfile; 4] = [
+    |_| MobilityProfile::Static,
+    |speed_cm_s| MobilityProfile::RopeOscillation { speed_cm_s },
+    |speed_cm_s| MobilityProfile::Swimmer { speed_cm_s },
+    |speed_cm_s| MobilityProfile::CurrentDrift { speed_cm_s },
+];
 
 fn mobility_tag(m: &MobilityProfile) -> (u8, f64) {
     match m {
@@ -189,48 +203,11 @@ fn mobility_tag(m: &MobilityProfile) -> (u8, f64) {
     }
 }
 
-fn mobility_from_tag(tag: u8, param: f64) -> Result<MobilityProfile> {
-    Ok(match tag {
-        0 => MobilityProfile::Static,
-        1 => MobilityProfile::RopeOscillation { speed_cm_s: param },
-        2 => MobilityProfile::Swimmer { speed_cm_s: param },
-        3 => MobilityProfile::CurrentDrift { speed_cm_s: param },
-        _ => {
-            return Err(SystemError::InvalidConfig {
-                reason: format!("unknown mobility tag {tag} in recording directory"),
-            })
-        }
-    })
-}
-
-/// Minimal little-endian cursor over the directory chunk.
-struct Dir<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dir<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.bytes.len() {
-            return Err(SystemError::InvalidConfig {
-                reason: "recording directory chunk is truncated".into(),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
+/// Maps a codec fault in the directory chunk into the recording's error
+/// type.
+fn dir_err(e: CodecError) -> SystemError {
+    SystemError::InvalidConfig {
+        reason: format!("recording directory {e}"),
     }
 }
 
@@ -259,36 +236,30 @@ impl Recording {
             1.0
         };
 
-        let mut dir = Vec::new();
-        dir.push(DIRECTORY_VERSION);
-        let env_slug = self.environment.slug().as_bytes();
-        dir.push(env_slug.len() as u8);
-        dir.extend_from_slice(env_slug);
-        dir.extend_from_slice(&(self.n_devices as u16).to_le_bytes());
+        let mut dir = vec![DIRECTORY_VERSION];
+        let slug = self.environment.slug();
+        put_str(&mut dir, Prefix::U8, "environment slug", slug).map_err(dir_err)?;
+        put_u16(&mut dir, self.n_devices as u16);
         let (ctag, cparam) = condition_tag(&self.condition);
         dir.push(ctag);
-        dir.extend_from_slice(&cparam.to_bits().to_le_bytes());
+        put_f64(&mut dir, cparam);
         let (mtag, mparam) = mobility_tag(&self.mobility);
         dir.push(mtag);
-        dir.extend_from_slice(&mparam.to_bits().to_le_bytes());
-        dir.push(match self.numeric_path {
-            NumericPath::F64 => 0,
-            NumericPath::Q15 => 1,
-            NumericPath::F32 => 2,
-        });
-        dir.extend_from_slice(&self.seed.to_le_bytes());
-        dir.extend_from_slice(&(self.rounds as u32).to_le_bytes());
-        dir.extend_from_slice(&scale.to_bits().to_le_bytes());
-        dir.extend_from_slice(&(self.links.len() as u32).to_le_bytes());
+        put_f64(&mut dir, mparam);
+        put_code(&mut dir, &PATHS, &self.numeric_path);
+        put_u64(&mut dir, self.seed);
+        put_u32(&mut dir, self.rounds as u32);
+        put_f64(&mut dir, scale);
+        put_u32(&mut dir, self.links.len() as u32);
         let mut start_frame = 0u64;
         for link in &self.links {
-            let frames = link.capture.mic1.len().max(link.capture.mic2.len()) as u64;
-            dir.extend_from_slice(&(link.round as u32).to_le_bytes());
-            dir.extend_from_slice(&(link.device as u32).to_le_bytes());
-            dir.extend_from_slice(&start_frame.to_le_bytes());
-            dir.extend_from_slice(&(link.capture.mic1.len() as u64).to_le_bytes());
-            dir.extend_from_slice(&(link.capture.mic2.len() as u64).to_le_bytes());
-            start_frame += frames;
+            let (len1, len2) = (link.capture.mic1.len(), link.capture.mic2.len());
+            put_u32(&mut dir, link.round as u32);
+            put_u32(&mut dir, link.device as u32);
+            put_u64(&mut dir, start_frame);
+            put_u64(&mut dir, len1 as u64);
+            put_u64(&mut dir, len2 as u64);
+            start_frame += len1.max(len2) as u64;
         }
 
         let spec = WavSpec {
@@ -334,69 +305,50 @@ impl Recording {
                 reason: "WAV has no uwRD directory chunk; not a cell recording".into(),
             })?
             .to_vec();
-        let mut dir = Dir {
-            bytes: &dir_bytes,
-            pos: 0,
-        };
-        let version = dir.u8()?;
+        let mut dir = Reader::new(&dir_bytes);
+        let version = dir.u8("version").map_err(dir_err)?;
         if version != DIRECTORY_VERSION {
             return Err(SystemError::InvalidConfig {
                 reason: format!("unsupported recording directory version {version}"),
             });
         }
-        let slug_len = dir.u8()? as usize;
-        let slug = String::from_utf8_lossy(dir.take(slug_len)?).into_owned();
+        let slug = dir.str(Prefix::U8, "environment slug").map_err(dir_err)?;
         let environment = *EnvironmentKind::ALL
             .iter()
             .find(|k| k.slug() == slug)
             .ok_or_else(|| SystemError::InvalidConfig {
                 reason: format!("unknown environment slug {slug:?} in recording"),
             })?;
-        let n_devices = u16::from_le_bytes(dir.take(2)?.try_into().unwrap()) as usize;
-        let ctag = dir.u8()?;
-        let condition = condition_from_tag(ctag, dir.f64()?)?;
-        let mtag = dir.u8()?;
-        let mobility = mobility_from_tag(mtag, dir.f64()?)?;
-        let numeric_path = match dir.u8()? {
-            0 => NumericPath::F64,
-            1 => NumericPath::Q15,
-            2 => NumericPath::F32,
-            p => {
-                return Err(SystemError::InvalidConfig {
-                    reason: format!("unknown numeric-path tag {p} in recording"),
-                })
-            }
-        };
-        let seed = dir.u64()?;
-        let rounds = dir.u32()? as usize;
-        let scale = dir.f64()?;
+        let n_devices = dir.u16("device count").map_err(dir_err)? as usize;
+        let condition = dir.code(&CONDITIONS, "condition").map_err(dir_err)?;
+        let condition = condition(dir.f64("condition parameter").map_err(dir_err)?);
+        let mobility = dir.code(&MOBILITIES, "mobility").map_err(dir_err)?;
+        let mobility = mobility(dir.f64("mobility speed").map_err(dir_err)?);
+        let numeric_path = dir.code(&PATHS, "numeric path").map_err(dir_err)?;
+        let seed = dir.u64("seed").map_err(dir_err)?;
+        let rounds = dir.u32("rounds").map_err(dir_err)? as usize;
+        let scale = dir.f64("gain").map_err(dir_err)?;
         if !(scale.is_finite() && scale > 0.0) {
             return Err(SystemError::InvalidConfig {
                 reason: format!("recording gain {scale} is not a positive finite number"),
             });
         }
-        let n_segments = dir.u32()? as usize;
-        // Each entry is 32 bytes; a directory declaring more entries than
-        // its remaining bytes could hold is hostile or corrupt — reject it
-        // before with_capacity turns the declared count into an allocation.
-        let remaining = dir_bytes.len().saturating_sub(dir.pos);
-        if n_segments > remaining / 32 {
-            return Err(SystemError::InvalidConfig {
-                reason: format!(
-                    "recording directory declares {n_segments} segments but only \
-                     {remaining} bytes remain"
-                ),
-            });
-        }
-        let mut entries = Vec::with_capacity(n_segments);
-        for _ in 0..n_segments {
-            let round = dir.u32()? as usize;
-            let device = dir.u32()? as usize;
-            let start = dir.u64()?;
-            let len1 = dir.u64()? as usize;
-            let len2 = dir.u64()? as usize;
-            entries.push((round, device, start, len1, len2));
-        }
+        let n_segments = dir.u32("segment count").map_err(dir_err)? as usize;
+        let n_segments = dir
+            .count(n_segments, ENTRY_BYTES, "segments")
+            .map_err(dir_err)?;
+        let entries = (0..n_segments)
+            .map(|_| {
+                Ok((
+                    dir.u32("segment round")? as usize,
+                    dir.u32("segment device")? as usize,
+                    dir.u64("segment start")?,
+                    dir.u64("mic1 length")?,
+                    dir.u64("mic2 length")?,
+                ))
+            })
+            .collect::<std::result::Result<Vec<_>, CodecError>>()
+            .map_err(dir_err)?;
 
         // Stream the audio once, front to back, slicing segments off as
         // their frames arrive (segments are stored contiguously in
@@ -427,20 +379,21 @@ impl Recording {
                     ),
                 });
             }
-            let frames = len1.max(len2) as u64;
-            let slice = |all: &[f64], len: usize| -> Result<Vec<f64>> {
+            let slice = |all: &[f64], len: u64| -> Result<Vec<f64>> {
                 let lo = (start as f64 * ratio).round() as usize;
-                let hi = lo + (len as f64 * ratio).round() as usize;
-                if hi > all.len() {
-                    return Err(SystemError::InvalidConfig {
+                let n = (len as f64 * ratio).round() as usize;
+                match lo.checked_add(n) {
+                    Some(hi) if hi <= all.len() => {
+                        Ok(all[lo..hi].iter().map(|s| s * unscale).collect())
+                    }
+                    _ => Err(SystemError::InvalidConfig {
                         reason: format!(
                             "recording audio ends at frame {} but the directory \
-                             expects {hi}",
+                             expects {lo} + {n}",
                             all.len()
                         ),
-                    });
+                    }),
                 }
-                Ok(all[lo..hi].iter().map(|s| s * unscale).collect())
             };
             links.push(RecordedLink {
                 round,
@@ -450,7 +403,7 @@ impl Recording {
                     mic2: slice(&mic2_all, len2)?,
                 },
             });
-            expected_start += frames;
+            expected_start = start.saturating_add(len1.max(len2));
         }
         Ok(Self {
             environment,

@@ -42,8 +42,10 @@
 //! * [`wire`] — the versioned binary wire format: length-prefixed
 //!   CRC-checked frames ([`wire::encode_frame`] / [`wire::FrameReader`])
 //!   carrying jobs as declarative [`wire::JobSpec`] matrix coordinates
-//!   and events as mirrors of [`job::CellUpdate`]. Hand-rolled — the
-//!   vendored serde is a no-op — like replay's `uwRD` chunk format.
+//!   and events as mirrors of [`job::CellUpdate`]. Explicit — the
+//!   vendored serde is a no-op — and written, like replay's `uwRD`
+//!   directory and the `uwCM` manifest, in the shared bounded codec
+//!   [`uw_eval::codec`].
 //! * [`tcp`] — [`tcp::TcpServer`]: the wire protocol over
 //!   `std::net::TcpListener` (one acceptor; per-connection reader/writer
 //!   threads; bounded per-connection event queues so a slow client

@@ -1,8 +1,10 @@
 //! The versioned binary wire format of the serving layer.
 //!
-//! The vendored serde is a no-op, so — like replay's `uwRD` chunk format —
-//! the protocol is an explicit hand-rolled codec. Every message travels in
-//! one length-prefixed frame:
+//! The vendored serde is a no-op, so the protocol is an explicit binary
+//! format, written — like replay's `uwRD` directory and the `uwCM`
+//! campaign manifest — in the shared bounded codec [`uw_eval::codec`]
+//! (`uw-audio`'s, re-exported). Every message travels in one
+//! length-prefixed frame:
 //!
 //! | offset | size | field   | contents                                  |
 //! |-------:|-----:|---------|-------------------------------------------|
@@ -20,10 +22,11 @@
 //! reproduce the batch runner's `EvalReport` JSON byte for byte. Strings
 //! are a `u32` length followed by UTF-8 bytes.
 //!
-//! Defensive decoding: the payload length is validated against
-//! [`MAX_PAYLOAD`] *before* any allocation, every inner length (strings,
-//! CDF vectors) is checked against the bytes actually remaining, the CRC
-//! is verified before the payload is interpreted, and trailing payload
+//! Defensive decoding: one header check, shared by [`decode_frame`] and
+//! [`FrameReader`], validates the payload length against [`MAX_PAYLOAD`]
+//! *before* any allocation; the codec's bounded reader checks every inner
+//! length (strings, CDF vectors) against the bytes actually remaining; the
+//! CRC is verified before the payload is interpreted, and trailing payload
 //! bytes are an error. Malformed input of any shape yields a structured
 //! [`WireError`], never a panic.
 //!
@@ -45,6 +48,10 @@ use crate::tenant::Priority;
 use std::io::Read;
 use uw_core::config::{Fidelity, NumericPath};
 use uw_core::prelude::{EnvironmentKind, FaultSchedule};
+pub use uw_eval::codec::crc32;
+use uw_eval::codec::{
+    self, put_bool, put_code, put_f64, put_u16, put_u32, put_u64, CodecError, Prefix, Reader,
+};
 use uw_eval::report::ErrorSummary;
 use uw_eval::runner::RoundSummary;
 use uw_eval::{CellReport, EvalCell, LinkProfile, MobilityProfile, ScenarioMatrix, Topology};
@@ -76,8 +83,8 @@ const TAG_REJECTED: u8 = 0x87;
 const TAG_PROTOCOL_ERROR: u8 = 0xFE;
 
 /// Structured decode/transport errors. Every way a byte stream can be
-/// wrong maps to exactly one variant — the adversarial-input suite in
-/// `crates/serve/tests/wire_fuzz.rs` pins that mapping.
+/// wrong maps to exactly one variant — the workspace's binary-format fuzz
+/// harness (`tests/codec_fuzz.rs`) pins that mapping.
 #[derive(Debug)]
 pub enum WireError {
     /// The buffer ends mid-frame; more bytes may complete it.
@@ -157,18 +164,12 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// IEEE CRC-32 (reflected polynomial 0xEDB88320), bitwise — frames are
-/// small enough that a lookup table would be vanity.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+impl From<CodecError> for WireError {
+    /// Every payload fault — short field, bad UTF-8, unknown code, lying
+    /// count, trailing bytes — is `Malformed`, attributed to its field.
+    fn from(e: CodecError) -> Self {
+        WireError::Malformed { context: e.field }
     }
-    !crc
 }
 
 /// Declarative coordinates of one matrix cell — the wire representation
@@ -366,55 +367,40 @@ pub enum WireMessage {
 }
 
 // ---------------------------------------------------------------------
-// Encoding primitives
+// Encoding
 // ---------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+// One-byte code tables of the plain enums: entry `i` travels as byte `i`.
+const ENVIRONMENTS: [EnvironmentKind; 6] = [
+    EnvironmentKind::Pool,
+    EnvironmentKind::Dock,
+    EnvironmentKind::Viewpoint,
+    EnvironmentKind::Boathouse,
+    EnvironmentKind::OpenWater,
+    EnvironmentKind::TidalChannel,
+];
+const PATHS: [NumericPath; 3] = [NumericPath::F64, NumericPath::F32, NumericPath::Q15];
+const FIDELITIES: [Fidelity; 2] = [Fidelity::Statistical, Fidelity::Hybrid];
+const PRIORITIES: [Priority; 2] = [Priority::Live, Priority::Replay];
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// Every wire string is a `u32` length followed by UTF-8 bytes.
+const STR: Prefix = Prefix::U32;
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
+/// Appends a wire string. Payloads are capped at [`MAX_PAYLOAD`], far
+/// below what the length prefix can hold.
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+    codec::put_str(out, STR, "string", s).expect("a wire string fits its u32 length prefix");
 }
 
-fn env_code(env: EnvironmentKind) -> u8 {
-    match env {
-        EnvironmentKind::Pool => 0,
-        EnvironmentKind::Dock => 1,
-        EnvironmentKind::Viewpoint => 2,
-        EnvironmentKind::Boathouse => 3,
-        EnvironmentKind::OpenWater => 4,
-        EnvironmentKind::TidalChannel => 5,
-    }
-}
-
-fn path_code(path: NumericPath) -> u8 {
-    match path {
-        NumericPath::F64 => 0,
-        NumericPath::F32 => 1,
-        NumericPath::Q15 => 2,
+fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
+    put_bool(out, s.is_some());
+    if let Some(s) = s {
+        put_str(out, s);
     }
 }
 
 fn encode_spec(out: &mut Vec<u8>, spec: &JobSpec) {
-    out.push(env_code(spec.environment));
+    put_code(out, &ENVIRONMENTS, &spec.environment);
     put_u32(out, spec.n_devices);
     match spec.condition {
         LinkProfile::Clear => out.push(0),
@@ -443,27 +429,12 @@ fn encode_spec(out: &mut Vec<u8>, spec: &JobSpec) {
             put_f64(out, speed_cm_s);
         }
     }
-    out.push(path_code(spec.numeric_path));
-    out.push(match spec.fidelity {
-        Fidelity::Statistical => 0,
-        Fidelity::Hybrid => 1,
-    });
+    put_code(out, &PATHS, &spec.numeric_path);
+    put_code(out, &FIDELITIES, &spec.fidelity);
     put_u64(out, spec.seed);
     put_u32(out, spec.rounds);
-    match &spec.faults {
-        None => put_bool(out, false),
-        Some(s) => {
-            put_bool(out, true);
-            put_str(out, s);
-        }
-    }
-    match &spec.recording {
-        None => put_bool(out, false),
-        Some(name) => {
-            put_bool(out, true);
-            put_str(out, name);
-        }
-    }
+    put_opt_str(out, &spec.faults);
+    put_opt_str(out, &spec.recording);
 }
 
 fn encode_summary(out: &mut Vec<u8>, s: &RoundSummary) {
@@ -550,16 +521,10 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) -> u8 {
         } => {
             put_u64(out, *tag);
             put_str(out, tenant);
-            out.push(match priority {
-                Priority::Live => 0,
-                Priority::Replay => 1,
-            });
-            match deadline_ms {
-                None => put_bool(out, false),
-                Some(ms) => {
-                    put_bool(out, true);
-                    put_u64(out, *ms);
-                }
+            put_code(out, &PRIORITIES, priority);
+            put_bool(out, deadline_ms.is_some());
+            if let Some(ms) = deadline_ms {
+                put_u64(out, *ms);
             }
             encode_spec(out, spec);
             TAG_SUBMIT
@@ -657,108 +622,8 @@ pub fn encode_frame(msg: &WireMessage) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------
 
-/// Bounds-checked payload reader.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Malformed { context });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u16(&mut self, context: &'static str) -> Result<u16, WireError> {
-        let b = self.take(2, context)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, WireError> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, WireError> {
-        let b = self.take(8, context)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self, context: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64(context)?))
-    }
-
-    fn bool(&mut self, context: &'static str) -> Result<bool, WireError> {
-        match self.u8(context)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Malformed { context }),
-        }
-    }
-
-    fn usize(&mut self, context: &'static str) -> Result<usize, WireError> {
-        let v = self.u64(context)?;
-        usize::try_from(v).map_err(|_| WireError::Malformed { context })
-    }
-
-    /// String: u32 length + UTF-8 bytes. The length is checked against
-    /// the bytes actually remaining before anything is copied, so a lying
-    /// prefix cannot trigger a large allocation.
-    fn str(&mut self, context: &'static str) -> Result<String, WireError> {
-        let len = self.u32(context)? as usize;
-        if len > self.remaining() {
-            return Err(WireError::Malformed { context });
-        }
-        let bytes = self.take(len, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed { context })
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Malformed {
-                context: "trailing payload bytes",
-            });
-        }
-        Ok(())
-    }
-}
-
-fn env_from(code: u8) -> Result<EnvironmentKind, WireError> {
-    Ok(match code {
-        0 => EnvironmentKind::Pool,
-        1 => EnvironmentKind::Dock,
-        2 => EnvironmentKind::Viewpoint,
-        3 => EnvironmentKind::Boathouse,
-        4 => EnvironmentKind::OpenWater,
-        5 => EnvironmentKind::TidalChannel,
-        _ => {
-            return Err(WireError::Malformed {
-                context: "environment code",
-            })
-        }
-    })
-}
-
-fn decode_spec(c: &mut Cursor<'_>) -> Result<JobSpec, WireError> {
-    let environment = env_from(c.u8("spec environment")?)?;
+fn decode_spec(c: &mut Reader<'_>) -> Result<JobSpec, WireError> {
+    let environment = c.code(&ENVIRONMENTS, "spec environment")?;
     let n_devices = c.u32("spec n_devices")?;
     let condition = match c.u8("spec condition tag")? {
         0 => LinkProfile::Clear,
@@ -792,52 +657,25 @@ fn decode_spec(c: &mut Cursor<'_>) -> Result<JobSpec, WireError> {
             })
         }
     };
-    let numeric_path = match c.u8("spec numeric path")? {
-        0 => NumericPath::F64,
-        1 => NumericPath::F32,
-        2 => NumericPath::Q15,
-        _ => {
-            return Err(WireError::Malformed {
-                context: "numeric path code",
-            })
-        }
-    };
-    let fidelity = match c.u8("spec fidelity")? {
-        0 => Fidelity::Statistical,
-        1 => Fidelity::Hybrid,
-        _ => {
-            return Err(WireError::Malformed {
-                context: "fidelity code",
-            })
-        }
-    };
-    let seed = c.u64("spec seed")?;
-    let rounds = c.u32("spec rounds")?;
-    let faults = if c.bool("spec faults flag")? {
-        Some(c.str("spec faults")?)
-    } else {
-        None
-    };
-    let recording = if c.bool("spec recording flag")? {
-        Some(c.str("spec recording")?)
-    } else {
-        None
-    };
     Ok(JobSpec {
         environment,
         n_devices,
         condition,
         mobility,
-        numeric_path,
-        fidelity,
-        seed,
-        rounds,
-        faults,
-        recording,
+        numeric_path: c.code(&PATHS, "spec numeric path")?,
+        fidelity: c.code(&FIDELITIES, "spec fidelity")?,
+        seed: c.u64("spec seed")?,
+        rounds: c.u32("spec rounds")?,
+        faults: decode_opt_str(c, "spec faults")?,
+        recording: decode_opt_str(c, "spec recording")?,
     })
 }
 
-fn decode_summary(c: &mut Cursor<'_>) -> Result<RoundSummary, WireError> {
+fn decode_opt_str(c: &mut Reader<'_>, field: &'static str) -> Result<Option<String>, CodecError> {
+    c.bool(field)?.then(|| c.str(STR, field)).transpose()
+}
+
+fn decode_summary(c: &mut Reader<'_>) -> Result<RoundSummary, CodecError> {
     Ok(RoundSummary {
         round: c.usize("summary round")?,
         ok: c.bool("summary ok")?,
@@ -847,7 +685,7 @@ fn decode_summary(c: &mut Cursor<'_>) -> Result<RoundSummary, WireError> {
     })
 }
 
-fn decode_error_summary(c: &mut Cursor<'_>) -> Result<ErrorSummary, WireError> {
+fn decode_error_summary(c: &mut Reader<'_>) -> Result<ErrorSummary, CodecError> {
     Ok(ErrorSummary {
         count: c.usize("error count")?,
         median: c.f64("error median")?,
@@ -858,33 +696,25 @@ fn decode_error_summary(c: &mut Cursor<'_>) -> Result<ErrorSummary, WireError> {
     })
 }
 
-fn decode_report(c: &mut Cursor<'_>) -> Result<CellReport, WireError> {
-    let id = c.str("report id")?;
-    let environment = c.str("report environment")?;
+fn decode_report(c: &mut Reader<'_>) -> Result<CellReport, CodecError> {
+    let id = c.str(STR, "report id")?;
+    let environment = c.str(STR, "report environment")?;
     let n_devices = c.usize("report n_devices")?;
-    let condition = c.str("report condition")?;
-    let mobility = c.str("report mobility")?;
-    let numeric_path = c.str("report numeric_path")?;
-    let source = c.str("report source")?;
+    let condition = c.str(STR, "report condition")?;
+    let mobility = c.str(STR, "report mobility")?;
+    let numeric_path = c.str(STR, "report numeric_path")?;
+    let source = c.str(STR, "report source")?;
     let seed = c.u64("report seed")?;
     let rounds = c.usize("report rounds")?;
     let rounds_completed = c.usize("report rounds_completed")?;
     let rounds_failed = c.usize("report rounds_failed")?;
     let error_2d = decode_error_summary(c)?;
+    // Each CDF point is 16 bytes.
     let cdf_len = c.u32("report cdf length")? as usize;
-    // Each CDF point is 16 bytes; validate against the remaining payload
-    // before reserving anything.
-    if cdf_len.saturating_mul(16) > c.remaining() {
-        return Err(WireError::Malformed {
-            context: "report cdf length",
-        });
-    }
-    let mut error_cdf = Vec::with_capacity(cdf_len);
-    for _ in 0..cdf_len {
-        let e = c.f64("report cdf error")?;
-        let f = c.f64("report cdf fraction")?;
-        error_cdf.push((e, f));
-    }
+    let cdf_len = c.count(cdf_len, 16, "report cdf length")?;
+    let error_cdf = (0..cdf_len)
+        .map(|_| Ok((c.f64("report cdf error")?, c.f64("report cdf fraction")?)))
+        .collect::<Result<_, CodecError>>()?;
     Ok(CellReport {
         id,
         environment,
@@ -908,10 +738,10 @@ fn decode_report(c: &mut Cursor<'_>) -> Result<CellReport, WireError> {
     })
 }
 
-fn decode_reason(c: &mut Cursor<'_>) -> Result<RejectReason, WireError> {
+fn decode_reason(c: &mut Reader<'_>) -> Result<RejectReason, WireError> {
     Ok(match c.u8("reject reason tag")? {
         0 => RejectReason::AdmissionDenied {
-            tenant: c.str("reject tenant")?,
+            tenant: c.str(STR, "reject tenant")?,
         },
         1 => RejectReason::DeadlineExpired {
             late_ms: c.u64("reject late_ms")?,
@@ -929,53 +759,37 @@ fn decode_reason(c: &mut Cursor<'_>) -> Result<RejectReason, WireError> {
 }
 
 fn decode_payload(tag: u8, payload: &[u8]) -> Result<WireMessage, WireError> {
-    let mut c = Cursor::new(payload);
+    let mut c = Reader::new(payload);
     let msg = match tag {
         TAG_HELLO => WireMessage::Hello {
-            client: c.str("hello client")?,
+            client: c.str(STR, "hello client")?,
         },
         TAG_HELLO_ACK => WireMessage::HelloAck {
             version: c.u16("helloack version")?,
             max_payload: c.u32("helloack cap")?,
         },
-        TAG_SUBMIT => {
-            let tag = c.u64("submit tag")?;
-            let tenant = c.str("submit tenant")?;
-            let priority = match c.u8("submit priority")? {
-                0 => Priority::Live,
-                1 => Priority::Replay,
-                _ => {
-                    return Err(WireError::Malformed {
-                        context: "priority code",
-                    })
-                }
-            };
-            let deadline_ms = if c.bool("submit deadline flag")? {
-                Some(c.u64("submit deadline")?)
-            } else {
-                None
-            };
-            let spec = decode_spec(&mut c)?;
-            WireMessage::Submit {
-                tag,
-                tenant,
-                priority,
-                deadline_ms,
-                spec,
-            }
-        }
+        TAG_SUBMIT => WireMessage::Submit {
+            tag: c.u64("submit tag")?,
+            tenant: c.str(STR, "submit tenant")?,
+            priority: c.code(&PRIORITIES, "submit priority")?,
+            deadline_ms: c
+                .bool("submit deadline flag")?
+                .then(|| c.u64("submit deadline"))
+                .transpose()?,
+            spec: decode_spec(&mut c)?,
+        },
         TAG_CANCEL => WireMessage::Cancel {
             tag: c.u64("cancel tag")?,
         },
         TAG_GOODBYE => WireMessage::Goodbye,
         TAG_STARTED => WireMessage::Started {
             tag: c.u64("started tag")?,
-            cell_id: c.str("started cell")?,
+            cell_id: c.str(STR, "started cell")?,
             rounds: c.u64("started rounds")?,
         },
         TAG_ROUND => WireMessage::Round {
             tag: c.u64("round tag")?,
-            cell_id: c.str("round cell")?,
+            cell_id: c.str(STR, "round cell")?,
             summary: decode_summary(&mut c)?,
         },
         TAG_FINALIZED => WireMessage::Finalized {
@@ -988,74 +802,74 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<WireMessage, WireError> {
         },
         TAG_FAILED => WireMessage::Failed {
             tag: c.u64("failed tag")?,
-            cell_id: c.str("failed cell")?,
-            reason: c.str("failed reason")?,
+            cell_id: c.str(STR, "failed cell")?,
+            reason: c.str(STR, "failed reason")?,
         },
         TAG_REJECTED => WireMessage::Rejected {
             tag: c.u64("rejected tag")?,
-            cell_id: c.str("rejected cell")?,
-            tenant: c.str("rejected tenant")?,
+            cell_id: c.str(STR, "rejected cell")?,
+            tenant: c.str(STR, "rejected tenant")?,
             reason: decode_reason(&mut c)?,
         },
         TAG_PROTOCOL_ERROR => WireMessage::ProtocolError {
-            message: c.str("protocol error")?,
+            message: c.str(STR, "protocol error")?,
         },
         tag => return Err(WireError::UnknownTag { tag }),
     };
-    c.finish()?;
+    c.finish("trailing payload bytes")?;
     Ok(msg)
 }
 
-/// Decodes one frame from the front of `buf`. On success returns the
-/// message and the total frame length consumed. [`WireError::Truncated`]
-/// means the buffer ends mid-frame: read more bytes and retry.
-///
-/// Validation order: magic → version → length cap → completeness → CRC →
-/// tag → payload structure. The length cap is enforced before the payload
-/// is even *looked at*, so a hostile length prefix cannot drive an
-/// allocation.
-pub fn decode_frame(buf: &[u8]) -> Result<(WireMessage, usize), WireError> {
-    if buf.len() < HEADER_LEN {
-        return Err(WireError::Truncated);
+/// Validates a frame header — magic, version, reserved flags, payload
+/// cap, in that order — and returns its tag and payload length. Both
+/// [`decode_frame`] and [`FrameReader`] run it before they look at (or
+/// allocate for) the payload, so a hostile length prefix costs nothing.
+fn check_header(header: &[u8]) -> Result<(u8, usize), WireError> {
+    let mut h = Reader::new(header);
+    let got = h.array("magic")?;
+    if got != WIRE_MAGIC {
+        return Err(WireError::BadMagic { got });
     }
-    if buf[0..4] != WIRE_MAGIC {
-        return Err(WireError::BadMagic {
-            got: [buf[0], buf[1], buf[2], buf[3]],
-        });
-    }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
+    let version = h.u16("version")?;
     if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion { got: version });
     }
-    let tag = buf[6];
-    if buf[7] != 0 {
+    let tag = h.u8("tag")?;
+    if h.u8("flags")? != 0 {
         return Err(WireError::Malformed {
             context: "reserved flags",
         });
     }
-    let len = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
+    let len = h.u32("length")?;
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversized {
             len,
             max: MAX_PAYLOAD,
         });
     }
-    let total = HEADER_LEN + len as usize + TRAILER_LEN;
-    if buf.len() < total {
-        return Err(WireError::Truncated);
-    }
-    let body_end = HEADER_LEN + len as usize;
-    let want = crc32(&buf[..body_end]);
-    let got = u32::from_le_bytes([
-        buf[body_end],
-        buf[body_end + 1],
-        buf[body_end + 2],
-        buf[body_end + 3],
-    ]);
+    Ok((tag, len as usize))
+}
+
+/// Decodes one frame from the front of `buf`. On success returns the
+/// message and the total frame length consumed. [`WireError::Truncated`]
+/// means the buffer ends mid-frame: read more bytes and retry.
+///
+/// Validation order: header (magic → version → flags → length cap) →
+/// completeness → CRC → tag → payload structure. The length cap is
+/// enforced before the payload is even *looked at*, so a hostile length
+/// prefix cannot drive an allocation.
+pub fn decode_frame(buf: &[u8]) -> Result<(WireMessage, usize), WireError> {
+    let header = buf.get(..HEADER_LEN).ok_or(WireError::Truncated)?;
+    let (tag, len) = check_header(header)?;
+    let body_end = HEADER_LEN + len;
+    let total = body_end + TRAILER_LEN;
+    let frame = buf.get(..total).ok_or(WireError::Truncated)?;
+    let want = crc32(&frame[..body_end]);
+    let got = Reader::new(&frame[body_end..]).u32("crc")?;
     if got != want {
         return Err(WireError::CrcMismatch { got, want });
     }
-    let msg = decode_payload(tag, &buf[HEADER_LEN..body_end])?;
+    let msg = decode_payload(tag, &frame[HEADER_LEN..body_end])?;
     Ok((msg, total))
 }
 
@@ -1097,25 +911,8 @@ impl<R: Read> FrameReader<R> {
             }
         }
         self.read_full(&mut header[1..])?;
-        // Pre-validate the header so a hostile length prefix is rejected
-        // before any payload allocation.
-        if header[0..4] != WIRE_MAGIC {
-            return Err(WireError::BadMagic {
-                got: [header[0], header[1], header[2], header[3]],
-            });
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion { got: version });
-        }
-        let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversized {
-                len,
-                max: MAX_PAYLOAD,
-            });
-        }
-        let mut frame = vec![0u8; HEADER_LEN + len as usize + TRAILER_LEN];
+        let (_, len) = check_header(&header)?;
+        let mut frame = vec![0u8; HEADER_LEN + len + TRAILER_LEN];
         frame[..HEADER_LEN].copy_from_slice(&header);
         self.read_full(&mut frame[HEADER_LEN..])?;
         let (msg, consumed) = decode_frame(&frame)?;

@@ -32,6 +32,11 @@
 //!   record of a blind import (recording name, per-segment frame ranges,
 //!   skew table, scenario axes) that lets evaluation load a scanned
 //!   campaign without re-running the detector.
+//! * [`codec`] — the bounded little-endian reader ([`codec::Reader`]),
+//!   `put_*` writers, one-byte code tables and CRC-32 that every binary
+//!   format of the workspace is written in: `uwCM` here, `uwRD` recording
+//!   directories in `uw-eval` and `uwlz` serving frames in `uw-serve`.
+//!   A fault is one [`codec::CodecError`] naming the field and its offset.
 //!
 //! ## Example: write, stream back, resample
 //!
@@ -63,6 +68,7 @@
 #![warn(missing_docs)]
 
 pub mod burst;
+pub mod codec;
 pub mod manifest;
 pub mod replay;
 pub mod resample;

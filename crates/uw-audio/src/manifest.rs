@@ -9,17 +9,21 @@
 //! format (`uwCM` v1) that sits next to the WAV. Loading a campaign is
 //! then a cheap seek-and-slice pass.
 //!
-//! The codec is strict in both directions: every field is length-guarded
-//! against hostile counts, parsing never panics on truncated or corrupt
-//! bytes (`tests/manifest_fuzz.rs` drives every byte-level mutation), and
-//! trailing bytes after the last segment are rejected so a manifest has
-//! exactly one valid encoding.
+//! The format is written in the shared bounded codec ([`crate::codec`]),
+//! strict in both directions: every count is guarded against the bytes
+//! left, parsing never panics on truncated or corrupt bytes (the
+//! workspace's `tests/codec_fuzz.rs` drives every byte-level mutation),
+//! and trailing bytes after the last segment are rejected so a manifest
+//! has exactly one valid encoding.
 //!
 //! Scenario axes travel as short UTF-8 slugs (`"dock"`, `"clear"`,
 //! `"static"`, `"f64"`) rather than enum tags: `uw-audio` stays ignorant
 //! of the evaluation layer's types, and `uw-eval` owns slug ↔ enum
 //! mapping when it builds matrix cells from a manifest.
 
+use crate::codec::{
+    put_f64, put_str, put_u16, put_u32, put_u64, CodecError, Fault, Prefix, Reader,
+};
 use crate::skew::SKEW_MAX_PPM;
 use crate::{AudioError, Result};
 
@@ -90,26 +94,31 @@ impl CampaignManifest {
         let mut out = Vec::with_capacity(64 + self.segments.len() * SEGMENT_BYTES);
         out.extend_from_slice(MANIFEST_MAGIC);
         out.push(MANIFEST_VERSION);
-        put_str16(&mut out, "recording name", &self.recording)?;
-        put_str8(&mut out, "environment slug", &self.environment)?;
-        put_str8(&mut out, "condition slug", &self.condition)?;
-        put_str8(&mut out, "mobility slug", &self.mobility)?;
-        put_str8(&mut out, "numeric path slug", &self.numeric_path)?;
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&self.rounds.to_le_bytes());
-        out.extend_from_slice(&self.sample_rate.to_le_bytes());
-        out.extend_from_slice(&self.n_devices.to_le_bytes());
+        let strings = [
+            (Prefix::U16, "recording name", &self.recording),
+            (Prefix::U8, "environment slug", &self.environment),
+            (Prefix::U8, "condition slug", &self.condition),
+            (Prefix::U8, "mobility slug", &self.mobility),
+            (Prefix::U8, "numeric path slug", &self.numeric_path),
+        ];
+        for (prefix, field, s) in strings {
+            put_str(&mut out, prefix, field, s).map_err(|e| invalid(e.to_string()))?;
+        }
+        put_u64(&mut out, self.seed);
+        put_u32(&mut out, self.rounds);
+        put_u32(&mut out, self.sample_rate);
+        put_u16(&mut out, self.n_devices);
         for &ppm in &self.skew_ppm {
-            out.extend_from_slice(&ppm.to_le_bytes());
+            put_f64(&mut out, ppm);
         }
         let n_segments = u32::try_from(self.segments.len())
             .map_err(|_| invalid("segment count exceeds u32".to_string()))?;
-        out.extend_from_slice(&n_segments.to_le_bytes());
+        put_u32(&mut out, n_segments);
         for s in &self.segments {
-            out.extend_from_slice(&s.round.to_le_bytes());
-            out.extend_from_slice(&s.device.to_le_bytes());
-            out.extend_from_slice(&s.start.to_le_bytes());
-            out.extend_from_slice(&s.len.to_le_bytes());
+            put_u32(&mut out, s.round);
+            put_u32(&mut out, s.device);
+            put_u64(&mut out, s.start);
+            put_u64(&mut out, s.len);
         }
         Ok(out)
     }
@@ -117,63 +126,52 @@ impl CampaignManifest {
     /// Parses a manifest from bytes. Structured errors on any malformed,
     /// truncated, or trailing input — never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut cur = Cursor { bytes, pos: 0 };
-        let magic = cur.take(4, "magic")?;
-        if magic != MANIFEST_MAGIC {
+        let mut r = Reader::new(bytes);
+        let magic = r.array::<4>("magic").map_err(parse_err)?;
+        if &magic != MANIFEST_MAGIC {
             return Err(malformed(format!("bad magic {magic:02x?}")));
         }
-        let version = cur.u8("version")?;
+        let version = r.u8("version").map_err(parse_err)?;
         if version != MANIFEST_VERSION {
             return Err(malformed(format!(
                 "unsupported manifest version {version} (expected {MANIFEST_VERSION})"
             )));
         }
-        let recording = cur.str16("recording name")?;
-        let environment = cur.str8("environment slug")?;
-        let condition = cur.str8("condition slug")?;
-        let mobility = cur.str8("mobility slug")?;
-        let numeric_path = cur.str8("numeric path slug")?;
-        let seed = cur.u64("seed")?;
-        let rounds = cur.u32("rounds")?;
-        let sample_rate = cur.u32("sample rate")?;
-        let n_devices = cur.u16("device count")?;
-        if n_devices as usize > cur.remaining() / 8 {
-            return Err(malformed(format!(
-                "skew table claims {n_devices} devices but only {} bytes remain",
-                cur.remaining()
-            )));
+        let manifest = Self::read_fields(&mut r).map_err(parse_err)?;
+        if let Some(d) = manifest.skew_ppm.iter().position(|ppm| !ppm.is_finite()) {
+            return Err(malformed(format!("non-finite skew for device {d}")));
         }
-        let mut skew_ppm = Vec::with_capacity(n_devices as usize);
-        for i in 0..n_devices {
-            skew_ppm.push(f64::from_le_bytes(
-                cur.take(8, "skew entry")?.try_into().unwrap_or([0; 8]),
-            ));
-            if !skew_ppm[i as usize].is_finite() {
-                return Err(malformed(format!("non-finite skew for device {i}")));
-            }
-        }
-        let n_segments = cur.u32("segment count")?;
-        if n_segments as usize > cur.remaining() / SEGMENT_BYTES {
-            return Err(malformed(format!(
-                "segment table claims {n_segments} entries but only {} bytes remain",
-                cur.remaining()
-            )));
-        }
-        let mut segments = Vec::with_capacity(n_segments as usize);
-        for _ in 0..n_segments {
-            segments.push(SegmentRange {
-                round: cur.u32("segment round")?,
-                device: cur.u32("segment device")?,
-                start: cur.u64("segment start")?,
-                len: cur.u64("segment length")?,
-            });
-        }
-        if cur.remaining() != 0 {
-            return Err(malformed(format!(
-                "{} trailing bytes after segment table",
-                cur.remaining()
-            )));
-        }
+        Ok(manifest)
+    }
+
+    /// Everything after the version byte, up to the end of the input.
+    fn read_fields(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let recording = r.str(Prefix::U16, "recording name")?;
+        let environment = r.str(Prefix::U8, "environment slug")?;
+        let condition = r.str(Prefix::U8, "condition slug")?;
+        let mobility = r.str(Prefix::U8, "mobility slug")?;
+        let numeric_path = r.str(Prefix::U8, "numeric path slug")?;
+        let seed = r.u64("seed")?;
+        let rounds = r.u32("rounds")?;
+        let sample_rate = r.u32("sample rate")?;
+        let n_devices = r.u16("device count")?;
+        let skews = r.count(n_devices as usize, 8, "skew table")?;
+        let skew_ppm = (0..skews)
+            .map(|_| r.f64("skew entry"))
+            .collect::<std::result::Result<_, _>>()?;
+        let n_segments = r.u32("segment count")? as usize;
+        let n_segments = r.count(n_segments, SEGMENT_BYTES, "segment table")?;
+        let segments = (0..n_segments)
+            .map(|_| {
+                Ok(SegmentRange {
+                    round: r.u32("segment round")?,
+                    device: r.u32("segment device")?,
+                    start: r.u64("segment start")?,
+                    len: r.u64("segment length")?,
+                })
+            })
+            .collect::<std::result::Result<_, _>>()?;
+        r.finish("segment table")?;
         Ok(Self {
             recording,
             environment,
@@ -221,20 +219,6 @@ impl CampaignManifest {
                 )));
             }
         }
-        let mut by_start: Vec<&SegmentRange> = self.segments.iter().collect();
-        by_start.sort_by_key(|s| s.start);
-        for pair in by_start.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if a.start + a.len > b.start {
-                return Err(invalid(format!(
-                    "segments overlap: [{}, {}) and [{}, {})",
-                    a.start,
-                    a.start + a.len,
-                    b.start,
-                    b.start + b.len
-                )));
-            }
-        }
         let mut seen = std::collections::BTreeSet::new();
         for s in &self.segments {
             if s.len == 0 {
@@ -270,84 +254,33 @@ impl CampaignManifest {
                 )));
             }
         }
+        // Every segment now ends inside the recording, so no sum below
+        // can overflow.
+        let mut by_start: Vec<&SegmentRange> = self.segments.iter().collect();
+        by_start.sort_by_key(|s| s.start);
+        for pair in by_start.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            if a.start + a.len > b.start {
+                return Err(invalid(format!(
+                    "segments overlap: [{}, {}) and [{}, {})",
+                    a.start,
+                    a.start + a.len,
+                    b.start,
+                    b.start + b.len
+                )));
+            }
+        }
         Ok(())
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+/// Maps a codec fault met while parsing into the manifest's error type.
+fn parse_err(e: CodecError) -> AudioError {
+    let reason = format!("manifest {e}");
+    match e.fault {
+        Fault::Truncated { .. } => AudioError::Truncated { reason },
+        _ => malformed(reason),
     }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(AudioError::Truncated {
-                reason: format!(
-                    "manifest ends inside {what} (need {n} bytes at offset {}, have {})",
-                    self.pos,
-                    self.remaining()
-                ),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().unwrap_or([0; 2]),
-        ))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().unwrap_or([0; 4]),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().unwrap_or([0; 8]),
-        ))
-    }
-
-    fn str8(&mut self, what: &str) -> Result<String> {
-        let len = self.u8(what)? as usize;
-        let raw = self.take(len, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| malformed(format!("{what} is not UTF-8")))
-    }
-
-    fn str16(&mut self, what: &str) -> Result<String> {
-        let len = self.u16(what)? as usize;
-        let raw = self.take(len, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| malformed(format!("{what} is not UTF-8")))
-    }
-}
-
-fn put_str8(out: &mut Vec<u8>, what: &str, s: &str) -> Result<()> {
-    let len =
-        u8::try_from(s.len()).map_err(|_| invalid(format!("{what} longer than 255 bytes")))?;
-    out.push(len);
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn put_str16(out: &mut Vec<u8>, what: &str, s: &str) -> Result<()> {
-    let len =
-        u16::try_from(s.len()).map_err(|_| invalid(format!("{what} longer than 65535 bytes")))?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
 }
 
 fn malformed(reason: String) -> AudioError {
@@ -408,45 +341,47 @@ mod tests {
 
     #[test]
     fn hostile_ranges_fail_validation() {
-        let total = 400_000;
-        let mut m = sample();
-        m.segments[0].len = 0;
-        assert!(m.validate(total).is_err());
-
-        let mut m = sample();
-        m.segments[0].start = u64::MAX - 5;
-        m.segments[0].len = 10; // overflows checked_add
-        assert!(m.validate(total).is_err());
-
-        let mut m = sample();
-        m.segments[0].start = total;
-        assert!(m.validate(total).is_err());
-
-        let mut m = sample();
-        m.segments[1].start = m.segments[0].start + 1; // overlap
-        assert!(m.validate(total).is_err());
-
-        let mut m = sample();
-        m.segments[1].round = m.segments[0].round;
-        m.segments[1].device = m.segments[0].device; // duplicate slot
-        m.segments[1].start = 390_000;
-        assert!(m.validate(total).is_err());
-
-        let mut m = sample();
-        m.segments[0].device = 0; // leader has no segments
-        assert!(m.validate(total).is_err());
-
-        let mut m = sample();
-        m.segments[0].device = 9; // beyond roster
-        assert!(m.validate(total).is_err());
-
-        let mut m = sample();
-        m.segments[0].round = 99;
-        assert!(m.validate(total).is_err());
-
-        let mut m = sample();
-        m.skew_ppm[2] = 1.0e4; // beyond crystal tolerance
-        assert!(m.validate(total).is_err());
+        // Each mutation goes through the codec first, so the hostile
+        // values are shown to survive parsing and to be caught here.
+        const TOTAL: u64 = 400_000;
+        let mutations: [fn(&mut CampaignManifest); 13] = [
+            |m| m.segments[0].len = 0,
+            // The end of the range overflows u64.
+            |m| (m.segments[0].start, m.segments[0].len) = (u64::MAX - 5, 10),
+            |m| (m.segments[3].start, m.segments[3].len) = (u64::MAX - 7, 16),
+            // Two ranges at the top of u64 sort next to each other: the
+            // overlap scan must not add up the first one's end.
+            |m| {
+                (m.segments[0].start, m.segments[0].len) = (u64::MAX - 5, 10);
+                (m.segments[1].start, m.segments[1].len) = (u64::MAX - 1, 1);
+            },
+            |m| m.segments[0].start = TOTAL,
+            |m| m.segments[5].start = TOTAL - 1,
+            |m| m.segments[1].start = m.segments[0].start + 1, // overlap
+            |m| {
+                // duplicate (round, device) slot
+                m.segments[1].round = m.segments[0].round;
+                m.segments[1].device = m.segments[0].device;
+                m.segments[1].start = 390_000;
+            },
+            |m| m.segments[7].device = 0, // the leader never has a segment
+            |m| m.segments[0].device = 9, // beyond the roster
+            |m| m.segments[0].round = 99,
+            |m| m.segments[2].round = 3_000_000,
+            |m| m.skew_ppm[2] = 1.0e4, // beyond crystal tolerance
+        ];
+        for (i, mutate) in mutations.iter().enumerate() {
+            let mut m = sample();
+            mutate(&mut m);
+            let parsed = CampaignManifest::from_bytes(&m.to_bytes().unwrap()).unwrap();
+            assert!(
+                matches!(
+                    parsed.validate(TOTAL),
+                    Err(AudioError::InvalidParameter { .. })
+                ),
+                "mutation {i} passed validation"
+            );
+        }
     }
 
     #[test]
