@@ -277,15 +277,6 @@ impl Format for Uwlz {
                 (header_claiming(0x04, len), want)
             })
             .collect();
-        // A string claiming u32::MAX bytes, right after the Failed tag.
-        let failed = encode_frame(&WireMessage::Failed {
-            tag: 1,
-            cell_id: String::new(),
-            reason: String::new(),
-        });
-        let at = HEADER_LEN + 8;
-        let huge = u32::MAX.to_le_bytes();
-        cases.push((patch_frame(failed, at, &huge), malformed("failed cell")));
         // A report CDF claiming u32::MAX points. With an empty CDF its
         // count sits just before the report's six closing 8-byte fields.
         let mut report = samples::messages()
@@ -299,7 +290,7 @@ impl Format for Uwlz {
         let finalized = encode_frame(&WireMessage::Finalized { tag: 9, report });
         let at = finalized.len() - TRAILER_LEN - 6 * 8 - 4;
         cases.push((
-            patch_frame(finalized, at, &huge),
+            patch_frame(finalized, at, &u32::MAX.to_le_bytes()),
             malformed("report cdf length"),
         ));
         cases
@@ -359,10 +350,30 @@ fn uwlz_errors_are_attributable() {
     header[7] = 0x01;
     let streamed = FrameReader::new(header.as_slice()).read_message();
     assert_eq!(format!("{:?}", streamed.unwrap_err()), flags);
-    // A length prefix exactly at the cap passes the size check; the frame
-    // is then merely incomplete.
+}
+
+#[test]
+fn uwlz_a_length_prefix_at_the_cap_is_not_rejected_for_size() {
+    // Exactly MAX_PAYLOAD passes the size check; the frame is then merely
+    // incomplete, which is a different, honest error.
     let at_cap = header_claiming(0x04, MAX_PAYLOAD);
-    assert!(matches!(decode_frame(&at_cap), Err(WireError::Truncated)));
+    assert!(matches!(Uwlz::decode(&at_cap), Err(WireError::Truncated)));
+}
+
+#[test]
+fn uwlz_truncated_inner_lengths_cannot_force_allocation() {
+    // A string claiming u32::MAX bytes, right after the Failed tag: the
+    // decoder checks the claim against the bytes left before reserving.
+    let failed = encode_frame(&WireMessage::Failed {
+        tag: 1,
+        cell_id: String::new(),
+        reason: String::new(),
+    });
+    let bad = patch_frame(failed, HEADER_LEN + 8, &u32::MAX.to_le_bytes());
+    assert_eq!(
+        format!("{:?}", Uwlz::decode(&bad).unwrap_err()),
+        malformed("failed cell")
+    );
 }
 
 /// A reader that returns `ErrorKind::Interrupted` on every other call, as
