@@ -12,13 +12,15 @@
 //! Covered: `FftPlan` / `F32FftPlan` / `FixedFftPlan` forward then inverse
 //! at 2048 (radix-2) and 1920 (Bluestein) points, including the scales the
 //! Q15 plan returns; each matched filter's raw and normalised correlation
-//! of a signal barely longer than the template and of one that spans
-//! several blocks and ends on a short final block (the f32 filter's tail
-//! leg); and `ls_channel_estimate` on each path's paper-default preamble.
+//! of a signal barely longer than the template, of one that spans several
+//! blocks and ends on a short final block (the f32 filter's tail leg), and
+//! of a 1,800-sample signal pinned in its own assertions; and
+//! `ls_channel_estimate` on each path's paper-default preamble.
 
 use uw_dsp::complex::Complex64;
 use uw_dsp::fixed::{ComplexQ15, FixedFftPlan, NumericPath, Q15MatchedFilter};
 use uw_dsp::float32::{Complex32, F32FftPlan, F32MatchedFilter};
+use uw_dsp::matched::{Correlate, OverlapSave};
 use uw_dsp::ofdm::OfdmConfig;
 use uw_dsp::plan::FftPlan;
 use uw_dsp::MatchedFilter;
@@ -156,10 +158,19 @@ fn fft_plans_are_bit_pinned() {
 /// half-size tail leg (1024-point blocks beside its 2048-point main leg).
 const TEMPLATE_LEN: usize = 700;
 
-/// The two correlation inputs: one barely longer than the template, and
-/// one whose lags span eight full f32 main blocks plus a final block short
-/// enough for the tail leg (and four blocks of the f64 and Q15 filters).
-fn filter_inputs() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+/// The correlation inputs: one barely longer than the template; one whose
+/// lags span eight full f32 main blocks plus a final block short enough
+/// for the tail leg (and four blocks of the f64 and Q15 filters); and one
+/// 1,800-sample signal whose 1,101 lags fit one 2048-point block but not
+/// one 1024-point block.
+struct FilterInputs {
+    template: Vec<f64>,
+    short: Vec<f64>,
+    long: Vec<f64>,
+    mid: Vec<f64>,
+}
+
+fn filter_inputs() -> FilterInputs {
     let mut lcg = Lcg(7);
     let template = lcg.signal(TEMPLATE_LEN, 0.9);
     let short = lcg.signal(TEMPLATE_LEN + 17, 0.3);
@@ -170,46 +181,79 @@ fn filter_inputs() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     for (i, &t) in template.iter().enumerate() {
         long[5000 + i] += 0.5 * t;
     }
-    (template, short, long)
+    let mut mid = lcg.signal(1800, 0.3);
+    for (i, &t) in template.iter().enumerate() {
+        mid[600 + i] += 0.5 * t;
+    }
+    FilterInputs {
+        template,
+        short,
+        long,
+        mid,
+    }
 }
 
-fn digest_filter(
-    raw: impl Fn(&[f64], &mut Vec<f64>),
-    normalized: impl Fn(&[f64]) -> Vec<f64>,
-) -> u64 {
-    let (_, short, long) = filter_inputs();
+/// Digest of a filter's raw and normalised correlation of each signal.
+fn digest_filter<T: Correlate>(filter: &OverlapSave<T>, signals: &[&[f64]]) -> u64 {
     let mut h = Fnv::new();
     let mut out = Vec::new();
-    for signal in [&short, &long] {
-        raw(signal, &mut out);
+    for &signal in signals {
+        filter.correlate_into(signal, &mut out).unwrap();
         h.f64s(&out);
-        h.f64s(&normalized(signal));
+        h.f64s(&filter.correlate_normalized(signal).unwrap());
     }
     h.0
 }
 
 #[test]
 fn matched_filters_are_bit_pinned() {
-    let (template, _, _) = filter_inputs();
-    let f64_filter = MatchedFilter::new(&template).unwrap();
+    let FilterInputs {
+        template,
+        short,
+        long,
+        ..
+    } = filter_inputs();
+    let signals: [&[f64]; 2] = [&short, &long];
     let f32_filter = F32MatchedFilter::new(&template).unwrap();
-    let q15_filter = Q15MatchedFilter::new(&template).unwrap();
     assert_eq!(f32_filter.block_len(), 2048);
-    let d = digest_filter(
-        |s, out| f64_filter.correlate_into(s, out).unwrap(),
-        |s| f64_filter.correlate_normalized(s).unwrap(),
+    assert_eq!(
+        digest_filter(&MatchedFilter::new(&template).unwrap(), &signals),
+        0x9ff9_e8d5_3fe5_2b28,
+        "f64 matched filter"
     );
-    assert_eq!(d, 0x9ff9_e8d5_3fe5_2b28, "f64 matched filter");
-    let d = digest_filter(
-        |s, out| f32_filter.correlate_into(s, out).unwrap(),
-        |s| f32_filter.correlate_normalized(s).unwrap(),
+    assert_eq!(
+        digest_filter(&f32_filter, &signals),
+        0xee53_a5a9_ea55_37ec,
+        "f32 matched filter"
     );
-    assert_eq!(d, 0xee53_a5a9_ea55_37ec, "f32 matched filter");
-    let d = digest_filter(
-        |s, out| q15_filter.correlate_into(s, out).unwrap(),
-        |s| q15_filter.correlate_normalized(s).unwrap(),
+    assert_eq!(
+        digest_filter(&Q15MatchedFilter::new(&template).unwrap(), &signals),
+        0x297c_8922_d561_33f5,
+        "Q15 matched filter"
     );
-    assert_eq!(d, 0x297c_8922_d561_33f5, "Q15 matched filter");
+}
+
+/// The 1,800-sample input, pinned apart so the constants above stay
+/// comparable across changes to the block-length choice.
+#[test]
+fn matched_filters_are_bit_pinned_on_a_mid_length_signal() {
+    let FilterInputs { template, mid, .. } = filter_inputs();
+    let signals: [&[f64]; 1] = [&mid];
+    assert_eq!(
+        digest_filter(&MatchedFilter::new(&template).unwrap(), &signals),
+        0xb7d0_f639_eb0f_d0b2,
+        "f64 matched filter"
+    );
+    assert_eq!(
+        digest_filter(&F32MatchedFilter::new(&template).unwrap(), &signals),
+        0xaf5f_34b0_6911_6761,
+        "f32 matched filter"
+    );
+    assert_eq!(
+        digest_filter(&Q15MatchedFilter::new(&template).unwrap(), &signals),
+        0x8f72_5671_488b_78ae,
+        "Q15 matched filter"
+    );
 }
 
 fn digest_channel_estimate(path: NumericPath) -> u64 {
