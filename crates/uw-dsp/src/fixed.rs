@@ -15,7 +15,8 @@
 //!   [`FixedRadix2Plan`] / [`FixedFftPlan`] / [`FixedPlanPool`] aliases.
 //!   Transforms return the accumulated scale factor so callers can
 //!   reconstruct absolute magnitudes.
-//! * The `Q15` [`Correlate`] block behind [`Q15MatchedFilter`]: per-call
+//! * The `Q15` [`Correlate`] block behind [`Q15MatchedFilter`]: one
+//!   complex BFP leg per rung of the driver's block-length ladder, per-call
 //!   quantisation of the stream and the BFP scale of every block.
 //! * [`NumericPath`] — the knob higher layers thread through to select
 //!   between the `f64` oracle, the f32 phone-float path
@@ -55,8 +56,10 @@
 
 use crate::complex::Complex64;
 use crate::lanes;
-use crate::matched::{divide_by_windows, prefix_sums, Correlate, Leg, OverlapSave};
-use crate::plan::{for_each_group, stage_twiddles, Lanes, Path, Plan, Pool, Radix2};
+use crate::matched::{divide_by_windows, prefix_sums, Correlate, OverlapSave};
+use crate::plan::{
+    for_each_group, soa_zeros, stage_twiddles, Lanes, Path, Plan, Pool, Radix2, Soa,
+};
 use crate::Result;
 use serde::{Deserialize, Serialize};
 
@@ -424,8 +427,11 @@ impl Radix2<Q15> {
 /// The Q15 overlap-save matched filter, in widened SoA form through the
 /// `[i32; 8]` lane kernels.
 ///
-/// The template is quantised to Q15 by its peak, its conjugated spectrum is
-/// stored as Q15 with a block-floating-point scale, and every per-block
+/// The template is quantised to Q15 by its peak, and its conjugated
+/// spectrum at each block length of the ladder, from `next_pow2(m)` up to
+/// `next_pow2(4m)` for an `m`-sample template, is stored as Q15 with a
+/// block-floating-point scale. A block that owes fewer lags runs on a
+/// shorter rung, with fewer BFP stages. Every per-block
 /// step (forward BFP FFT, pointwise integer product, inverse BFP FFT) runs
 /// in 16-bit data with wide integer accumulators. Incoming `f64` signals
 /// are quantised once per call by their peak — the automatic-gain-control
@@ -435,11 +441,13 @@ impl Radix2<Q15> {
 /// quantisation.
 pub type Q15MatchedFilter = OverlapSave<Q15>;
 
-/// The Q15 filter's template state: one complex leg and the scale of its
-/// spectrum.
+/// One rung of the Q15 filter: a complex block-floating-point leg. The
+/// template's conjugated spectrum at one block length, the radix-2 plan
+/// that runs it, and the spectrum's scale.
 #[derive(Clone)]
-pub struct Q15Template {
-    leg: Leg<Q15>,
+pub struct Q15Rung {
+    spec: Soa<i32>,
+    plan: Radix2<Q15>,
     /// True template spectrum = dequantised spectrum × this factor (BFP
     /// shifts of the template transform × the template's peak).
     scale: f64,
@@ -456,32 +464,47 @@ pub struct Q15Scratch {
     gain: f64,
 }
 
-impl Correlate for Q15 {
-    type Template = Q15Template;
-    type Scratch = Q15Scratch;
+/// The template's peak and the template quantised to Q15 by it.
+fn quantized(template: &[f64]) -> (f64, impl Iterator<Item = Q15> + '_) {
+    let peak = template.iter().fold(0.0f64, |m, &t| m.max(t.abs()));
+    (peak, template.iter().map(move |&t| Q15::from_f64(t / peak)))
+}
 
-    fn template(template: &[f64]) -> Result<(Q15Template, f64)> {
-        let peak = template.iter().fold(0.0f64, |m, &t| m.max(t.abs()));
-        let quantized = || template.iter().map(move |&t| Q15::from_f64(t / peak));
-        let norm_sq = quantized().fold(0.0f64, |acc, q| {
+impl Correlate for Q15 {
+    type Rung = Q15Rung;
+    type Scratch = Q15Scratch;
+    const SPAN: usize = 4;
+
+    fn norm(template: &[f64]) -> f64 {
+        let (peak, q) = quantized(template);
+        q.fold(0.0f64, |acc, q| {
             let tq = q.to_f64() * peak;
             acc + tq * tq
-        });
-        let (leg, shift) = Leg::new(
-            quantized().map(|q| q.0 as i32),
-            Leg::<Q15>::block_len(template.len()),
-        )?;
-        let scale = 2f64.powi(shift) * peak;
-        Ok((Q15Template { leg, scale }, norm_sq.sqrt()))
+        })
+        .sqrt()
     }
 
-    fn block_len(t: &Q15Template) -> usize {
-        t.leg.len()
+    fn rung(template: &[f64], len: usize) -> Result<Q15Rung> {
+        let plan = Radix2::new(len)?;
+        let (peak, q) = quantized(template);
+        let (mut re, mut im) = soa_zeros(len);
+        for (slot, q) in re.iter_mut().zip(q) {
+            *slot = q.0 as i32;
+        }
+        let shift = plan.soa(&mut re, &mut im, true)?;
+        for (r, i) in re.iter_mut().zip(im.iter_mut()) {
+            (*r, *i) = Q15::split(Q15::join(*r, *i).conj());
+        }
+        Ok(Q15Rung {
+            spec: (re, im),
+            plan,
+            scale: 2f64.powi(shift) * peak,
+        })
     }
 
-    fn scratch(t: &Q15Template) -> Q15Scratch {
+    fn scratch(len: usize) -> Q15Scratch {
         Q15Scratch {
-            lanes: Lanes::new(t.leg.len()),
+            lanes: Lanes::new(len),
             qsig: Vec::new(),
             prefix: Vec::new(),
             gain: 1.0,
@@ -500,20 +523,28 @@ impl Correlate for Q15 {
     }
 
     fn block(
-        t: &Q15Template,
+        rung: &Q15Rung,
         _signal: &[f64],
         p: usize,
         take: usize,
         out: &mut Vec<f64>,
         s: &mut Q15Scratch,
     ) -> Result<()> {
-        let l = t.leg.len();
-        let end = s.qsig.len().min(p + l);
+        let l = rung.plan.len();
+        let block = &s.qsig[p..s.qsig.len().min(p + l)];
         let (re, im) = s.lanes.split();
-        let shift = t.leg.correlate(&s.qsig[p..end], |q| q as i32, re, im)?;
+        let (re, im) = (&mut re[..l], &mut im[..l]);
+        for (slot, &q) in re.iter_mut().zip(block) {
+            *slot = q as i32;
+        }
+        re[block.len()..].fill(0);
+        im.fill(0);
+        let shift = rung.plan.soa(re, im, true)?;
+        Q15::mul_spectrum(re, im, &rung.spec.0, &rung.spec.1);
+        let shift = shift + rung.plan.soa(re, im, false)? + Q15::PRODUCT_SHIFT;
         // Undo the BFP shifts, the template's scale and the signal's
         // quantisation gain at the boundary.
-        let scale = Q15::scale(shift, t.scale * s.gain, l);
+        let scale = Q15::scale(shift, rung.scale * s.gain, l);
         out.extend(re[..take].iter().map(|&v| v as f64 / Q15_ONE * scale));
         Ok(())
     }

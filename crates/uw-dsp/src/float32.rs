@@ -11,8 +11,10 @@
 //!   in one sweep of 8-point cells, later stages two at a time) through
 //!   the `[f32; 8]` lane kernels in [`crate::lanes`], behind the
 //!   [`F32Radix2Plan`] / [`F32FftPlan`] / [`F32PlanPool`] aliases.
-//! * The `f32` [`Correlate`] block behind [`F32MatchedFilter`]: a
-//!   half-length real-input transform with a half-size tail leg.
+//! * [`F32MatchedFilter`]: the overlap-save driver on this path, running
+//!   the half-length real-input leg it shares with the `f64` oracle
+//!   ([`crate::matched::RealLeg`]) on the block-length ladder the driver
+//!   picks from.
 //!
 //! ## Precision contract
 //!
@@ -22,10 +24,11 @@
 //! against the `f64` oracle: ≥ 100 dB SQNR for radix-2 forward transforms,
 //! ≥ 95 dB for round-trips, ≥ 85 dB for Bluestein at the paper's symbol
 //! length, and matched-filter peak position within ±1 sample — inside the
-//! acoustic SNR budget. Wall-clock, the 65k detection-stream correlation
-//! runs ~6× faster than the f64 matched filter (~0.5 ms vs ~3.2 ms in
-//! `BENCH_pipeline.json`): half-width samples double the lanes, and the
-//! real-input half-length transform halves the FFT work again.
+//! acoustic SNR budget. Wall-clock, the f32 filter runs the same blocks as
+//! the f64 oracle with half-width samples, so twice the lanes per register
+//! and half the memory traffic: on the paper preamble it takes about 0.7×
+//! the f64 filter's time per call (14,112- and 29,840-sample captures, both
+//! filters in one process on an AVX-512 x86-64 VM).
 //!
 //! Normalised correlation divides by sliding window energies accumulated
 //! as `f64` prefix sums **of the f32-cast samples**, so numerator and
@@ -33,11 +36,9 @@
 //! uses ([`crate::fixed::Q15MatchedFilter`]).
 
 use crate::complex::Complex64;
-use crate::fft::next_pow2;
 use crate::lanes;
-use crate::matched::{divide_by_windows, prefix_sums, Correlate, FloatScratch, OverlapSave};
+use crate::matched::OverlapSave;
 use crate::plan::{for_each_group, stage_twiddles, Float, Path, Plan, Pool, Radix2};
-use crate::Result;
 
 /// A single-precision complex number (mirror of [`Complex64`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -204,6 +205,14 @@ impl Float for f32 {
     fn recip_len(n: usize) -> f32 {
         1.0 / n as f32
     }
+    #[inline]
+    fn from_f64(x: f64) -> f32 {
+        x as f32
+    }
+    #[inline]
+    fn to_f64(x: f32) -> f64 {
+        x as f64
+    }
 }
 
 /// The single-precision radix-2 plan, executed through the `[f32; 8]`
@@ -217,308 +226,13 @@ pub type F32FftPlan = Plan<f32>;
 pub type F32PlanPool = Pool<f32>;
 
 /// The single-precision matched filter: `f64` at the API boundary (the
-/// capture layer hands over `f64` streams), `f32` SoA inside. The template
-/// is cast once at construction, incoming signals once per block, and the
-/// normalisation denominator uses `f64` prefix sums **of the f32-cast
-/// samples**, so numerator and denominator see the same quantisation.
-///
-/// ## Real-input transform
-///
-/// Both the block and the template are real, so each overlap-save block
-/// runs a **real-input FFT**: the `fft_len` real samples are packed as
-/// `z[j] = x[2j] + i·x[2j+1]` into one complex transform of length
-/// `fft_len / 2`, untangled to the physical half-spectrum, multiplied by
-/// the conjugated template half-spectrum, re-packed, and inverted through
-/// a second half-length transform whose output interleaves the real
-/// correlation samples. Untangle, spectrum product and re-pack are fused
-/// into a single symmetric pass, so a block costs two half-length FFTs
-/// plus one O(fft_len/2) sweep — about 2.5× less transform work than the
-/// complex-FFT formulation, with exactly the same convolution in exact
-/// arithmetic (the pack identities are algebraic, not approximate).
-///
-/// ## Two-leg block plan
-///
-/// The filter carries two overlap-save configurations: a *main* leg with
-/// block length `next_pow2(2·template_len)` and, when that is a longer
-/// power of two than `next_pow2(template_len)`, a half-size *tail* leg.
-/// The final block of a stream rarely has a full step of lags left, so
-/// once the remaining output fits the tail's step the block runs through
-/// the half-size transform at roughly half the cost. Block positions
-/// always advance by the main step.
+/// capture layer hands over `f64` streams), `f32` SoA inside, through the
+/// shared real-input leg ([`crate::matched::RealLeg`]) at up to
+/// `next_pow2(2 · template_len)`. The template is cast once per rung,
+/// incoming signals once per block, and the normalisation denominator uses
+/// `f64` prefix sums **of the f32-cast samples**, so numerator and
+/// denominator see the same quantisation.
 pub type F32MatchedFilter = OverlapSave<f32>;
-
-/// The f32 filter's template state: the main leg and, when the template
-/// allows a shorter power of two, the half-size tail leg.
-#[derive(Clone)]
-pub struct F32Template {
-    main: F32Leg,
-    tail: Option<F32Leg>,
-}
-
-/// One real-input overlap-save configuration of the f32 matched filter: a
-/// block length, the template half-spectrum at that length, the untangle
-/// twist table, and the half-length complex plan.
-#[derive(Clone)]
-struct F32Leg {
-    /// Overlap-save block length in real samples (a power of two).
-    fft_len: usize,
-    /// Valid lags produced per block: `fft_len − template_len + 1`.
-    step: usize,
-    /// Conjugated template **half**-spectrum, SoA halves, `fft_len/2 + 1`
-    /// bins (bins 0 and `fft_len/2` are real), pre-scaled by the inverse
-    /// transform's 1/(fft_len/2) normalisation.
-    tspec_re: Vec<f32>,
-    tspec_im: Vec<f32>,
-    /// Untangle twist factors `e^(−2πik/fft_len)` for `k = 0 ..= fft_len/2`,
-    /// computed in f64 and rounded once.
-    twist_re: Vec<f32>,
-    twist_im: Vec<f32>,
-    /// Half-length complex plan (`fft_len / 2`).
-    plan: Radix2<f32>,
-}
-
-impl F32Leg {
-    /// Precomputes one leg: the twist table, the conjugated (and
-    /// 1/H-scaled) template half-spectrum at `fft_len`, and the
-    /// half-length plan. Requires `fft_len ≥ template.len()`.
-    fn build(template: &[f64], fft_len: usize) -> Result<Self> {
-        let m = template.len();
-        let half = fft_len / 2;
-        let plan = Radix2::<f32>::new(half)?;
-
-        // Untangle twist factors, f64-computed, rounded once.
-        let mut twist_re = Vec::with_capacity(half + 1);
-        let mut twist_im = Vec::with_capacity(half + 1);
-        for k in 0..=half {
-            let ang = -2.0 * std::f64::consts::PI * k as f64 / fft_len as f64;
-            twist_re.push(ang.cos() as f32);
-            twist_im.push(ang.sin() as f32);
-        }
-
-        // Template half-spectrum: pack the f32-cast template into the
-        // half-length transform and untangle to the physical bins.
-        let mut pack_re = vec![0.0f32; half];
-        let mut pack_im = vec![0.0f32; half];
-        for (j, &t) in template.iter().enumerate() {
-            let tf = t as f32;
-            if j % 2 == 0 {
-                pack_re[j / 2] = tf;
-            } else {
-                pack_im[j / 2] = tf;
-            }
-        }
-        plan.soa(&mut pack_re, &mut pack_im, true)?;
-        let mut tspec_re = vec![0.0f32; half + 1];
-        let mut tspec_im = vec![0.0f32; half + 1];
-        let inv_h = 1.0 / half as f32;
-        for k in 0..=half {
-            let j = (half - k) % half;
-            let (zr, zi) = (pack_re[k % half], pack_im[k % half]);
-            let (yr, yi) = (pack_re[j], pack_im[j]);
-            // X[k] = (Z[k] + conj(Z[h−k]))/2 − i·W^k·(Z[k] − conj(Z[h−k]))/2
-            let xer = 0.5 * (zr + yr);
-            let xei = 0.5 * (zi - yi);
-            let xor_ = 0.5 * (zi + yi);
-            let xoi = -0.5 * (zr - yr);
-            let (wr, wi) = (twist_re[k], twist_im[k]);
-            // Conjugated in place (the correlator multiplies by conj(T)) and
-            // pre-scaled by 1/(fft_len/2): the half-length inverse transform
-            // in `block` runs unnormalised, so its 1/H factor lives here,
-            // applied once at construction instead of twice per block.
-            tspec_re[k] = (xer + wr * xor_ - wi * xoi) * inv_h;
-            tspec_im[k] = -(xei + wr * xoi + wi * xor_) * inv_h;
-        }
-
-        Ok(Self {
-            fft_len,
-            step: fft_len - m + 1,
-            tspec_re,
-            tspec_im,
-            twist_re,
-            twist_im,
-            plan,
-        })
-    }
-
-    /// Appends the `take` lags of the overlap-save block at lag `p`,
-    /// computed in f32 through the lane kernels via the half-length
-    /// real-input transform. `re` / `im` are the main leg's scratch; a
-    /// tail leg borrows a prefix.
-    fn block(
-        &self,
-        signal: &[f64],
-        p: usize,
-        take: usize,
-        out: &mut Vec<f64>,
-        re: &mut [f32],
-        im: &mut [f32],
-    ) -> Result<()> {
-        let h = self.fft_len / 2;
-        let re = &mut re[..h];
-        let im = &mut im[..h];
-        // Pack the real block: even samples → re, odd samples → im.
-        let available = (signal.len() - p).min(self.fft_len);
-        let block = &signal[p..p + available];
-        let mut pairs = block.chunks_exact(2);
-        let mut j = 0usize;
-        for pair in &mut pairs {
-            re[j] = pair[0] as f32;
-            im[j] = pair[1] as f32;
-            j += 1;
-        }
-        if let [last] = pairs.remainder() {
-            re[j] = *last as f32;
-            im[j] = 0.0;
-            j += 1;
-        }
-        re[j..].fill(0.0);
-        im[j..].fill(0.0);
-        self.plan.soa(re, im, true)?;
-
-        // Fused untangle → spectrum product → inverse re-pack, one
-        // symmetric pass over the half-spectrum. For each mirror pair
-        // (k, h−k): untangle Z to the physical bins X[k], X[h−k],
-        // multiply by the conjugated template spectrum, then fold the
-        // products Y straight back into the packed form the half-length
-        // inverse transform expects (z[j] = y[2j] + i·y[2j+1] spectrum).
-        //
-        // Bin 0 pairs with bin h (both real-valued products):
-        // X[0] = Re Z[0] + Im Z[0], X[h] = Re Z[0] − Im Z[0].
-        let x0 = re[0] + im[0];
-        let xh = re[0] - im[0];
-        let y0 = x0 * self.tspec_re[0];
-        let yh = xh * self.tspec_re[h];
-        re[0] = 0.5 * (y0 + yh);
-        im[0] = 0.5 * (y0 - yh);
-        for k in 1..h / 2 + 1 {
-            let j = h - k;
-            let (zkr, zki) = (re[k], im[k]);
-            let (zjr, zji) = (re[j], im[j]);
-            let (wr, wi) = (self.twist_re[k], self.twist_im[k]);
-
-            // Untangle both mirror bins: X[k] = Xe + W^k·Xo with
-            // Xe = (Z[k] + conj(Z[j]))/2, Xo = −i·(Z[k] − conj(Z[j]))/2,
-            // and X[j] = conj(Xe) + W^j·conj(Xo), W^j = −conj(W^k).
-            let xer = 0.5 * (zkr + zjr);
-            let xei = 0.5 * (zki - zji);
-            let xor_ = 0.5 * (zki + zji);
-            let xoi = -0.5 * (zkr - zjr);
-            let xkr = xer + wr * xor_ - wi * xoi;
-            let xki = xei + wr * xoi + wi * xor_;
-            let xjr = xer - (wr * xor_ - wi * xoi);
-            let xji = -xei + (wr * xoi + wi * xor_);
-
-            // Pointwise product with the conjugated template spectrum.
-            let (tkr, tki) = (self.tspec_re[k], self.tspec_im[k]);
-            let (tjr, tji) = (self.tspec_re[j], self.tspec_im[j]);
-            let ykr = xkr * tkr - xki * tki;
-            let yki = xkr * tki + xki * tkr;
-            let yjr = xjr * tjr - xji * tji;
-            let yji = xjr * tji + xji * tjr;
-
-            // Re-pack for the inverse: z[k] = Ye + i·Yo with
-            // Ye = (Y[k] + conj(Y[j]))/2, Yo = conj(W^k)·(Y[k] − conj(Y[j]))/2,
-            // and the mirror z[j] likewise with conjugated parts.
-            let yer = 0.5 * (ykr + yjr);
-            let yei = 0.5 * (yki - yji);
-            let ydr = 0.5 * (ykr - yjr);
-            let ydi = 0.5 * (yki + yji);
-            let yor_ = wr * ydr + wi * ydi;
-            let yoi = wr * ydi - wi * ydr;
-            re[k] = yer - yoi;
-            im[k] = yei + yor_;
-            re[j] = yer + yoi;
-            im[j] = -yei + yor_;
-        }
-
-        // Unscaled: the 1/H factor is folded into the template spectrum.
-        self.plan.soa(re, im, false)?;
-        // The inverse output interleaves the real correlation samples:
-        // y[2j] = re[j], y[2j+1] = im[j].
-        let start = out.len();
-        out.resize(start + take, 0.0);
-        let dst = &mut out[start..];
-        for j in 0..take / 2 {
-            dst[2 * j] = re[j] as f64;
-            dst[2 * j + 1] = im[j] as f64;
-        }
-        if take % 2 == 1 {
-            dst[take - 1] = re[take / 2] as f64;
-        }
-        Ok(())
-    }
-}
-
-impl Correlate for f32 {
-    type Template = F32Template;
-    type Scratch = FloatScratch<f32>;
-
-    fn template(template: &[f64]) -> Result<(F32Template, f64)> {
-        let m = template.len();
-        let norm_sq: f64 = template
-            .iter()
-            .map(|&t| {
-                let tf = t as f32;
-                tf as f64 * tf as f64
-            })
-            .fold(0.0, |acc, e| acc + e);
-        // The real-input formulation halves the transform work, so the
-        // optimum block is shorter than the complex filter's 4m: 2m keeps
-        // the half-length transforms cache-resident at the preamble's size.
-        let main_len = next_pow2(2 * m).max(1024);
-        let main = F32Leg::build(template, main_len)?;
-        // The shortest power of two that still holds the template gives the
-        // cheap leg for the final partial block.
-        let tail_len = next_pow2(m).max(1024);
-        let tail = if tail_len < main_len {
-            Some(F32Leg::build(template, tail_len)?)
-        } else {
-            None
-        };
-        Ok((F32Template { main, tail }, norm_sq.sqrt()))
-    }
-
-    fn block_len(t: &F32Template) -> usize {
-        t.main.fft_len
-    }
-
-    fn scratch(t: &F32Template) -> FloatScratch<f32> {
-        FloatScratch::new(t.main.fft_len / 2)
-    }
-
-    fn block(
-        t: &F32Template,
-        signal: &[f64],
-        p: usize,
-        take: usize,
-        out: &mut Vec<f64>,
-        s: &mut FloatScratch<f32>,
-    ) -> Result<()> {
-        // The half-size tail leg once the remaining lags fit its step.
-        let leg = match &t.tail {
-            Some(tail) if take <= tail.step => tail,
-            _ => &t.main,
-        };
-        let (re, im) = s.lanes.split();
-        leg.block(signal, p, take, out, re, im)
-    }
-
-    fn normalize_lags(
-        signal: &[f64],
-        out: &mut [f64],
-        template_norm: f64,
-        m: usize,
-        s: &mut FloatScratch<f32>,
-    ) {
-        // The f32 cast here matches the quantisation the numerator saw.
-        let energy = |&x: &f64| {
-            let xf = x as f32;
-            xf as f64 * xf as f64
-        };
-        prefix_sums(&mut s.prefix, signal.iter().map(energy));
-        divide_by_windows(out, &s.prefix, m, template_norm, |hi, lo| hi - lo);
-    }
-}
 
 #[cfg(test)]
 mod tests {

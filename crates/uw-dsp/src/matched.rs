@@ -7,8 +7,8 @@
 //! `next_pow2(signal + template)` — recomputing the template spectrum and
 //! reallocating every buffer each time. [`OverlapSave`] instead:
 //!
-//! * precomputes the template's conjugated spectrum **once** at a fixed
-//!   block length,
+//! * precomputes the template's conjugated spectrum **once**, at a ladder
+//!   of power-of-two block lengths,
 //! * correlates arbitrarily long signals by **overlap-save**: each block of
 //!   `L` input samples yields `L − template_len + 1` valid lags from one
 //!   forward + one inverse FFT through a cached table-driven plan,
@@ -21,21 +21,32 @@
 //! Output has the same definition as `xcorr_normalized` / `xcorr_fft`
 //! (valid lags only), to within the rounding of the path it runs on.
 //!
-//! ## One driver, per-path blocks
+//! ## One driver, a ladder of block lengths
 //!
 //! The driver — validation, the scratch pool, the walk over blocks, the
-//! normalisation — is generic over a [`Correlate`] path; a path supplies
-//! its template spectra, its per-call set-up and one block. The `f64`
-//! oracle ([`MatchedFilter`]) and Q15 ([`crate::fixed::Q15MatchedFilter`])
-//! run one complex [`Leg`] at `next_pow2(4 · template_len)`: the real block
-//! loaded into the SoA real lanes, a forward FFT, the pointwise product
-//! with the conjugated template spectrum, an inverse FFT. Q15 adds its
-//! per-call quantisation and BFP scale bookkeeping. The f32 path
-//! ([`crate::float32::F32MatchedFilter`]) runs a half-length real-input
-//! transform with a half-size tail leg for the final block.
+//! choice of block length, the normalisation — is generic over a
+//! [`Correlate`] path; a path supplies its template spectrum at one block
+//! length (a *rung*), its per-call set-up and one block. The ladder runs
+//! from the shortest power of two that holds the template
+//! (`next_pow2(template_len)`, at least 1024) up to the path's top length
+//! `next_pow2(SPAN · template_len)`. Block positions always advance by the
+//! top rung's step, so the output never depends on how a caller split its
+//! input; each block runs on the shortest rung whose valid lags cover the
+//! lags that block still owes. A signal much shorter than a top block —
+//! a per-link capture — therefore pays for one short transform pair
+//! instead of one mostly zero-padded long one, and a stream's final
+//! partial block runs on a cheaper rung.
+//!
+//! The two float paths (`f64`, the oracle [`MatchedFilter`], and `f32`,
+//! [`crate::float32::F32MatchedFilter`]) run every block through one
+//! [`RealLeg`]: a half-length real-input transform, top length
+//! `next_pow2(2 · template_len)`. Q15 ([`crate::fixed::Q15MatchedFilter`])
+//! runs a complex block-floating-point leg, top length
+//! `next_pow2(4 · template_len)`, with its per-call quantisation and BFP
+//! scale bookkeeping.
 
 use crate::fft::next_pow2;
-use crate::plan::{soa_zeros, Lanes, Path, Radix2, Soa, Stash};
+use crate::plan::{soa_zeros, Float, Lanes, Path, Radix2, Soa, Stash};
 use crate::{DspError, Result};
 use std::ops::Add;
 
@@ -43,23 +54,28 @@ use std::ops::Add;
 /// per-call set-up, one block, and the window energies the normalisation
 /// divides by.
 pub trait Correlate: Path {
-    /// The template's precomputed spectra, plans and scales on this path.
-    type Template: Clone;
+    /// The template's spectrum at one block length, with the plan that
+    /// runs it.
+    type Rung: Clone;
     /// Per-call buffers, pooled by the filter.
     type Scratch;
+    /// The top rung's block length is `next_pow2(SPAN · template_len)`:
+    /// each top block yields at least `(SPAN − 1) · template_len` lags.
+    const SPAN: usize;
 
-    /// Precomputes the spectra of a non-empty `template`; returns them with
-    /// the template's L2 norm as this path quantises it.
-    fn template(template: &[f64]) -> Result<(Self::Template, f64)>;
-    /// Overlap-save block length in samples.
-    fn block_len(t: &Self::Template) -> usize;
-    /// Fresh per-call buffers.
-    fn scratch(t: &Self::Template) -> Self::Scratch;
+    /// The L2 norm of a non-empty `template` as this path quantises it.
+    fn norm(template: &[f64]) -> f64;
+    /// Precomputes the template's spectrum at block length `len`, a power
+    /// of two no shorter than the template.
+    fn rung(template: &[f64], len: usize) -> Result<Self::Rung>;
+    /// Fresh per-call buffers for blocks of up to `len` samples.
+    fn scratch(len: usize) -> Self::Scratch;
     /// Per-call set-up before the first block (Q15 quantises the signal).
     fn prepare(_signal: &[f64], _s: &mut Self::Scratch) {}
-    /// Appends lags `p .. p + take` of the raw correlation to `out`.
+    /// Appends lags `p .. p + take` of the raw correlation to `out`,
+    /// computed on `rung`, whose valid lags cover `take`.
     fn block(
-        t: &Self::Template,
+        rung: &Self::Rung,
         signal: &[f64],
         p: usize,
         take: usize,
@@ -86,14 +102,13 @@ pub struct OverlapSave<T: Correlate> {
     template_len: usize,
     /// L2 norm of the template as the path sees it (for normalisation).
     template_norm: f64,
-    /// Valid lags produced per block: `block_len − template_len + 1`.
-    step: usize,
-    template: T::Template,
+    /// The ladder, shortest first: each rung with its block length.
+    rungs: Vec<(usize, T::Rung)>,
     pool: Stash<T::Scratch>,
 }
 
-/// The `f64` matched filter: one complex leg at
-/// `next_pow2(4 · template_len)` through the `[f64; 4]` lane kernels.
+/// The `f64` matched filter: the real-input leg at up to
+/// `next_pow2(2 · template_len)` through the `[f64; 4]` lane kernels.
 pub type MatchedFilter = OverlapSave<f64>;
 
 impl<T: Correlate> std::fmt::Debug for OverlapSave<T> {
@@ -111,8 +126,7 @@ impl<T: Correlate> Clone for OverlapSave<T> {
         Self {
             template_len: self.template_len,
             template_norm: self.template_norm,
-            step: self.step,
-            template: self.template.clone(),
+            rungs: self.rungs.clone(),
             pool: Stash::new(Vec::new()),
         }
     }
@@ -128,17 +142,24 @@ impl<T: Correlate> OverlapSave<T> {
                 reason: "matched-filter template must be non-empty",
             });
         }
-        let (state, template_norm) = T::template(template)?;
+        let template_norm = T::norm(template);
         if template_norm == 0.0 {
             return Err(DspError::InvalidParameter {
                 reason: "template has zero energy",
             });
         }
+        let m = template.len();
+        let top = next_pow2(T::SPAN * m).max(1024);
+        let mut rungs = Vec::new();
+        let mut len = next_pow2(m).max(1024);
+        while len <= top {
+            rungs.push((len, T::rung(template, len)?));
+            len *= 2;
+        }
         Ok(Self {
-            template_len: template.len(),
+            template_len: m,
             template_norm,
-            step: T::block_len(&state) - template.len() + 1,
-            template: state,
+            rungs,
             pool: Stash::new(Vec::new()),
         })
     }
@@ -154,10 +175,11 @@ impl<T: Correlate> OverlapSave<T> {
         self.template_len == 0
     }
 
-    /// FFT block length used internally (on the f32 path the main leg's;
-    /// the final block of a stream may run through a half-size tail leg).
+    /// The top rung's block length: block positions advance by its
+    /// `block_len − template_len + 1` valid lags, although a block that
+    /// owes fewer lags runs on a shorter rung.
     pub fn block_len(&self) -> usize {
-        T::block_len(&self.template)
+        self.rungs[self.rungs.len() - 1].0
     }
 
     /// Number of valid correlation lags for a signal of `signal_len`
@@ -201,7 +223,7 @@ impl<T: Correlate> OverlapSave<T> {
         }
         let n_out = self.output_len(signal.len())?;
         self.pool.with(
-            || T::scratch(&self.template),
+            || T::scratch(self.block_len()),
             |s| self.run_with(signal, n_out, out, normalize, s),
         )
     }
@@ -217,13 +239,18 @@ impl<T: Correlate> OverlapSave<T> {
         T::prepare(signal, s);
         out.clear();
         out.reserve(n_out);
+        let m = self.template_len;
+        let step = self.block_len() - m + 1;
         // Overlap-save: block `p` covers signal[p .. p+L); its circular
         // correlation is linear (wrap-free) on the first L − m + 1 lags.
-        for p in (0..n_out).step_by(self.step) {
-            T::block(&self.template, signal, p, self.step.min(n_out - p), out, s)?;
+        for p in (0..n_out).step_by(step) {
+            let take = step.min(n_out - p);
+            // The shortest rung whose valid lags cover what the block owes.
+            let k = self.rungs.partition_point(|&(len, _)| len - m + 1 < take);
+            T::block(&self.rungs[k].1, signal, p, take, out, s)?;
         }
         if normalize {
-            T::normalize_lags(signal, out, self.template_norm, self.template_len, s);
+            T::normalize_lags(signal, out, self.template_norm, m, s);
         }
         Ok(())
     }
@@ -263,121 +290,241 @@ pub(crate) fn divide_by_windows<E: Copy>(
 /// Per-call buffers of the float paths: one SoA block and the sliding
 /// window energies as `f64` prefix sums.
 pub struct FloatScratch<R> {
-    pub(crate) lanes: Lanes<R>,
-    pub(crate) prefix: Vec<f64>,
+    lanes: Lanes<R>,
+    prefix: Vec<f64>,
 }
 
-impl<R: Copy + Default> FloatScratch<R> {
-    pub(crate) fn new(block: usize) -> Self {
-        Self {
-            lanes: Lanes::new(block),
-            prefix: Vec::new(),
-        }
-    }
-}
-
-/// One overlap-save leg over the complex transform: the conjugated
-/// template spectrum at one block length and the radix-2 plan that runs
-/// it. The f64 and Q15 filters each run one.
+/// One rung of the float paths: an overlap-save block of `len` real
+/// samples run as a **real-input FFT**.
+///
+/// Both the block and the template are real, so the `len` samples are
+/// packed as `z[j] = x[2j] + i·x[2j+1]` into one complex transform of
+/// length `len / 2`, untangled to the physical half-spectrum, multiplied by
+/// the conjugated template half-spectrum, re-packed, and inverted through
+/// a second half-length transform whose output interleaves the real
+/// correlation samples. Untangle, spectrum product and re-pack are fused
+/// into a single symmetric pass, so a block costs two half-length FFTs
+/// plus one O(len/2) sweep — about 2.5× less transform work than the
+/// complex-FFT formulation, with exactly the same convolution in exact
+/// arithmetic (the pack identities are algebraic, not approximate). The
+/// half-length transforms also keep the preamble's top block
+/// cache-resident, which is why the float paths' top length is
+/// `next_pow2(2m)` rather than `next_pow2(4m)`.
 #[derive(Clone)]
-pub struct Leg<T: Path> {
+pub struct RealLeg<T: Float> {
+    /// Conjugated template **half**-spectrum, `len/2 + 1` bins (bins 0 and
+    /// `len/2` are real), pre-scaled by the inverse transform's
+    /// 1/(len/2) normalisation.
     spec: Soa<T::Real>,
+    /// Untangle twist factors `e^(−2πik/len)` for `k = 0 ..= len/2`,
+    /// computed in f64 and rounded once.
+    twist: Soa<T::Real>,
+    /// Half-length complex plan (`len / 2`).
     plan: Radix2<T>,
 }
 
-impl<T: Path> Leg<T> {
-    /// The block length `next_pow2(4·m)` (at least 1024) for an `m`-sample
-    /// template: each block's two transforms yield ≥ 3m valid lags.
-    pub(crate) fn block_len(m: usize) -> usize {
-        next_pow2(4 * m).max(1024)
-    }
+impl<T: Float> RealLeg<T> {
+    /// Precomputes the twist table, the conjugated (and 1/H-scaled)
+    /// template half-spectrum at `len`, and the half-length plan.
+    fn new(template: &[f64], len: usize) -> Result<Self> {
+        let half = len / 2;
+        let plan = Radix2::<T>::new(half)?;
+        let twist: Soa<T::Real> = (0..=half)
+            .map(|k| {
+                let ang = -2.0 * std::f64::consts::PI * k as f64 / len as f64;
+                (T::from_f64(ang.cos()), T::from_f64(ang.sin()))
+            })
+            .unzip();
 
-    /// Transforms the template, already on this path, at `fft_len` and
-    /// conjugates its spectrum. Returns the leg and the transform's shift.
-    pub(crate) fn new(
-        template: impl Iterator<Item = T::Real>,
-        fft_len: usize,
-    ) -> Result<(Self, i32)> {
-        let plan = Radix2::new(fft_len)?;
-        let (mut re, mut im) = soa_zeros(fft_len);
-        for (slot, t) in re.iter_mut().zip(template) {
-            *slot = t;
+        // Template half-spectrum: pack the rounded template into the
+        // half-length transform and untangle to the physical bins.
+        let (mut re, mut im) = soa_zeros::<T::Real>(half);
+        for (j, &t) in template.iter().enumerate() {
+            let lane = if j % 2 == 0 { &mut re } else { &mut im };
+            lane[j / 2] = T::from_f64(t);
         }
-        let shift = plan.soa(&mut re, &mut im, true)?;
-        for (r, i) in re.iter_mut().zip(im.iter_mut()) {
-            (*r, *i) = T::split(T::conj(T::join(*r, *i)));
-        }
-        Ok((
-            Self {
-                spec: (re, im),
-                plan,
-            },
-            shift,
-        ))
+        plan.soa(&mut re, &mut im, true)?;
+        let h = T::from_f64(0.5);
+        let inv_h = T::recip_len(half);
+        let spec = (0..=half)
+            .map(|k| {
+                let j = (half - k) % half;
+                let (zr, zi) = (re[k % half], im[k % half]);
+                let (yr, yi) = (re[j], im[j]);
+                // X[k] = (Z[k] + conj(Z[h−k]))/2 − i·W^k·(Z[k] − conj(Z[h−k]))/2
+                let xer = h * (zr + yr);
+                let xei = h * (zi - yi);
+                let xor_ = h * (zi + yi);
+                let xoi = -h * (zr - yr);
+                let (wr, wi) = (twist.0[k], twist.1[k]);
+                // Conjugated (the correlator multiplies by conj(T)) and
+                // pre-scaled by 1/(len/2): the half-length inverse in
+                // `block` runs unnormalised, so its 1/H factor lives here,
+                // applied once at construction instead of twice per block.
+                (
+                    (xer + wr * xor_ - wi * xoi) * inv_h,
+                    -(xei + wr * xoi + wi * xor_) * inv_h,
+                )
+            })
+            .unzip();
+        Ok(Self { spec, twist, plan })
     }
 
-    /// Block length in samples.
-    pub(crate) fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// Correlates `block` (at most [`Leg::len`] samples, zero-padded)
-    /// against the template, leaving the circular correlation in `re`.
-    /// Returns the net right shift (0 on the float paths).
-    pub(crate) fn correlate<S: Copy>(
-        &self,
-        block: &[S],
-        load: impl Fn(S) -> T::Real,
-        re: &mut [T::Real],
-        im: &mut [T::Real],
-    ) -> Result<i32> {
-        for (slot, &x) in re.iter_mut().zip(block) {
-            *slot = load(x);
-        }
-        re[block.len()..].fill(T::Real::default());
-        im.fill(T::Real::default());
-        let shift = self.plan.soa(re, im, true)?;
-        T::mul_spectrum(re, im, &self.spec.0, &self.spec.1);
-        let shift = shift + self.plan.soa(re, im, false)?;
-        T::normalize(re, im, self.len());
-        Ok(shift + T::PRODUCT_SHIFT)
-    }
-}
-
-impl Correlate for f64 {
-    type Template = Leg<f64>;
-    type Scratch = FloatScratch<f64>;
-
-    fn template(template: &[f64]) -> Result<(Leg<f64>, f64)> {
-        let norm = template.iter().map(|t| t * t).sum::<f64>().sqrt();
-        let (leg, _) = Leg::new(
-            template.iter().copied(),
-            Leg::<f64>::block_len(template.len()),
-        )?;
-        Ok((leg, norm))
-    }
-
-    fn block_len(t: &Leg<f64>) -> usize {
-        t.len()
-    }
-
-    fn scratch(t: &Leg<f64>) -> FloatScratch<f64> {
-        FloatScratch::new(t.len())
-    }
-
+    /// Appends the `take` lags of the overlap-save block at lag `p`. `re`
+    /// / `im` are the top rung's scratch; a lower rung borrows a prefix.
     fn block(
-        t: &Leg<f64>,
+        &self,
         signal: &[f64],
         p: usize,
         take: usize,
         out: &mut Vec<f64>,
-        s: &mut FloatScratch<f64>,
+        re: &mut [T::Real],
+        im: &mut [T::Real],
     ) -> Result<()> {
-        let end = signal.len().min(p + t.len());
-        let (re, im) = s.lanes.split();
-        t.correlate(&signal[p..end], |x| x, re, im)?;
-        out.extend_from_slice(&re[..take]);
+        let h = self.plan.len();
+        let re = &mut re[..h];
+        let im = &mut im[..h];
+        let zero = T::Real::default();
+        // Pack the real block: even samples → re, odd samples → im.
+        let available = (signal.len() - p).min(2 * h);
+        let block = &signal[p..p + available];
+        let mut pairs = block.chunks_exact(2);
+        let mut j = 0usize;
+        for pair in &mut pairs {
+            re[j] = T::from_f64(pair[0]);
+            im[j] = T::from_f64(pair[1]);
+            j += 1;
+        }
+        if let [last] = pairs.remainder() {
+            re[j] = T::from_f64(*last);
+            im[j] = zero;
+            j += 1;
+        }
+        re[j..].fill(zero);
+        im[j..].fill(zero);
+        self.plan.soa(re, im, true)?;
+
+        // Fused untangle → spectrum product → inverse re-pack, one
+        // symmetric pass over the half-spectrum. For each mirror pair
+        // (k, h−k): untangle Z to the physical bins X[k], X[h−k],
+        // multiply by the conjugated template spectrum, then fold the
+        // products Y straight back into the packed form the half-length
+        // inverse transform expects (z[j] = y[2j] + i·y[2j+1] spectrum).
+        let half = T::from_f64(0.5);
+        let (t_re, t_im) = (&self.spec.0, &self.spec.1);
+        let (w_re, w_im) = (&self.twist.0, &self.twist.1);
+        // Bin 0 pairs with bin h (both real-valued products):
+        // X[0] = Re Z[0] + Im Z[0], X[h] = Re Z[0] − Im Z[0].
+        let x0 = re[0] + im[0];
+        let xh = re[0] - im[0];
+        let y0 = x0 * t_re[0];
+        let yh = xh * t_re[h];
+        re[0] = half * (y0 + yh);
+        im[0] = half * (y0 - yh);
+        for k in 1..h / 2 + 1 {
+            let j = h - k;
+            let (zkr, zki) = (re[k], im[k]);
+            let (zjr, zji) = (re[j], im[j]);
+            let (wr, wi) = (w_re[k], w_im[k]);
+
+            // Untangle both mirror bins: X[k] = Xe + W^k·Xo with
+            // Xe = (Z[k] + conj(Z[j]))/2, Xo = −i·(Z[k] − conj(Z[j]))/2,
+            // and X[j] = conj(Xe) + W^j·conj(Xo), W^j = −conj(W^k).
+            let xer = half * (zkr + zjr);
+            let xei = half * (zki - zji);
+            let xor_ = half * (zki + zji);
+            let xoi = -half * (zkr - zjr);
+            let xkr = xer + wr * xor_ - wi * xoi;
+            let xki = xei + wr * xoi + wi * xor_;
+            let xjr = xer - (wr * xor_ - wi * xoi);
+            let xji = -xei + (wr * xoi + wi * xor_);
+
+            // Pointwise product with the conjugated template spectrum.
+            let (tkr, tki) = (t_re[k], t_im[k]);
+            let (tjr, tji) = (t_re[j], t_im[j]);
+            let ykr = xkr * tkr - xki * tki;
+            let yki = xkr * tki + xki * tkr;
+            let yjr = xjr * tjr - xji * tji;
+            let yji = xjr * tji + xji * tjr;
+
+            // Re-pack for the inverse: z[k] = Ye + i·Yo with
+            // Ye = (Y[k] + conj(Y[j]))/2, Yo = conj(W^k)·(Y[k] − conj(Y[j]))/2,
+            // and the mirror z[j] likewise with conjugated parts.
+            let yer = half * (ykr + yjr);
+            let yei = half * (yki - yji);
+            let ydr = half * (ykr - yjr);
+            let ydi = half * (yki + yji);
+            let yor_ = wr * ydr + wi * ydi;
+            let yoi = wr * ydi - wi * ydr;
+            re[k] = yer - yoi;
+            im[k] = yei + yor_;
+            re[j] = yer + yoi;
+            im[j] = -yei + yor_;
+        }
+
+        // Unscaled: the 1/H factor is folded into the template spectrum.
+        self.plan.soa(re, im, false)?;
+        // The inverse output interleaves the real correlation samples:
+        // y[2j] = re[j], y[2j+1] = im[j].
+        let start = out.len();
+        out.resize(start + take, 0.0);
+        let dst = &mut out[start..];
+        for j in 0..take / 2 {
+            dst[2 * j] = T::to_f64(re[j]);
+            dst[2 * j + 1] = T::to_f64(im[j]);
+        }
+        if take % 2 == 1 {
+            dst[take - 1] = T::to_f64(re[take / 2]);
+        }
         Ok(())
+    }
+}
+
+/// The energy of one sample as a float path sees it: rounded to the
+/// path's precision, squared in `f64`.
+fn rounded_energy<T: Float>(&x: &f64) -> f64 {
+    let r = T::to_f64(T::from_f64(x));
+    r * r
+}
+
+/// The float paths: the template is rounded once per rung, incoming
+/// signals once per block, and the normalisation denominator uses `f64`
+/// prefix sums **of the rounded samples**, so numerator and denominator
+/// see the same quantisation (the identity on `f64`).
+impl<T: Float> Correlate for T {
+    type Rung = RealLeg<T>;
+    type Scratch = FloatScratch<T::Real>;
+    const SPAN: usize = 2;
+
+    fn norm(template: &[f64]) -> f64 {
+        template
+            .iter()
+            .map(rounded_energy::<T>)
+            .fold(0.0, |acc, e| acc + e)
+            .sqrt()
+    }
+
+    fn rung(template: &[f64], len: usize) -> Result<RealLeg<T>> {
+        RealLeg::new(template, len)
+    }
+
+    fn scratch(len: usize) -> FloatScratch<T::Real> {
+        FloatScratch {
+            lanes: Lanes::new(len / 2),
+            prefix: Vec::new(),
+        }
+    }
+
+    fn block(
+        leg: &RealLeg<T>,
+        signal: &[f64],
+        p: usize,
+        take: usize,
+        out: &mut Vec<f64>,
+        s: &mut FloatScratch<T::Real>,
+    ) -> Result<()> {
+        let (re, im) = s.lanes.split();
+        leg.block(signal, p, take, out, re, im)
     }
 
     fn normalize_lags(
@@ -385,9 +532,9 @@ impl Correlate for f64 {
         out: &mut [f64],
         template_norm: f64,
         m: usize,
-        s: &mut FloatScratch<f64>,
+        s: &mut FloatScratch<T::Real>,
     ) {
-        prefix_sums(&mut s.prefix, signal.iter().map(|&x| x * x));
+        prefix_sums(&mut s.prefix, signal.iter().map(rounded_energy::<T>));
         divide_by_windows(out, &s.prefix, m, template_norm, |hi, lo| hi - lo);
     }
 }
@@ -407,32 +554,59 @@ mod tests {
         signal
     }
 
+    /// `signal`, then one signal per rung of `filter`'s ladder, each one
+    /// block of that rung long: its lags run on that rung, and they would
+    /// not fit the rung below.
+    fn and_one_signal_per_rung(
+        filter: &MatchedFilter,
+        template: &[f64],
+        signal: Vec<f64>,
+    ) -> Vec<Vec<f64>> {
+        let mut signals = vec![signal];
+        for &(len, _) in &filter.rungs {
+            signals.push(signal_with_template(
+                template,
+                (len - template.len()) / 2,
+                len,
+            ));
+        }
+        signals
+    }
+
     #[test]
     fn matches_one_shot_raw_correlation() {
-        let template: Vec<f64> = (0..257).map(|i| ((i as f64) * 0.31).cos()).collect();
-        let signal = signal_with_template(&template, 900, 4001);
-        let reference = xcorr_fft(&signal, &template).unwrap();
+        // Longer than 512 samples, so the ladder has two rungs.
+        let template: Vec<f64> = (0..700).map(|i| ((i as f64) * 0.31).cos()).collect();
         let filter = MatchedFilter::new(&template).unwrap();
+        assert_eq!(filter.rungs.len(), 2);
+        let signal = signal_with_template(&template, 900, 4001);
         let mut out = Vec::new();
-        filter.correlate_into(&signal, &mut out).unwrap();
-        assert_eq!(out.len(), reference.len());
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
+        for signal in and_one_signal_per_rung(&filter, &template, signal) {
+            let reference = xcorr_fft(&signal, &template).unwrap();
+            filter.correlate_into(&signal, &mut out).unwrap();
+            assert_eq!(out.len(), reference.len());
+            for (a, b) in out.iter().zip(reference.iter()) {
+                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+            }
         }
     }
 
     #[test]
     fn matches_one_shot_normalized_correlation_across_block_boundaries() {
-        // A signal long enough that overlap-save needs several blocks.
-        let template: Vec<f64> = (0..300).map(|i| ((i as f64) * 0.7).sin()).collect();
+        // A signal long enough that overlap-save needs several blocks, the
+        // last on the lower rung, then one signal per rung.
+        let template: Vec<f64> = (0..600).map(|i| ((i as f64) * 0.7).sin()).collect();
         let filter = MatchedFilter::new(&template).unwrap();
+        assert_eq!(filter.rungs.len(), 2);
         let total = filter.block_len() * 3 + 77;
         let signal = signal_with_template(&template, filter.block_len() + 13, total);
-        let reference = xcorr_normalized(&signal, &template).unwrap();
-        let streamed = filter.correlate_normalized(&signal).unwrap();
-        assert_eq!(streamed.len(), reference.len());
-        for (a, b) in streamed.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        for signal in and_one_signal_per_rung(&filter, &template, signal) {
+            let reference = xcorr_normalized(&signal, &template).unwrap();
+            let streamed = filter.correlate_normalized(&signal).unwrap();
+            assert_eq!(streamed.len(), reference.len());
+            for (a, b) in streamed.iter().zip(reference.iter()) {
+                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+            }
         }
     }
 

@@ -45,7 +45,7 @@ use crate::complex::Complex64;
 use crate::fft::{is_pow2, next_pow2};
 use crate::lanes;
 use crate::{DspError, Result};
-use std::ops::{Add, Mul, Sub};
+use std::ops::{Add, Mul, Neg, Sub};
 use std::sync::Mutex;
 
 /// The arithmetic of one numeric path, as the generic plan core needs it.
@@ -63,7 +63,8 @@ pub trait Path: Copy + Send + Sync + 'static {
         + Sync
         + Add<Output = Self::Real>
         + Sub<Output = Self::Real>
-        + Mul<Output = Self::Real>;
+        + Mul<Output = Self::Real>
+        + Neg<Output = Self::Real>;
     /// The interleaved complex sample the public entry points take.
     type Complex: Copy;
     /// What a radix-2 transform reports: nothing on the float paths, the
@@ -127,6 +128,10 @@ pub trait Path: Copy + Send + Sync + 'static {
 pub trait Float: Path<Shift = (), Scale = ()> {
     /// `1 / n` in this precision.
     fn recip_len(n: usize) -> Self::Real;
+    /// Rounds an `f64` sample to this precision.
+    fn from_f64(x: f64) -> Self::Real;
+    /// Widens a sample back to `f64`.
+    fn to_f64(x: Self::Real) -> f64;
 }
 
 impl Path for f64 {
@@ -182,6 +187,14 @@ impl Float for f64 {
     #[inline]
     fn recip_len(n: usize) -> f64 {
         1.0 / n as f64
+    }
+    #[inline]
+    fn from_f64(x: f64) -> f64 {
+        x
+    }
+    #[inline]
+    fn to_f64(x: f64) -> f64 {
+        x
     }
 }
 

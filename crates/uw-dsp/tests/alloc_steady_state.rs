@@ -117,8 +117,11 @@ fn steady_state_processing_is_allocation_free() {
     );
 
     // --- MatchedFilter streaming correlation into a reused buffer. ---
-    let template: Vec<f64> = (0..500).map(|i| (i as f64 * 0.21).sin()).collect();
+    // The template is over 512 samples, so every filter's block-length
+    // ladder has a rung below its top one; `short` (301 lags) runs there.
+    let template: Vec<f64> = (0..700).map(|i| (i as f64 * 0.21).sin()).collect();
     let signal: Vec<f64> = (0..20_000).map(|i| (i as f64 * 0.17).cos()).collect();
+    let short = &signal[..1000];
     let filter = MatchedFilter::new(&template).unwrap();
     let mut out = Vec::new();
     // Two warm-up passes: the first builds the pooled scratch and sizes
@@ -142,6 +145,14 @@ fn steady_state_processing_is_allocation_free() {
     assert_eq!(
         n, 0,
         "steady-state raw MatchedFilter correlation allocated {n} times"
+    );
+    filter.correlate_normalized_into(short, &mut out).unwrap();
+    let n = allocations_during(|| {
+        filter.correlate_normalized_into(short, &mut out).unwrap();
+    });
+    assert_eq!(
+        n, 0,
+        "steady-state short MatchedFilter correlation allocated {n} times"
     );
 
     // --- Structure-of-arrays lane-kernel entry points (f64). ---
@@ -207,6 +218,18 @@ fn steady_state_processing_is_allocation_free() {
         n, 0,
         "steady-state F32MatchedFilter correlation allocated {n} times"
     );
+    f32_filter
+        .correlate_normalized_into(short, &mut out)
+        .unwrap();
+    let n = allocations_during(|| {
+        f32_filter
+            .correlate_normalized_into(short, &mut out)
+            .unwrap();
+    });
+    assert_eq!(
+        n, 0,
+        "steady-state short F32MatchedFilter correlation allocated {n} times"
+    );
 
     let q15_filter = Q15MatchedFilter::new(&template).unwrap();
     q15_filter
@@ -223,6 +246,18 @@ fn steady_state_processing_is_allocation_free() {
     assert_eq!(
         n, 0,
         "steady-state Q15MatchedFilter correlation allocated {n} times"
+    );
+    q15_filter
+        .correlate_normalized_into(short, &mut out)
+        .unwrap();
+    let n = allocations_during(|| {
+        q15_filter
+            .correlate_normalized_into(short, &mut out)
+            .unwrap();
+    });
+    assert_eq!(
+        n, 0,
+        "steady-state short Q15MatchedFilter correlation allocated {n} times"
     );
 
     // --- Construction-time allocation budgets. ---

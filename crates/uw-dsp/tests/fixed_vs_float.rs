@@ -26,6 +26,9 @@
 //! | lane kernels vs scalar reference  | bit-identical (all three paths)              |
 //! | saturation edge cases             | exact (±1.0 inputs never wrap, zeros stay 0) |
 //!
+//! The matched-filter peak properties draw the signal length as well as the
+//! offset, so every rung of each filter's block-length ladder is checked.
+//!
 //! The SQNR bounds hold for signals exercising at least a few percent of
 //! full scale — the proptest generators below draw amplitudes from
 //! [0.05, 0.95], covering everything the automatic per-call gain
@@ -91,6 +94,46 @@ fn tone_signal(n: usize, amp: f64, w1: f64, w2: f64) -> Vec<Complex64> {
             )
         })
         .collect()
+}
+
+/// Template length of the matched-filter properties: over 512 samples, so
+/// the Q15 ladder has three rungs (1024, 2048 and 4096 points) and the
+/// float paths' two (1024 and 2048).
+const PEAK_TEMPLATE_LEN: usize = 600;
+
+/// A pseudo-noise template planted at a drawn offset in a signal of drawn
+/// length. The signal fills between half and all of a `1024 << rung`
+/// sample block beyond the template, so for `rung` 0–2 its lags run on
+/// that Q15 rung and no shorter one, and for `rung` 3 they span more
+/// than one top block. The noise is deterministic in the drawn seed (the vendored
+/// proptest drives this generator, so cases reproduce).
+fn planted(
+    rung: u32,
+    fill: f64,
+    offset_frac: f64,
+    template_seed: u64,
+    gain: f64,
+    noise_amp: f64,
+) -> (Vec<f64>, Vec<f64>) {
+    let m = PEAK_TEMPLATE_LEN;
+    let template: Vec<f64> = (0..m)
+        .map(|i| {
+            ((i as f64 * 0.29 + template_seed as f64) * 1.7).sin() * ((i as f64) * 0.031).cos()
+        })
+        .collect();
+    let total = m + (((1024usize << rung) - m) as f64 * fill) as usize;
+    let mut signal: Vec<f64> = (0..total)
+        .map(|i| {
+            noise_amp
+                * ((i as f64 * 0.613 + template_seed as f64 * 7.3).sin() + (i as f64 * 1.77).cos())
+                / 2.0
+        })
+        .collect();
+    let offset = ((total - m) as f64 * offset_frac) as usize;
+    for (i, &t) in template.iter().enumerate() {
+        signal[offset + i] += gain * t;
+    }
+    (template, signal)
 }
 
 proptest! {
@@ -174,25 +217,14 @@ proptest! {
 
     #[test]
     fn matched_filter_peak_index_within_one_sample(
-        offset in 0usize..3000,
+        rung in 0u32..4,            // block length 1024 << rung; see `planted`
+        fill in 0.5f64..1.0,
+        offset_frac in 0.0f64..1.0,
         template_seed in 1u64..50,
         gain in 0.08f64..1.0,       // template gain over a 0.05 noise floor:
         noise_amp in 0.01f64..0.05, // SNR range of the matrix's usable cells
     ) {
-        // Deterministic pseudo-noise from the drawn seed (the vendored
-        // proptest drives this generator, so cases reproduce).
-        let template: Vec<f64> = (0..256)
-            .map(|i| ((i as f64 * 0.29 + template_seed as f64) * 1.7).sin()
-                * ((i as f64) * 0.031).cos())
-            .collect();
-        let total = 4096;
-        let mut signal: Vec<f64> = (0..total)
-            .map(|i| noise_amp * ((i as f64 * 0.613 + template_seed as f64 * 7.3).sin()
-                + (i as f64 * 1.77).cos()) / 2.0)
-            .collect();
-        for (i, &t) in template.iter().enumerate() {
-            signal[offset + i] += gain * t;
-        }
+        let (template, signal) = planted(rung, fill, offset_frac, template_seed, gain, noise_amp);
         let f64_filter = MatchedFilter::new(&template).unwrap();
         let q15_filter = Q15MatchedFilter::new(&template).unwrap();
         let reference = f64_filter.correlate_normalized(&signal).unwrap();
@@ -258,23 +290,14 @@ proptest! {
 
     #[test]
     fn f32_matched_filter_peak_within_one_sample(
-        offset in 0usize..3000,
+        rung in 0u32..4,
+        fill in 0.5f64..1.0,
+        offset_frac in 0.0f64..1.0,
         template_seed in 1u64..50,
         gain in 0.08f64..1.0,
         noise_amp in 0.01f64..0.05,
     ) {
-        let template: Vec<f64> = (0..256)
-            .map(|i| ((i as f64 * 0.29 + template_seed as f64) * 1.7).sin()
-                * ((i as f64) * 0.031).cos())
-            .collect();
-        let total = 4096;
-        let mut signal: Vec<f64> = (0..total)
-            .map(|i| noise_amp * ((i as f64 * 0.613 + template_seed as f64 * 7.3).sin()
-                + (i as f64 * 1.77).cos()) / 2.0)
-            .collect();
-        for (i, &t) in template.iter().enumerate() {
-            signal[offset + i] += gain * t;
-        }
+        let (template, signal) = planted(rung, fill, offset_frac, template_seed, gain, noise_amp);
         let f64_filter = MatchedFilter::new(&template).unwrap();
         let f32_filter = F32MatchedFilter::new(&template).unwrap();
         let reference = f64_filter.correlate_normalized(&signal).unwrap();
