@@ -267,6 +267,14 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use uw_dsp::peaks::normalize_profile;
 
+    /// The reason of a wrong-path symbol-plan error.
+    fn wrong_path(result: Result<()>) -> String {
+        match result {
+            Err(RangingError::InvalidInput { reason }) => reason,
+            _ => panic!("expected a wrong-path error"),
+        }
+    }
+
     /// Builds a stream containing the preamble convolved with a sparse
     /// channel (given as (delay_samples, gain) taps) plus noise.
     fn synth_stream(
@@ -371,8 +379,20 @@ mod tests {
         let tail: f64 =
             nq[nq.len() - NOISE_TAIL_TAPS..].iter().sum::<f64>() / NOISE_TAIL_TAPS as f64;
         assert!(tail < 0.1, "q15 tail mean {tail}");
-        // The f64 preamble has no fixed-point plans.
-        assert!(p.with_fixed_symbol_plan(|_| ()).is_err());
+        // Each preamble carries only its own path's plans, and the error
+        // names the path it was built for.
+        assert_eq!(
+            wrong_path(p.with_fixed_symbol_plan(|_| ())),
+            "preamble was built for the f64 path; no fixed-point plans exist"
+        );
+        assert_eq!(
+            wrong_path(q.with_symbol_plan(|_| ())),
+            "preamble was built for the q15 path; no f64 plans exist"
+        );
+        assert_eq!(
+            wrong_path(q.with_f32_symbol_plan(|_| ())),
+            "preamble was built for the q15 path; no f32 plans exist"
+        );
     }
 
     #[test]
@@ -390,9 +410,18 @@ mod tests {
             assert!((a - b).abs() < 1e-3, "tap {i}: f64 {a} vs f32 {b}");
         }
         // The f64 preamble has no f32 plans and vice versa.
-        assert!(p.with_f32_symbol_plan(|_| ()).is_err());
-        assert!(f.with_symbol_plan(|_| ()).is_err());
-        assert!(f.with_fixed_symbol_plan(|_| ()).is_err());
+        assert_eq!(
+            wrong_path(p.with_f32_symbol_plan(|_| ())),
+            "preamble was built for the f64 path; no f32 plans exist"
+        );
+        assert_eq!(
+            wrong_path(f.with_symbol_plan(|_| ())),
+            "preamble was built for the f32 path; no f64 plans exist"
+        );
+        assert_eq!(
+            wrong_path(f.with_fixed_symbol_plan(|_| ())),
+            "preamble was built for the f32 path; no fixed-point plans exist"
+        );
     }
 
     #[test]

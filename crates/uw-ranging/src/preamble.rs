@@ -52,12 +52,11 @@ pub struct RangingPreamble {
 /// One numeric path's receive-side execution state: the overlap-save
 /// correlator with the waveform's spectrum precomputed, and the pooled
 /// symbol-length FFT plans (Bluestein for 1920) the LS channel estimator
-/// checks out. The f32 filter carries two legs, so it is boxed to keep the
-/// variants of similar size.
+/// checks out.
 #[derive(Debug, Clone)]
 enum PathState {
     F64(MatchedFilter, PlanPool),
-    F32(Box<F32MatchedFilter>, F32PlanPool),
+    F32(F32MatchedFilter, F32PlanPool),
     Q15(Q15MatchedFilter, FixedPlanPool),
 }
 
@@ -90,10 +89,9 @@ impl RangingPreamble {
             NumericPath::F64 => {
                 PathState::F64(MatchedFilter::new(&waveform)?, PlanPool::new(n_fft)?)
             }
-            NumericPath::F32 => PathState::F32(
-                Box::new(F32MatchedFilter::new(&waveform)?),
-                F32PlanPool::new(n_fft)?,
-            ),
+            NumericPath::F32 => {
+                PathState::F32(F32MatchedFilter::new(&waveform)?, F32PlanPool::new(n_fft)?)
+            }
             NumericPath::Q15 => PathState::Q15(
                 Q15MatchedFilter::new(&waveform)?,
                 FixedPlanPool::new(n_fft)?,
@@ -163,8 +161,8 @@ impl RangingPreamble {
     }
 
     /// The precomputed f64 overlap-save correlator, when this preamble was
-    /// built for the f64 path (`None` on a Q15 preamble, which owns a
-    /// `Q15MatchedFilter` instead).
+    /// built for the f64 path (`None` on an f32 or Q15 preamble, which owns
+    /// an `F32MatchedFilter` or a `Q15MatchedFilter` instead).
     pub fn matched_filter(&self) -> Option<&MatchedFilter> {
         match &self.state {
             PathState::F64(filter, _) => Some(filter),
@@ -198,26 +196,23 @@ impl RangingPreamble {
     /// Runs `f` with a checked-out symbol-length FFT plan (1920-point
     /// Bluestein for the paper's parameters). Concurrent callers receive
     /// distinct plans from the pool instead of serialising. Fails on a
-    /// preamble built for the Q15 path, which carries no f64 plans — use
-    /// [`Self::with_fixed_symbol_plan`] there.
+    /// preamble built for another path, which carries no f64 plans — use
+    /// [`Self::with_f32_symbol_plan`] or [`Self::with_fixed_symbol_plan`]
+    /// there.
     pub fn with_symbol_plan<R>(&self, f: impl FnOnce(&mut FftPlan) -> R) -> Result<R> {
         match &self.state {
             PathState::F64(_, pool) => Ok(pool.with(f)),
-            _ => Err(RangingError::InvalidInput {
-                reason: "preamble was built for the Q15 path; no f64 plans exist".into(),
-            }),
+            _ => Err(self.no_plans("f64")),
         }
     }
 
     /// Runs `f` with a checked-out **fixed-point** symbol-length FFT plan.
-    /// Fails on a preamble built for the `f64` path, which carries no
+    /// Fails on a preamble built for another path, which carries no
     /// fixed-point state.
     pub fn with_fixed_symbol_plan<R>(&self, f: impl FnOnce(&mut FixedFftPlan) -> R) -> Result<R> {
         match &self.state {
             PathState::Q15(_, pool) => Ok(pool.with(f)),
-            _ => Err(RangingError::InvalidInput {
-                reason: "preamble was built for the f64 path; no fixed-point plans exist".into(),
-            }),
+            _ => Err(self.no_plans("fixed-point")),
         }
     }
 
@@ -227,9 +222,18 @@ impl RangingPreamble {
     pub fn with_f32_symbol_plan<R>(&self, f: impl FnOnce(&mut F32FftPlan) -> R) -> Result<R> {
         match &self.state {
             PathState::F32(_, pool) => Ok(pool.with(f)),
-            _ => Err(RangingError::InvalidInput {
-                reason: "preamble was not built for the f32 path; no f32 plans exist".into(),
-            }),
+            _ => Err(self.no_plans("f32")),
+        }
+    }
+
+    /// The error for a request for `kind` symbol plans this preamble's
+    /// path does not carry, naming the path it was built for.
+    fn no_plans(&self, kind: &str) -> RangingError {
+        RangingError::InvalidInput {
+            reason: format!(
+                "preamble was built for the {} path; no {kind} plans exist",
+                self.numeric_path().slug()
+            ),
         }
     }
 }
