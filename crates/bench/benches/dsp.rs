@@ -117,6 +117,10 @@ fn bench_detection(c: &mut Criterion) {
     }
     let config = DetectorConfig::default();
 
+    // The stream is the 9,840-sample preamble plus 20,000 noise samples
+    // (29,840 samples, 20,001 lags). The `65k` in the bench names below
+    // is kept so `BENCH_pipeline.json` stays comparable across runs.
+    //
     // One-shot reference: template spectrum + next_pow2(signal + template)
     // monster FFT rebuilt per call.
     c.bench_function("preamble_correlation_65k_oneshot", |b| {
@@ -133,8 +137,8 @@ fn bench_detection(c: &mut Criterion) {
         })
     });
 
-    // Q15 matched filter over the same 65k stream (the fixed-point leg of
-    // the float-vs-Q15 axis; the f64 leg is the `_stream` bench above).
+    // Q15 matched filter over the same stream (the fixed-point leg of the
+    // float-vs-Q15 axis; the f64 leg is the `_stream` bench above).
     let q15_filter = Q15MatchedFilter::new(&preamble.waveform).unwrap();
     let mut q15_out: Vec<f64> = Vec::new();
     c.bench_function("q15_matched_filter_65k", |b| {
@@ -145,9 +149,8 @@ fn bench_detection(c: &mut Criterion) {
         })
     });
 
-    // The production phone path: the same 65k stream through the f32
-    // lane-kernel matched filter. This is the ISSUE's acceptance bench
-    // (`preamble_correlation_65k` < 1 ms); the f64 oracle leg stays in
+    // The production phone path: the same stream through the f32
+    // lane-kernel matched filter; the f64 oracle leg stays in
     // `preamble_correlation_65k_stream` above.
     let f32_filter = F32MatchedFilter::new(&preamble.waveform).unwrap();
     let mut f32_out: Vec<f64> = Vec::new();

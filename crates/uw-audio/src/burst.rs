@@ -22,8 +22,9 @@
 //! ## Memory bound
 //!
 //! Between pushes the scanner holds at most one analysis window
-//! (`MatchedFilter::block_len()` samples) plus the detector's candidate
-//! peak — a few hundred kilobytes regardless of recording length.
+//! (`MatchedFilter::block_len()` samples: 32,768 for the paper's
+//! 9,840-sample preamble) plus the detector's candidate peak — a few
+//! hundred kilobytes regardless of recording length.
 
 use crate::AudioError;
 use uw_dsp::matched::MatchedFilter;

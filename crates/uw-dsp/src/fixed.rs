@@ -16,7 +16,7 @@
 //!   Transforms return the accumulated scale factor so callers can
 //!   reconstruct absolute magnitudes.
 //! * The `Q15` [`Correlate`] block behind [`Q15MatchedFilter`]: one
-//!   complex BFP leg per rung of the driver's block-length ladder, per-call
+//!   complex BFP leg per rung of the filter's block-length ladder, per-call
 //!   quantisation of the stream and the BFP scale of every block.
 //! * [`NumericPath`] — the knob higher layers thread through to select
 //!   between the `f64` oracle, the f32 phone-float path

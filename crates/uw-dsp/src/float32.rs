@@ -11,10 +11,10 @@
 //!   in one sweep of 8-point cells, later stages two at a time) through
 //!   the `[f32; 8]` lane kernels in [`crate::lanes`], behind the
 //!   [`F32Radix2Plan`] / [`F32FftPlan`] / [`F32PlanPool`] aliases.
-//! * [`F32MatchedFilter`]: the overlap-save driver on this path, running
-//!   the half-length real-input leg it shares with the `f64` oracle
-//!   ([`crate::matched::RealLeg`]) on the block-length ladder the driver
-//!   picks from.
+//! * [`F32MatchedFilter`]: the generic overlap-save filter on this path.
+//!   Each block runs on the shortest rung of its block-length ladder that
+//!   covers the block, through the half-length real-input leg this path
+//!   shares with the `f64` oracle ([`crate::matched::RealLeg`]).
 //!
 //! ## Precision contract
 //!

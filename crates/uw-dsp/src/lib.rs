@@ -30,7 +30,8 @@
 //!   aliases.
 //! * [`matched`] — the generic overlap-save driver [`matched::OverlapSave`]
 //!   over a per-path [`matched::Correlate`] block: streaming correlation
-//!   against a fixed template with folded normalisation.
+//!   against a fixed template with folded normalisation, each block on the
+//!   shortest of a ladder of block lengths that covers it.
 //!   [`MatchedFilter`] is its `f64` alias.
 //! * [`fixed`] — the on-device Q15 fixed-point path: [`Q15`]/[`ComplexQ15`]
 //!   saturating integer arithmetic and the block-floating-point hooks
@@ -63,10 +64,13 @@
 //!   generic over the path. `f64`, `f32` and [`Q15`] plug in only what
 //!   really differs: how a table entry is rounded, the butterfly stages
 //!   (fused on f32, with per-stage guard shifts on Q15), the pointwise
-//!   products, and one overlap-save block (f32's half-length real-input
-//!   block with its tail leg; Q15's per-call quantisation and scale
-//!   bookkeeping). The public names — `FftPlan`, `F32FftPlan`,
-//!   `FixedFftPlan` and the rest — are type aliases over the core.
+//!   products, and one overlap-save block (one half-length real-input
+//!   block for both float paths; Q15's complex block with its per-call
+//!   quantisation and scale bookkeeping). The generic filter alone picks
+//!   each block's length from a ladder of powers of two, so a short
+//!   input runs a short transform on every path. The public names —
+//!   `FftPlan`, `F32FftPlan`, `FixedFftPlan` and the rest — are type
+//!   aliases over the core.
 //! * **Repeated transforms of one length** → hold an [`FftPlan`] (or its
 //!   twin on another path). Construction precomputes the bit-reversal
 //!   permutation, per-stage twiddle tables (forward and inverse) and — for
@@ -77,13 +81,16 @@
 //!   [`fft::fft_any`] at 1920 samples.
 //! * **Correlating many streams against one template** → build a
 //!   [`MatchedFilter`] once. It stores the template's conjugated spectrum
-//!   at a fixed block length and correlates arbitrarily long signals by
-//!   overlap-save — many small cached-plan FFTs instead of one
-//!   `next_pow2(signal + template)` monster FFT per call — with the
-//!   prefix-sum normalisation of [`correlation::xcorr_normalized`] folded
-//!   into the same pass (~2.5× on the 65k-sample detection stream). Use
-//!   one-shot [`correlation::xcorr_fft`] only for ad-hoc correlations where
-//!   the template changes every call.
+//!   at every block length of its ladder (from `next_pow2(m)` to
+//!   `next_pow2(2m)` for an `m`-sample template) and correlates
+//!   arbitrarily long signals by overlap-save — cached-plan FFTs sized to
+//!   the lags each block owes instead of one `next_pow2(signal + template)`
+//!   monster FFT per call — with the prefix-sum normalisation of
+//!   [`correlation::xcorr_normalized`] folded into the same pass. On the
+//!   paper preamble (9,840 samples) a 14,112-sample per-link capture costs
+//!   one 8,192-point complex transform pair. Use one-shot
+//!   [`correlation::xcorr_fft`] only for ad-hoc correlations where the
+//!   template changes every call.
 //! * **Sharing plans across threads** → [`PlanPool`] checks plans in and
 //!   out (building a fresh one only under contention), so parallel ranging
 //!   exchanges reuse precomputed state without serialising on a shared
@@ -122,12 +129,15 @@
 //!   transform (two extra quantised multiplies), matched-filter peak
 //!   indices within ±1 sample of the f64 peak at matrix SNRs, and exact
 //!   saturation behaviour at ±1.0.
-//! * **What the perf axis records.** With the `[i32; 8]` lane kernels the
-//!   Q15 path runs at parity with f64 on x86: ≈ 23 µs vs 19 µs on the
-//!   2048-point transform and ≈ 3.1 ms vs 3.2 ms on the 65k matched
-//!   filter (`BENCH_pipeline.json`). The point of the axis was never an
-//!   x86 speedup: it models the numeric behaviour of the integer DSPs
-//!   phones actually ship and tracks both paths' costs over time.
+//! * **What the perf axis records.** With the `[i32; 8]` lane kernels a
+//!   Q15 transform runs close to its f64 twin on x86: ≈ 23 µs vs 19 µs at
+//!   2048 points. Its matched filter costs about twice the f64 one
+//!   (1.79 vs 0.99 ms on the 29,840-sample detection stream,
+//!   `q15_matched_filter_65k` vs `preamble_correlation_65k_stream` in
+//!   `BENCH_pipeline.json`), because the float paths run a half-length
+//!   real-input leg that Q15 does not have. The point of the axis was
+//!   never an x86 speedup: it models the numeric behaviour of the integer
+//!   DSPs phones actually ship and tracks both paths' costs over time.
 //!
 //! ## Performance notes: structure-of-arrays lane kernels
 //!
@@ -159,16 +169,17 @@
 //!   boundary; SoA-native callers (the matched filters) never interleave.
 //! * **Measured effect** (noisy x86 CI container, medians from
 //!   `BENCH_pipeline.json`): the Q15 radix-2 2048 transform dropped
-//!   ~56 µs → ~23 µs and the Q15 65k matched filter ~5.7 ms → ~3.1 ms —
-//!   from 2× slower than f64 to parity or slightly better. The f64
-//!   radix-2 2048 transform dropped ~25 µs → ~19 µs, while the f64 65k
-//!   matched filter stays ~3.1–3.2 ms: its 65536-sample double-precision
-//!   blocks are memory-bound, so wider lanes alone cannot move it. The
-//!   f32 path is where the hot loop now lives: the same 65k correlation
-//!   runs in ~0.5 ms (half-width samples, a half-length real-input FFT
-//!   per overlap-save block, and a half-size tail leg for the final
-//!   partial block — see [`F32MatchedFilter`]). On NEON phones the
-//!   f32/i16 lane widths double the gain again.
+//!   ~56 µs → ~23 µs and the f64 one ~25 µs → ~19 µs. Whole correlations
+//!   gained more from transform length than from lane width. With one
+//!   65,536-point complex block per call, the f64 and Q15 matched filters
+//!   both took ~3.5 ms on the 29,840-sample detection stream, memory-bound,
+//!   while f32's half-length real-input blocks took 0.84 ms (one run of
+//!   `scripts/bench_pipeline.sh` on a 2-vCPU x86-64 VM). Every path now
+//!   runs each block at the shortest length that covers its lags, and
+//!   both float paths run the real-input leg: on the same VM the stream
+//!   takes 0.99 ms on f64, 0.85 ms on f32 and 1.79 ms on Q15 (see
+//!   [`matched`]). On NEON phones the f32/i16 lane widths double the gain
+//!   again.
 //!
 //! ## Example
 //!

@@ -21,7 +21,7 @@
 //! Output has the same definition as `xcorr_normalized` / `xcorr_fft`
 //! (valid lags only), to within the rounding of the path it runs on.
 //!
-//! ## One driver, a ladder of block lengths
+//! ## One generic filter, a ladder of block lengths
 //!
 //! The driver — validation, the scratch pool, the walk over blocks, the
 //! choice of block length, the normalisation — is generic over a
@@ -59,8 +59,9 @@ pub trait Correlate: Path {
     type Rung: Clone;
     /// Per-call buffers, pooled by the filter.
     type Scratch;
-    /// The top rung's block length is `next_pow2(SPAN · template_len)`:
-    /// each top block yields at least `(SPAN − 1) · template_len` lags.
+    /// The top rung's block length is `next_pow2(SPAN · template_len)`, at
+    /// least 1024: each top block yields over `(SPAN − 1) · template_len`
+    /// lags.
     const SPAN: usize;
 
     /// The L2 norm of a non-empty `template` as this path quantises it.
@@ -554,21 +555,21 @@ mod tests {
         signal
     }
 
-    /// `signal`, then one signal per rung of `filter`'s ladder, each one
-    /// block of that rung long: its lags run on that rung, and they would
-    /// not fit the rung below.
-    fn and_one_signal_per_rung(
+    /// `signal`, then two signals per rung of `filter`'s ladder: one block
+    /// of that rung long, whose lags run on that rung and would not fit
+    /// the rung below, and one sample longer, whose last lag the rung
+    /// cannot cover.
+    fn and_signals_at_each_rung(
         filter: &MatchedFilter,
         template: &[f64],
         signal: Vec<f64>,
     ) -> Vec<Vec<f64>> {
         let mut signals = vec![signal];
         for &(len, _) in &filter.rungs {
-            signals.push(signal_with_template(
-                template,
-                (len - template.len()) / 2,
-                len,
-            ));
+            for total in [len, len + 1] {
+                let offset = (total - template.len()) / 2;
+                signals.push(signal_with_template(template, offset, total));
+            }
         }
         signals
     }
@@ -581,7 +582,7 @@ mod tests {
         assert_eq!(filter.rungs.len(), 2);
         let signal = signal_with_template(&template, 900, 4001);
         let mut out = Vec::new();
-        for signal in and_one_signal_per_rung(&filter, &template, signal) {
+        for signal in and_signals_at_each_rung(&filter, &template, signal) {
             let reference = xcorr_fft(&signal, &template).unwrap();
             filter.correlate_into(&signal, &mut out).unwrap();
             assert_eq!(out.len(), reference.len());
@@ -594,13 +595,13 @@ mod tests {
     #[test]
     fn matches_one_shot_normalized_correlation_across_block_boundaries() {
         // A signal long enough that overlap-save needs several blocks, the
-        // last on the lower rung, then one signal per rung.
+        // last on the lower rung, then signals at each rung's boundary.
         let template: Vec<f64> = (0..600).map(|i| ((i as f64) * 0.7).sin()).collect();
         let filter = MatchedFilter::new(&template).unwrap();
         assert_eq!(filter.rungs.len(), 2);
         let total = filter.block_len() * 3 + 77;
         let signal = signal_with_template(&template, filter.block_len() + 13, total);
-        for signal in and_one_signal_per_rung(&filter, &template, signal) {
+        for signal in and_signals_at_each_rung(&filter, &template, signal) {
             let reference = xcorr_normalized(&signal, &template).unwrap();
             let streamed = filter.correlate_normalized(&signal).unwrap();
             assert_eq!(streamed.len(), reference.len());

@@ -17,11 +17,11 @@
 //! BeepBeep — is in [`crate::baselines`].
 //!
 //! The correlation stage runs on whichever numeric path the preamble was
-//! built for: the `f64` matched filter, or — for a preamble built with
-//! [`uw_dsp::NumericPath::Q15`] — the fixed-point
-//! [`uw_dsp::Q15MatchedFilter`], whose peak positions agree with the
-//! `f64` path to within ±1 sample. The validation stage stays in `f64` on
-//! both paths.
+//! built for: the `f64` matched filter, the single-precision
+//! [`uw_dsp::F32MatchedFilter`] ([`uw_dsp::NumericPath::F32`]) or the
+//! fixed-point [`uw_dsp::Q15MatchedFilter`] ([`uw_dsp::NumericPath::Q15`]),
+//! whose peak positions agree with the `f64` path to within ±1 sample. The
+//! validation stage stays in `f64` on every path.
 
 use crate::preamble::RangingPreamble;
 use crate::{RangingError, Result};
