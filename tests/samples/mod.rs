@@ -1,8 +1,9 @@
 //! Sample values of the three binary formats — `uwlz` serving frames,
 //! `uwCM` campaign manifests and `uwRD` recording directories — shared by
-//! the byte pins (`format_digests.rs`) and the fuzz harness
-//! (`codec_fuzz.rs`). Between them the samples reach every message tag and
-//! every one-byte code each format defines.
+//! the byte pins (`format_digests.rs`, which also pins the JSON of
+//! reports over [`report`]) and the fuzz harness (`codec_fuzz.rs`).
+//! Between them the samples reach every message tag and every one-byte
+//! code each format defines.
 
 use uwgps::audio::{CampaignManifest, SegmentRange};
 use uwgps::core::config::{Fidelity, NumericPath};
@@ -14,7 +15,9 @@ use uwgps::eval::{CellReport, LinkProfile, MobilityProfile, Recording, RoundSumm
 use uwgps::serve::wire::{JobSpec, WireMessage, MAX_PAYLOAD, WIRE_VERSION};
 use uwgps::serve::{Priority, RejectReason};
 
-fn report(id: &str) -> CellReport {
+/// A cell report whose error summary holds NaN and −0.0 and whose CDF
+/// holds +∞.
+pub fn report(id: &str) -> CellReport {
     CellReport {
         id: id.into(),
         environment: "dock".into(),
