@@ -35,6 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uw_core::config::{Fidelity, NumericPath};
 use uw_core::prelude::EnvironmentKind;
+use uw_eval::json::{self, Layout};
 use uw_eval::runner::run_matrix;
 use uw_eval::{EvalReport, LinkProfile, MobilityProfile, ScenarioMatrix, Topology};
 use uw_serve::wire::JobSpec;
@@ -70,7 +71,8 @@ fn workload(jobs: usize, rounds: usize) -> ScenarioMatrix {
 struct PoolRun {
     shards: usize,
     wall: Duration,
-    latencies_ms: Vec<f64>,
+    /// (p50, p99) submit → terminal latency, ms.
+    latency: (f64, f64),
 }
 
 /// Streams the workload through a pool of `shards` workers, timing each
@@ -115,11 +117,10 @@ fn run_pool(matrix: &ScenarioMatrix, shards: usize) -> PoolRun {
             finished.duration_since(*started).as_secs_f64() * 1e3
         })
         .collect();
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     PoolRun {
         shards,
         wall,
-        latencies_ms,
+        latency: percentiles(&mut latencies_ms),
     }
 }
 
@@ -140,8 +141,8 @@ struct ContentionRun {
     shards: usize,
     jobs: usize,
     wall: Duration,
-    p50: f64,
-    p99: f64,
+    /// (p50, p99) submit → terminal latency, ms.
+    latency: (f64, f64),
 }
 
 /// Tenants whose event consumption is the bottleneck: each tenant drains
@@ -218,14 +219,12 @@ fn run_contention(tenants: usize, shards: usize, jobs_per_tenant: usize) -> Cont
     server.shutdown();
     drop(updates);
     assert_eq!(latencies_ms.len(), tenants * jobs_per_tenant);
-    let (p50, p99) = percentiles(&mut latencies_ms);
     ContentionRun {
         tenants,
         shards,
         jobs: jobs_per_tenant,
         wall,
-        p50,
-        p99,
+        latency: percentiles(&mut latencies_ms),
     }
 }
 
@@ -235,10 +234,10 @@ struct FleetRun {
     shards: usize,
     wall: Duration,
     batch_wall: Duration,
-    live_p50: f64,
-    live_p99: f64,
-    replay_p50: f64,
-    replay_p99: f64,
+    /// (p50, p99) latency of the live-priority jobs, ms.
+    live: (f64, f64),
+    /// (p50, p99) latency of the replay-priority jobs, ms.
+    replay: (f64, f64),
 }
 
 /// The fleet: `tenants` simulated tenants multiplexed over `connections`
@@ -347,18 +346,14 @@ fn run_socket_fleet(tenants: usize, connections: usize, shards: usize) -> FleetR
         .filter(|(tag, _, _)| tag % 2 == 1)
         .map(|(_, l, _)| *l)
         .collect();
-    let (live_p50, live_p99) = percentiles(&mut live);
-    let (replay_p50, replay_p99) = percentiles(&mut replay);
     FleetRun {
         tenants,
         connections,
         shards,
         wall,
         batch_wall,
-        live_p50,
-        live_p99,
-        replay_p50,
-        replay_p99,
+        live: percentiles(&mut live),
+        replay: percentiles(&mut replay),
     }
 }
 
@@ -395,19 +390,16 @@ fn main() {
     let mut pools = Vec::new();
     for &shards in &pool_sizes {
         let run = run_pool(&matrix, shards);
-        // run_pool already sorted the latencies.
-        let p50 = uw_dsp::peaks::percentile_sorted(&run.latencies_ms, 50.0);
-        let p99 = uw_dsp::peaks::percentile_sorted(&run.latencies_ms, 99.0);
         println!(
             "  serve  ({} shard{}):   {:7.1} ms  {:6.1} jobs/s  p50 {:6.1} ms  p99 {:6.1} ms",
             run.shards,
             if run.shards == 1 { " " } else { "s" },
             run.wall.as_secs_f64() * 1e3,
             jobs_per_s(jobs, run.wall),
-            p50,
-            p99,
+            run.latency.0,
+            run.latency.1,
         );
-        pools.push((run, p50, p99));
+        pools.push(run);
     }
 
     // Contention grid: I/O-waiting tenants (slow bounded-sink drains) so
@@ -423,8 +415,8 @@ fn main() {
                 run.shards,
                 if run.shards == 1 { " " } else { "s" },
                 run.wall.as_secs_f64() * 1e3,
-                run.p50,
-                run.p99,
+                run.latency.0,
+                run.latency.1,
             );
             contention.push(run);
         }
@@ -444,81 +436,71 @@ fn main() {
             run.shards,
             run.wall.as_secs_f64() * 1e3,
             jobs_per_s(run.tenants, run.wall),
-            run.live_p50,
-            run.live_p99,
-            run.replay_p50,
-            run.replay_p99,
+            run.live.0,
+            run.live.1,
+            run.replay.0,
+            run.replay.1,
         );
         Some(run)
     } else {
         None
     };
 
-    // Deterministic hand-rolled JSON (the vendored serde is a no-op).
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"uwgps-serve-bench-v2\",\n");
-    json.push_str(&format!("  \"jobs\": {jobs},\n"));
-    json.push_str(&format!("  \"rounds_per_job\": {rounds},\n"));
-    json.push_str(&format!(
-        "  \"batch\": {{\"wall_ms\": {:.3}, \"jobs_per_s\": {:.3}}},\n",
-        batch_wall.as_secs_f64() * 1e3,
-        jobs_per_s(jobs, batch_wall),
-    ));
-    json.push_str("  \"pools\": [\n");
-    for (k, (run, p50, p99)) in pools.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shards\": {}, \"wall_ms\": {:.3}, \"jobs_per_s\": {:.3}, \
-             \"latency_p50_ms\": {:.3}, \"latency_p99_ms\": {:.3}}}{}\n",
-            run.shards,
-            run.wall.as_secs_f64() * 1e3,
-            jobs_per_s(jobs, run.wall),
-            p50,
-            p99,
-            if k + 1 < pools.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"contention\": [\n");
-    for (k, run) in contention.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"tenants\": {}, \"shards\": {}, \"jobs_per_tenant\": {}, \
-             \"wall_ms\": {:.3}, \"jobs_per_s\": {:.3}, \
-             \"latency_p50_ms\": {:.3}, \"latency_p99_ms\": {:.3}}}{}\n",
-            run.tenants,
-            run.shards,
-            run.jobs,
-            run.wall.as_secs_f64() * 1e3,
-            jobs_per_s(run.tenants * run.jobs, run.wall),
-            run.p50,
-            run.p99,
-            if k + 1 < contention.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    match &fleet {
-        Some(run) => {
-            json.push_str(&format!(
-                "  \"socket\": {{\"tenants\": {}, \"connections\": {}, \"shards\": {}, \
-                 \"wall_ms\": {:.3}, \"jobs_per_s\": {:.3}, \"batch_wall_ms\": {:.3}, \
-                 \"byte_identical\": true, \"dropped\": 0,\n    \
-                 \"live\": {{\"latency_p50_ms\": {:.3}, \"latency_p99_ms\": {:.3}}},\n    \
-                 \"replay\": {{\"latency_p50_ms\": {:.3}, \"latency_p99_ms\": {:.3}}}}}\n",
-                run.tenants,
-                run.connections,
-                run.shards,
-                run.wall.as_secs_f64() * 1e3,
-                jobs_per_s(run.tenants, run.wall),
-                run.batch_wall.as_secs_f64() * 1e3,
-                run.live_p50,
-                run.live_p99,
-                run.replay_p50,
-                run.replay_p99,
-            ));
+    let ms = |wall: Duration| wall.as_secs_f64() * 1e3;
+    let json = json::document(|o| {
+        o.key("schema").str("uwgps-serve-bench-v2");
+        o.key("jobs").raw(jobs);
+        o.key("rounds_per_job").raw(rounds);
+        o.key("batch").object(Layout::Line, |b| {
+            b.key("wall_ms").fixed(ms(batch_wall), 3);
+            b.key("jobs_per_s").fixed(jobs_per_s(jobs, batch_wall), 3);
+        });
+        o.key("pools").array(Layout::Lines, |rows| {
+            for run in &pools {
+                rows.item().object(Layout::Line, |row| {
+                    row.key("shards").raw(run.shards);
+                    row.key("wall_ms").fixed(ms(run.wall), 3);
+                    row.key("jobs_per_s").fixed(jobs_per_s(jobs, run.wall), 3);
+                    row.key("latency_p50_ms").fixed(run.latency.0, 3);
+                    row.key("latency_p99_ms").fixed(run.latency.1, 3);
+                });
+            }
+        });
+        o.key("contention").array(Layout::Lines, |rows| {
+            for run in &contention {
+                rows.item().object(Layout::Line, |row| {
+                    row.key("tenants").raw(run.tenants);
+                    row.key("shards").raw(run.shards);
+                    row.key("jobs_per_tenant").raw(run.jobs);
+                    row.key("wall_ms").fixed(ms(run.wall), 3);
+                    let served = run.tenants * run.jobs;
+                    row.key("jobs_per_s").fixed(jobs_per_s(served, run.wall), 3);
+                    row.key("latency_p50_ms").fixed(run.latency.0, 3);
+                    row.key("latency_p99_ms").fixed(run.latency.1, 3);
+                });
+            }
+        });
+        match &fleet {
+            Some(run) => o.key("socket").object(Layout::Line, |s| {
+                s.key("tenants").raw(run.tenants);
+                s.key("connections").raw(run.connections);
+                s.key("shards").raw(run.shards);
+                s.key("wall_ms").fixed(ms(run.wall), 3);
+                s.key("jobs_per_s")
+                    .fixed(jobs_per_s(run.tenants, run.wall), 3);
+                s.key("batch_wall_ms").fixed(ms(run.batch_wall), 3);
+                s.key("byte_identical").raw(true);
+                s.key("dropped").raw(0);
+                for (class, (p50, p99)) in [("live", run.live), ("replay", run.replay)] {
+                    s.key(class).object(Layout::Line, |l| {
+                        l.key("latency_p50_ms").fixed(p50, 3);
+                        l.key("latency_p99_ms").fixed(p99, 3);
+                    });
+                }
+            }),
+            None => o.key("socket").raw("null"),
         }
-        None => json.push_str("  \"socket\": null\n"),
-    }
-    json.push_str("}\n");
+    });
     std::fs::write(&out, json).expect("write benchmark artifact");
     println!("wrote {out}");
 }

@@ -40,6 +40,10 @@
 //! * [`report`] — [`report::EvalReport`]: per-cell median/p90/p99 error
 //!   statistics, CDF points, flip rates, drop decisions and latency,
 //!   serialised to deterministic JSON (`BENCH_eval_matrix.json`).
+//! * [`json`] — the one JSON writer behind [`report::EvalReport`],
+//!   [`soak::SoakReport`] and the serving benchmark's `BENCH_serve.json`:
+//!   one string escaper, one fixed-decimal number format (`null` for NaN
+//!   and ±∞), and objects and arrays on one line or one member per line.
 //! * [`guide`] — [`guide::FIGURE_MAP`]: the figure → cell → acceptance-band
 //!   mapping from which `docs/EVALUATION.md`, the `--check` gate and the
 //!   tier-1 smoke test are all generated, so documentation and enforcement
@@ -84,6 +88,7 @@
 
 pub mod guide;
 pub mod import;
+pub mod json;
 pub mod matrix;
 pub mod replay;
 pub mod report;

@@ -1,12 +1,11 @@
 //! Aggregated evaluation reports and their JSON serialisation.
 //!
-//! The vendored `serde` stand-in does not serialise at runtime (see
-//! `vendor/README.md`), so the report carries its own small JSON emitter:
-//! deterministic field order, `null` for non-finite floats, no external
-//! dependencies. The output lands in `BENCH_eval_matrix.json`-style
-//! artifacts, next to the `BENCH_pipeline.json` trajectory the perf PRs
-//! maintain.
+//! [`EvalReport::to_json`] writes through the crate's one JSON writer
+//! ([`crate::json`]): deterministic field order, six decimals, `null` for
+//! non-finite floats. The output lands in `BENCH_eval_matrix.json`-style
+//! artifacts.
 
+use crate::json::{self, Layout, Seq};
 use crate::matrix::EvalCell;
 
 /// Schema identifier stamped into every report.
@@ -157,136 +156,67 @@ impl EvalReport {
 
     /// Serialises the report to pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096 * self.cells.len().max(1));
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json_str(&self.schema)));
-        out.push_str("  \"baselines\": [\n");
-        for (k, (id, label, median, max)) in BASELINES.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"id\": {}, \"label\": {}, \"median_m\": {}, \"max_m\": {} }}{}\n",
-                json_str(id),
-                json_str(label),
-                json_f64(*median),
-                json_f64(*max),
-                if k + 1 < BASELINES.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"cells\": [\n");
-        for (k, cell) in self.cells.iter().enumerate() {
-            out.push_str(&cell_json(cell, "    "));
-            out.push_str(if k + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
+        json::document(|o| {
+            o.key("schema").str(&self.schema);
+            o.key("baselines").array(Layout::Lines, |rows| {
+                for (id, label, median, max) in BASELINES {
+                    rows.item().object(Layout::Padded, |row| {
+                        row.key("id").str(id);
+                        row.key("label").str(label);
+                        row.key("median_m").fixed(*median, DECIMALS);
+                        row.key("max_m").fixed(*max, DECIMALS);
+                    });
+                }
+            });
+            o.key("cells").array(Layout::Lines, |cells| {
+                for cell in &self.cells {
+                    cells.item().object(Layout::Lines, |c| cell_json(c, cell));
+                }
+            });
+        })
+    }
+}
+
+/// Digits after the point of every float in the report.
+const DECIMALS: usize = 6;
+
+fn cell_json(o: &mut Seq<'_>, c: &CellReport) {
+    o.key("id").str(&c.id);
+    o.key("environment").str(&c.environment);
+    o.key("n_devices").raw(c.n_devices);
+    o.key("condition").str(&c.condition);
+    o.key("mobility").str(&c.mobility);
+    o.key("numeric_path").str(&c.numeric_path);
+    o.key("source").str(&c.source);
+    o.key("seed").raw(c.seed);
+    o.key("rounds").raw(c.rounds);
+    o.key("rounds_completed").raw(c.rounds_completed);
+    o.key("rounds_failed").raw(c.rounds_failed);
+    o.key("error_2d").object(Layout::Line, |e| {
+        e.key("count").raw(c.error_2d.count);
+        e.key("median_m").fixed(c.error_2d.median, DECIMALS);
+        e.key("p90_m").fixed(c.error_2d.p90, DECIMALS);
+        e.key("p99_m").fixed(c.error_2d.p99, DECIMALS);
+        e.key("mean_m").fixed(c.error_2d.mean, DECIMALS);
+        e.key("max_m").fixed(c.error_2d.max, DECIMALS);
+    });
+    o.key("error_cdf").array(Layout::Line, |cdf| {
+        for &(v, f) in &c.error_cdf {
+            cdf.item().array(Layout::Line, |point| {
+                point.item().fixed(v, DECIMALS);
+                point.item().fixed(f, DECIMALS);
             });
         }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-fn cell_json(c: &CellReport, indent: &str) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("{indent}{{\n"));
-    let field = |s: &mut String, key: &str, value: String, last: bool| {
-        s.push_str(&format!(
-            "{indent}  \"{key}\": {value}{}\n",
-            if last { "" } else { "," }
-        ));
-    };
-    field(&mut s, "id", json_str(&c.id), false);
-    field(&mut s, "environment", json_str(&c.environment), false);
-    field(&mut s, "n_devices", c.n_devices.to_string(), false);
-    field(&mut s, "condition", json_str(&c.condition), false);
-    field(&mut s, "mobility", json_str(&c.mobility), false);
-    field(&mut s, "numeric_path", json_str(&c.numeric_path), false);
-    field(&mut s, "source", json_str(&c.source), false);
-    field(&mut s, "seed", c.seed.to_string(), false);
-    field(&mut s, "rounds", c.rounds.to_string(), false);
-    field(
-        &mut s,
-        "rounds_completed",
-        c.rounds_completed.to_string(),
-        false,
-    );
-    field(&mut s, "rounds_failed", c.rounds_failed.to_string(), false);
-    field(
-        &mut s,
-        "error_2d",
-        format!(
-            "{{\"count\": {}, \"median_m\": {}, \"p90_m\": {}, \"p99_m\": {}, \"mean_m\": {}, \"max_m\": {}}}",
-            c.error_2d.count,
-            json_f64(c.error_2d.median),
-            json_f64(c.error_2d.p90),
-            json_f64(c.error_2d.p99),
-            json_f64(c.error_2d.mean),
-            json_f64(c.error_2d.max),
-        ),
-        false,
-    );
-    let cdf = c
-        .error_cdf
-        .iter()
-        .map(|(v, f)| format!("[{}, {}]", json_f64(*v), json_f64(*f)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    field(&mut s, "error_cdf", format!("[{cdf}]"), false);
-    field(
-        &mut s,
-        "ranging_median_m",
-        json_f64(c.ranging_median_m),
-        false,
-    );
-    field(&mut s, "flip_rate", json_f64(c.flip_rate), false);
-    field(
-        &mut s,
-        "mean_dropped_links",
-        json_f64(c.mean_dropped_links),
-        false,
-    );
-    field(
-        &mut s,
-        "churn_excluded",
-        c.churn_excluded.to_string(),
-        false,
-    );
-    field(
-        &mut s,
-        "latency_acoustic_s",
-        json_f64(c.latency_acoustic_s),
-        false,
-    );
-    field(&mut s, "latency_total_s", json_f64(c.latency_total_s), true);
-    s.push_str(&format!("{indent}}}"));
-    s
-}
-
-/// JSON string literal with the escapes the identifiers here can need.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finite floats print with six decimals; NaN/inf become `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".into()
-    }
+    });
+    o.key("ranging_median_m")
+        .fixed(c.ranging_median_m, DECIMALS);
+    o.key("flip_rate").fixed(c.flip_rate, DECIMALS);
+    o.key("mean_dropped_links")
+        .fixed(c.mean_dropped_links, DECIMALS);
+    o.key("churn_excluded").raw(c.churn_excluded);
+    o.key("latency_acoustic_s")
+        .fixed(c.latency_acoustic_s, DECIMALS);
+    o.key("latency_total_s").fixed(c.latency_total_s, DECIMALS);
 }
 
 /// Audio provenance of a cell, read off its id segments: an `import`
@@ -401,12 +331,5 @@ mod tests {
         cell.ranging_median_m = f64::NAN;
         let json = EvalReport::new(vec![cell]).to_json();
         assert!(json.contains("\"ranging_median_m\": null"));
-    }
-
-    #[test]
-    fn string_escaping() {
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_str("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_str("a\nb"), "\"a\\nb\"");
     }
 }

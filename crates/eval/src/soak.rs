@@ -31,6 +31,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{self, Layout};
 use uw_core::faults::{FaultEvent, FaultKind, FaultSchedule, RoundFailureReason};
 use uw_core::prelude::*;
 use uw_core::session::SessionOutcome;
@@ -633,47 +634,35 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
-    /// Serialises the report to pretty-printed JSON (hand-rolled, like
-    /// [`crate::report::EvalReport::to_json`] — the vendored `serde` does
-    /// not serialise at runtime).
+    /// Serialises the report to pretty-printed JSON through the crate's
+    /// one writer ([`crate::json`]), which escapes every string.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", self.schema));
-        out.push_str(&format!("  \"master_seed\": {},\n", self.master_seed));
-        out.push_str(&format!("  \"fleets\": {},\n", self.fleets));
-        out.push_str(&format!("  \"cells_run\": {},\n", self.cells_run));
-        out.push_str(&format!("  \"control_cells\": {},\n", self.control_cells));
-        out.push_str(&format!("  \"rounds_ok\": {},\n", self.rounds_ok));
-        out.push_str(&format!("  \"rounds_failed\": {},\n", self.rounds_failed));
-        out.push_str("  \"fault_rounds\": {");
-        let mut first = true;
-        for (label, count) in &self.fault_rounds {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{label}\": {count}"));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!("  \"reproducible\": {},\n", self.reproducible));
-        out.push_str(&format!(
-            "  \"invariant_violations\": {},\n",
-            self.violations.len()
-        ));
-        out.push_str("  \"violations\": [\n");
-        for (k, v) in self.violations.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"cell\": \"{}\", \"round\": {}, \"detail\": \"{}\", \"repro\": \"{}\"}}{}\n",
-                v.cell_spec.replace('"', "\\\""),
-                v.round,
-                v.detail.replace('"', "\\\""),
-                v.repro.replace('"', "\\\""),
-                if k + 1 < self.violations.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            o.key("schema").str(&self.schema);
+            o.key("master_seed").raw(self.master_seed);
+            o.key("fleets").raw(self.fleets);
+            o.key("cells_run").raw(self.cells_run);
+            o.key("control_cells").raw(self.control_cells);
+            o.key("rounds_ok").raw(self.rounds_ok);
+            o.key("rounds_failed").raw(self.rounds_failed);
+            o.key("fault_rounds").object(Layout::Line, |kinds| {
+                for (label, count) in &self.fault_rounds {
+                    kinds.key(label).raw(count);
+                }
+            });
+            o.key("reproducible").raw(self.reproducible);
+            o.key("invariant_violations").raw(self.violations.len());
+            o.key("violations").array(Layout::Lines, |rows| {
+                for v in &self.violations {
+                    rows.item().object(Layout::Line, |row| {
+                        row.key("cell").str(&v.cell_spec);
+                        row.key("round").raw(v.round);
+                        row.key("detail").str(&v.detail);
+                        row.key("repro").str(&v.repro);
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -831,6 +820,32 @@ mod tests {
         assert_eq!(result.rounds_failed, 1);
         assert_eq!(result.rounds_ok, 5);
         assert!(result.fault_rounds["failover"] >= 1);
+    }
+
+    #[test]
+    fn violation_strings_are_escaped() {
+        let report = SoakReport {
+            schema: SOAK_SCHEMA.into(),
+            master_seed: 1,
+            fleets: 1,
+            cells_run: 1,
+            control_cells: 0,
+            rounds_ok: 0,
+            rounds_failed: 1,
+            fault_rounds: BTreeMap::new(),
+            reproducible: true,
+            violations: vec![Violation {
+                cell_spec: "dock:5:3:3:-".into(),
+                round: 0,
+                detail: "reason \"a\\\"b\"\n".into(),
+                repro: "uw_soak --cell 'dock:5:3:3:-'".into(),
+            }],
+        };
+        let json = report.to_json();
+        assert!(
+            json.contains(r#""detail": "reason \"a\\\"b\"\n""#),
+            "{json}"
+        );
     }
 
     #[test]
