@@ -447,7 +447,7 @@ pub fn generate_guide(report: &EvalReport) -> String {
          \n\
          ```sh\n\
          cargo run --release --example replay_recording   # record → WAV → replay (f64 + q15)\n\
-         ./scripts/replay_bench.sh                        # codec + replay throughput → BENCH_replay.json\n\
+         python3 perfbench/run.py --workload field-rounds # decode, scan and import timed end to end\n\
          ```\n\
          \n\
          ## Figures not driven by the matrix\n\

@@ -93,6 +93,9 @@ pub const DEFAULT_SCAN_THRESHOLD: f64 = 0.35;
 /// Frames per streamed block during scanning and loading.
 const STREAM_BLOCK_FRAMES: usize = 65_536;
 
+/// Ambient noise rendered before round 0, seconds.
+const RENDER_START_PAD_S: f64 = 0.5;
+
 /// Extra tail rendered after the last capture ends, seconds.
 const RENDER_TAIL_S: f64 = 0.3;
 
@@ -259,21 +262,15 @@ pub struct RenderOptions {
     /// recording's device count and the leader's entry must be `0.0`
     /// (the recording clock *is* the leader's clock).
     pub skew_ppm: Vec<f64>,
-    /// Seconds of ambient noise rendered before round 0.
-    pub start_pad_s: f64,
     /// Sample format of the produced WAV.
     pub format: SampleFormat,
-    /// Scale on the environment's ambient-noise RMS for the gap filler.
-    pub noise_rms_scale: f64,
 }
 
 impl Default for RenderOptions {
     fn default() -> Self {
         Self {
             skew_ppm: Vec::new(),
-            start_pad_s: 0.5,
             format: SampleFormat::Float32,
-            noise_rms_scale: 1.0,
         }
     }
 }
@@ -319,13 +316,8 @@ pub fn render_campaign_wav(recording: &Recording, opts: &RenderOptions) -> Resul
             });
         }
     }
-    if !(opts.start_pad_s.is_finite() && opts.start_pad_s >= 0.0) {
-        return Err(SystemError::InvalidConfig {
-            reason: format!("start pad must be non-negative, got {}", opts.start_pad_s),
-        });
-    }
 
-    let start_pad = (opts.start_pad_s * SAMPLE_RATE).round() as usize;
+    let start_pad = (RENDER_START_PAD_S * SAMPLE_RATE).round() as usize;
     let template = preamble_waveform(NumericPath::F64);
 
     // Placement list: (position, mic1 samples, mic2 samples).
@@ -400,9 +392,7 @@ pub fn render_campaign_wav(recording: &Recording, opts: &RenderOptions) -> Resul
     if cursor < total {
         gaps.push((cursor, total));
     }
-    let profile = Environment::preset(recording.environment)
-        .noise
-        .with_level_scale(opts.noise_rms_scale);
+    let profile = Environment::preset(recording.environment).noise;
     let mut rng = StdRng::seed_from_u64(recording.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     for &(s, e) in &gaps {
         let n1 = ambient_noise(&profile, e - s, SAMPLE_RATE, &mut rng);
