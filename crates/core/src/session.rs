@@ -259,11 +259,6 @@ impl Session {
         self.audio_source = Some(source);
     }
 
-    /// Whether a recorded audio source is installed.
-    pub fn has_audio_source(&self) -> bool {
-        self.audio_source.is_some()
-    }
-
     /// Installs a [`FaultSchedule`]: from the next round on, its active
     /// events inject packet loss, churn, clock skew, leader failover and
     /// cross-network interference into every layer the session touches.

@@ -1,11 +1,7 @@
 //! Jobs, job handles and the streamed `CellUpdate` events.
 
-use crate::executor::Completion;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::task::{Context, Poll};
+use std::sync::{Arc, Condvar, Mutex};
 use uw_core::prelude::Scenario;
 use uw_eval::runner::RoundSummary;
 use uw_eval::{CellReport, EvalCell};
@@ -259,6 +255,47 @@ impl JobOutcome {
     }
 }
 
+/// A one-shot value: set once by a worker, waited for by any thread.
+struct Completion<T> {
+    value: Mutex<Option<T>>,
+    ready: Condvar,
+}
+
+impl<T: Clone> Completion<T> {
+    fn new() -> Self {
+        Self {
+            value: Mutex::new(None),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Resolves the completion and wakes every waiter. Later calls are
+    /// ignored (first value wins).
+    fn set(&self, value: T) {
+        let mut slot = self.value.lock().expect("completion lock");
+        if slot.is_none() {
+            *slot = Some(value);
+            self.ready.notify_all();
+        }
+    }
+
+    /// Blocks the calling thread until the completion resolves.
+    fn wait(&self) -> T {
+        let mut slot = self.value.lock().expect("completion lock");
+        loop {
+            if let Some(value) = &*slot {
+                return value.clone();
+            }
+            slot = self.ready.wait(slot).expect("completion lock");
+        }
+    }
+
+    /// Whether the completion has resolved.
+    fn is_set(&self) -> bool {
+        self.value.lock().expect("completion lock").is_some()
+    }
+}
+
 /// Shared state between a [`JobHandle`] and the worker running the job.
 pub(crate) struct JobState {
     cancelled: AtomicBool,
@@ -282,9 +319,7 @@ impl JobState {
     }
 }
 
-/// A handle to a submitted job: cancel it, block on it, or `.await` it
-/// (the handle is a `Future` resolved by the worker through the
-/// hand-rolled executor — see [`crate::executor::block_on`]).
+/// A handle to a submitted job: cancel it, or block until it resolves.
 pub struct JobHandle {
     id: JobId,
     cell_id: String,
@@ -324,14 +359,6 @@ impl JobHandle {
     /// Blocks the calling thread until the job resolves.
     pub fn wait(&self) -> JobOutcome {
         self.state.outcome.wait()
-    }
-}
-
-impl Future for JobHandle {
-    type Output = JobOutcome;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<JobOutcome> {
-        self.state.outcome.poll_value(cx)
     }
 }
 
@@ -379,9 +406,21 @@ mod tests {
         state.complete(JobOutcome::Failed("nope".into()));
         assert!(handle.is_finished());
         assert_eq!(handle.wait(), JobOutcome::Failed("nope".into()));
-        assert_eq!(
-            crate::executor::block_on(handle),
-            JobOutcome::Failed("nope".into())
-        );
+    }
+
+    #[test]
+    fn wait_blocks_until_set_and_first_value_wins() {
+        let completion = Arc::new(Completion::new());
+        assert!(!completion.is_set());
+        let setter = Arc::clone(&completion);
+        let worker = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            setter.set(1);
+            setter.set(2); // ignored
+        });
+        assert_eq!(completion.wait(), 1);
+        worker.join().unwrap();
+        assert_eq!(completion.wait(), 1);
+        assert!(completion.is_set());
     }
 }

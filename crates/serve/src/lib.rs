@@ -10,19 +10,16 @@
 //! ranging/messaging rounds do in the authors' companion systems
 //! (arXiv:2209.01780, arXiv:2208.10569) — instead of only closed grids.
 //!
-//! The container this workspace builds in has no registry access, so
-//! there is no tokio; the async machinery is hand-rolled from `std` in
-//! the spirit of the vendored-deps approach (see `vendor/README.md`):
+//! Everything runs on plain `std` threads, queues and condition
+//! variables — no async runtime — in the spirit of the vendored-deps
+//! approach (see `vendor/README.md`):
 //!
 //! * [`queue`] — [`queue::JobQueue`], a bounded MPMC queue
 //!   (`Mutex` + `Condvar`): producers block at capacity (backpressure,
 //!   never drops), `close()` drains gracefully.
-//! * [`executor`] — [`executor::block_on`], a thread-parking
-//!   futures-on-threads executor built on the stable [`std::task::Wake`]
-//!   trait; job handles are real `Future`s.
 //! * [`job`] — [`job::LocalizationJob`] (a matrix cell, a raw
 //!   [`uw_core::Scenario`], or a repeated-session stream),
-//!   [`job::JobHandle`] (cancel / wait / `.await`), and the streamed
+//!   [`job::JobHandle`] (cancel / wait), and the streamed
 //!   [`job::CellUpdate`] events: cell started → round completed (one per
 //!   localization round, mid-cell) → cell stats finalized.
 //! * [`server`] — [`server::Server`]: a sharded worker pool. Jobs route
@@ -100,7 +97,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod job;
 pub mod queue;
 pub mod server;
@@ -109,7 +105,6 @@ pub mod tcp;
 pub mod tenant;
 pub mod wire;
 
-pub use executor::block_on;
 pub use job::{CellUpdate, JobHandle, JobId, JobOutcome, LocalizationJob, RejectReason};
 pub use queue::JobQueue;
 pub use server::{

@@ -111,11 +111,6 @@ impl<T> JobQueue<T> {
         self.len() == 0
     }
 
-    /// Whether [`JobQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.state.lock().expect("queue lock").closed
-    }
-
     /// Enqueues an item, blocking while the queue is at capacity
     /// (backpressure: producers wait, items are never dropped). Fails only
     /// on a closed queue, returning the item.

@@ -5,7 +5,7 @@
 //! shard by hashing its cell id — stable affinity, so repeated
 //! submissions of the same cell land on a shard that has already ensured
 //! its waveform assets are warm — and returns a [`JobHandle`] that can be
-//! cancelled, waited on, or `.await`ed. [`Server::submit_with`] is the
+//! cancelled or waited on. [`Server::submit_with`] is the
 //! tenant-aware entry point: it attaches a tenant, a priority class, an
 //! optional deadline, an overload policy and an optional per-job event
 //! sink (see [`SubmitOptions`]). Workers drive the shared cell-execution
@@ -213,11 +213,6 @@ impl UpdateStream {
     pub fn recv(&self) -> Option<CellUpdate> {
         self.events.pop()
     }
-
-    /// Returns the next event if one is already queued.
-    pub fn try_recv(&self) -> Option<CellUpdate> {
-        self.events.try_pop()
-    }
 }
 
 /// A job as it sits in a shard's intake queue.
@@ -300,11 +295,6 @@ impl Server {
             },
             UpdateStream { events },
         )
-    }
-
-    /// Number of worker shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Installs (or replaces) a tenant's admission and fair-share

@@ -308,11 +308,6 @@ impl<W: Write + Seek> WavWriter<W> {
         Ok(())
     }
 
-    /// Frames written so far.
-    pub fn frames_written(&self) -> u64 {
-        self.data_bytes / self.spec.bytes_per_frame() as u64
-    }
-
     /// Pads the data chunk if needed, patches the declared sizes and
     /// returns the sink.
     pub fn finalize(mut self) -> Result<W> {
@@ -608,26 +603,6 @@ impl<R: Read + Seek> WavReader<R> {
                 return Err(AudioError::MalformedFile {
                     reason: format!("non-finite float32 sample in frame {frame}"),
                 });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Decodes the remainder of the stream into per-channel buffers
-    /// (convenience for short files; long recordings should use
-    /// [`WavReader::read_frames`] block by block).
-    pub fn read_all_channels(&mut self) -> Result<Vec<Vec<f64>>> {
-        let channels = self.spec.channels as usize;
-        let mut out = vec![Vec::new(); channels];
-        loop {
-            let block = self.read_frames(16_384)?;
-            if block.is_empty() {
-                break;
-            }
-            for frame in block.chunks_exact(channels) {
-                for (c, &s) in frame.iter().enumerate() {
-                    out[c].push(s);
-                }
             }
         }
         Ok(out)

@@ -54,11 +54,6 @@ impl LocalClock {
         true_duration_s * (1.0 + self.skew_ppm * 1e-6)
     }
 
-    /// The duration, in true seconds, of `local_duration_s` local seconds.
-    pub fn true_duration(&self, local_duration_s: f64) -> f64 {
-        local_duration_s / (1.0 + self.skew_ppm * 1e-6)
-    }
-
     /// Clock drift accumulated over `true_duration_s` seconds, in seconds
     /// (how far apart this clock and an ideal clock drift over the window).
     pub fn drift_over(&self, true_duration_s: f64) -> f64 {

@@ -80,13 +80,6 @@ pub fn rfft(signal: &[f64], n_fft: usize) -> Result<Vec<Complex64>> {
     Ok(buf)
 }
 
-/// Inverse FFT returning only the real parts (the imaginary residue of a
-/// conjugate-symmetric spectrum is discarded).
-pub fn irfft(spectrum: &[Complex64]) -> Result<Vec<f64>> {
-    let time = ifft(spectrum)?;
-    Ok(time.into_iter().map(|c| c.re).collect())
-}
-
 fn transform(data: &mut [Complex64], inverse: bool) -> Result<()> {
     let n = data.len();
     if n == 0 {

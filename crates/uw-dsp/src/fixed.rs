@@ -133,12 +133,6 @@ impl Q15 {
         self.0
     }
 
-    /// Wraps a raw 16-bit value.
-    #[inline]
-    pub fn from_raw(raw: i16) -> Self {
-        Q15(raw)
-    }
-
     /// Saturating addition.
     #[inline]
     pub fn saturating_add(self, rhs: Q15) -> Q15 {

@@ -19,7 +19,6 @@
 //!   decoder, plus CRC-16 integrity checks.
 //! * [`peaks`] — peak detection and noise-floor estimation used by the
 //!   dual-microphone direct-path search.
-//! * [`window`] — analysis windows and a small FIR band-pass design.
 //! * [`resample`] — fractional-delay and sample-rate-offset resampling used
 //!   to model clock skew between devices.
 //! * [`spectrum`] — per-subcarrier SNR estimation (paper Fig. 22).
@@ -219,7 +218,6 @@ pub mod peaks;
 pub mod plan;
 pub mod resample;
 pub mod spectrum;
-pub mod window;
 pub mod zc;
 
 pub use complex::Complex64;

@@ -50,11 +50,6 @@ impl TdmSchedule {
         self.packet_s + self.guard_s
     }
 
-    /// Maximum two-way propagation time the guard interval can absorb (s).
-    pub fn max_round_propagation_s(&self) -> f64 {
-        self.guard_s
-    }
-
     /// Maximum device separation (m) the guard interval supports at the
     /// given sound speed: `T_guard > 2·τ_max`.
     pub fn max_range_m(&self, sound_speed: f64) -> f64 {

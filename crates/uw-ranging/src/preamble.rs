@@ -160,16 +160,6 @@ impl RangingPreamble {
         i * self.block_len() + self.config.cyclic_prefix
     }
 
-    /// The precomputed f64 overlap-save correlator, when this preamble was
-    /// built for the f64 path (`None` on an f32 or Q15 preamble, which owns
-    /// an `F32MatchedFilter` or a `Q15MatchedFilter` instead).
-    pub fn matched_filter(&self) -> Option<&MatchedFilter> {
-        match &self.state {
-            PathState::F64(filter, _) => Some(filter),
-            _ => None,
-        }
-    }
-
     /// Normalised cross-correlation of `stream` against the preamble
     /// waveform through the precomputed matched filter (identical output to
     /// `uw_dsp::correlation::xcorr_normalized`, computed in streaming
