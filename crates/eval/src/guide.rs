@@ -430,23 +430,24 @@ pub fn generate_guide(report: &EvalReport) -> String {
          serve-vs-batch throughput/latency trajectory in\n\
          `BENCH_serve.json`.\n\
          \n\
-         ## Replaying a recording instead of simulating\n\
+         ## Importing a recording instead of simulating\n\
          \n\
-         Cells with a `replay` segment\n\
-         (`dock/5dev/clear/static/replay/s1`) take their leader-link\n\
-         audio from a WAV recording instead of the channel simulator:\n\
-         `uw-audio` streams the file in chunks (PCM16/24/32 + float32,\n\
-         resampled to 44.1 kHz when needed) and the session runs\n\
-         detection + LS channel estimation on the decoded samples — on\n\
-         either numeric path, since captures are path-independent. The\n\
-         committed golden fixture\n\
-         (`tests/fixtures/dock_5dev_clear_static_s1.wav`, regenerated by\n\
-         `./scripts/record_fixtures.sh`) must replay within 0.1 m of the\n\
-         simulated dock cell's median on both paths — enforced on every\n\
-         `cargo test` by `crates/eval/tests/replay_golden.rs`. Try it:\n\
+         Cells with an `import` segment\n\
+         (`dock/5dev/clear/static/import/s1`) take their leader-link\n\
+         audio from one continuous 2-channel campaign WAV instead of the\n\
+         channel simulator: `uw_eval::scan_campaign` finds every preamble\n\
+         burst blind, places it on the TDMA grid and fits each device's\n\
+         clock skew, and `uw_eval::load_campaign` slices and compensates\n\
+         the captures — on any numeric path, since captures are\n\
+         path-independent. `uw_eval::render_campaign_wav` writes such a\n\
+         campaign from a recorded cell. The golden dock cell, rendered and\n\
+         imported blind, must land within 0.1 m of the simulated cell's\n\
+         median on the f64 and Q15 paths, and f32 within 0.1 m of f64; its\n\
+         PCM16 rendering is pinned by digest. Both are enforced on every\n\
+         `cargo test` by `crates/eval/tests/import_golden.rs`. Try it:\n\
          \n\
          ```sh\n\
-         cargo run --release --example replay_recording   # record → WAV → replay (f64 + q15)\n\
+         cargo run --release --example import_recording   # record → campaign WAV → blind import (f64 + q15)\n\
          python3 perfbench/run.py --workload field-rounds # decode, scan and import timed end to end\n\
          ```\n\
          \n\
@@ -560,8 +561,8 @@ mod tests {
         assert!(guide.contains("GENERATED FILE"));
         assert!(guide.contains("| Figure | Claim |"));
         assert!(guide.contains("streaming_eval"));
-        assert!(guide.contains("replay_recording"));
-        assert!(guide.contains("record_fixtures.sh"));
+        assert!(guide.contains("import_recording"));
+        assert!(guide.contains("import_golden"));
         for claim in FIGURE_MAP {
             assert!(guide.contains(claim.cell_id), "missing {}", claim.cell_id);
         }

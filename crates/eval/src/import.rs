@@ -3,10 +3,8 @@
 //! The paper's evaluation substrate is long dock recordings — an
 //! uninterrupted 2-channel hydrophone WAV in which every TDMA round of
 //! the protocol is buried at its slot offset, each device's clock running
-//! a few tens of ppm off nominal. The replay subsystem
-//! ([`crate::replay`]) can only consume the segment directories our own
-//! recorder writes; this module is the blind-import path for raw
-//! captures:
+//! a few tens of ppm off nominal. This module is the one way recorded
+//! audio becomes matrix cells — a blind import of the raw capture:
 //!
 //! 1. **Scan** — [`scan_campaign`] streams the recording (bounded
 //!    memory, via [`uw_audio::ReplaySource`]) through the
@@ -31,12 +29,13 @@
 //!    any simulated cell.
 //!
 //! The module also contains the inverse — [`render_campaign_wav`] lays a
-//! recorded cell's captures onto one continuous timeline with per-device
-//! clock skew, ambient noise in the gaps, and the leader's self-heard
-//! preamble as a grid anchor. The golden test
+//! recorded cell's captures ([`crate::replay::record_cell`]) onto one
+//! continuous timeline with per-device clock skew, ambient noise in the
+//! gaps, and the leader's self-heard preamble as a grid anchor; it is the
+//! one way recorded audio is written to disk. The golden test
 //! (`crates/eval/tests/import_golden.rs`) renders a dock cell this way,
-//! imports it blind, and pins the replayed error against the simulated
-//! cell on both numeric paths.
+//! pins the PCM16 bytes by digest, imports it blind, and pins the
+//! replayed error against the simulated cell on every numeric path.
 //!
 //! ## Timeline convention
 //!
@@ -52,7 +51,7 @@
 //! exactly the slope the skew fit recovers.
 
 use crate::matrix::{EvalCell, LinkProfile, MobilityProfile, ScenarioMatrix, Topology};
-use crate::replay::{Recording, ReplayAudio, NORMALIZED_PEAK};
+use crate::replay::{Recording, ReplayAudio};
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
 use std::io::{Read, Seek};
@@ -74,8 +73,7 @@ use uw_protocol::latency::round_latency;
 use uw_protocol::schedule::TdmSchedule;
 
 /// Cell-id segment marking a cell whose audio came from a blind import
-/// of a continuous field recording (vs `replay` for segment directories
-/// our own recorder wrote, [`crate::replay::REPLAY_SEGMENT`]).
+/// of a continuous field recording.
 pub const IMPORT_SEGMENT: &str = "import";
 
 /// Report-phase bitrate assumed when converting the protocol schedule
@@ -98,6 +96,10 @@ const RENDER_START_PAD_S: f64 = 0.5;
 
 /// Extra tail rendered after the last capture ends, seconds.
 const RENDER_TAIL_S: f64 = 0.3;
+
+/// Peak a rendered campaign is normalized to (headroom below full scale,
+/// like a sane recording gain).
+const NORMALIZED_PEAK: f64 = 0.98;
 
 /// The TDMA timing grid of a campaign: everything position arithmetic
 /// needs, precomputed once per import or render.
@@ -223,20 +225,6 @@ pub(crate) fn mobility_from_slug(s: &str) -> Result<MobilityProfile> {
     Err(bad_slug("mobility", s))
 }
 
-pub(crate) fn environment_from_slug(s: &str) -> Result<EnvironmentKind> {
-    EnvironmentKind::ALL
-        .into_iter()
-        .find(|k| k.slug() == s)
-        .ok_or_else(|| bad_slug("environment", s))
-}
-
-pub(crate) fn path_from_slug(s: &str) -> Result<NumericPath> {
-    [NumericPath::F64, NumericPath::F32, NumericPath::Q15]
-        .into_iter()
-        .find(|p| p.slug() == s)
-        .ok_or_else(|| bad_slug("numeric path", s))
-}
-
 fn bad_slug(axis: &str, slug: &str) -> SystemError {
     SystemError::InvalidConfig {
         reason: format!("unknown {axis} slug {slug:?} in campaign manifest"),
@@ -276,7 +264,7 @@ impl Default for RenderOptions {
 }
 
 /// Renders a recorded cell as one continuous 2-channel campaign WAV —
-/// no segment directory, no markers: exactly what a dive recorder left
+/// no segment table, no markers: exactly what a dive recorder left
 /// running for the whole campaign would produce. Captures land at their
 /// TDMA slot offsets (stretched by their device's clock skew), the
 /// leader's self-heard preamble anchors each round, and the gaps carry
@@ -753,7 +741,7 @@ impl ImportedCampaign {
     /// Builds the campaign's matrix cell on an explicit numeric path. The
     /// cell id carries an [`IMPORT_SEGMENT`] before the seed
     /// (`dock/5dev/clear/static/import/s1`), so imported statistics never
-    /// collide with simulated or directory-replayed ones.
+    /// collide with simulated ones.
     pub fn cell_with_path(&self, path: NumericPath) -> Result<EvalCell> {
         let matrix = ScenarioMatrix {
             environments: vec![self.environment],
@@ -799,10 +787,12 @@ pub fn load_campaign<R: Read + Seek>(
             ),
         });
     }
-    let environment = environment_from_slug(&manifest.environment)?;
+    let environment = EnvironmentKind::from_slug(&manifest.environment)
+        .ok_or_else(|| bad_slug("environment", &manifest.environment))?;
     let condition = condition_from_slug(&manifest.condition)?;
     let mobility = mobility_from_slug(&manifest.mobility)?;
-    let numeric_path = path_from_slug(&manifest.numeric_path)?;
+    let numeric_path = NumericPath::from_slug(&manifest.numeric_path)
+        .ok_or_else(|| bad_slug("numeric path", &manifest.numeric_path))?;
 
     // Per-segment buffers, filled during one streaming pass.
     let mut order: Vec<usize> = (0..manifest.segments.len()).collect();
@@ -940,15 +930,15 @@ mod tests {
             assert_eq!(mobility_from_slug(&mobility_slug(&m)).unwrap(), m);
         }
         for k in EnvironmentKind::ALL {
-            assert_eq!(environment_from_slug(k.slug()).unwrap(), k);
+            assert_eq!(EnvironmentKind::from_slug(k.slug()), Some(k));
         }
         for p in [NumericPath::F64, NumericPath::F32, NumericPath::Q15] {
-            assert_eq!(path_from_slug(p.slug()).unwrap(), p);
+            assert_eq!(NumericPath::from_slug(p.slug()), Some(p));
         }
         assert!(condition_from_slug("sunny").is_err());
         assert!(mobility_from_slug("rope:fast").is_err());
-        assert!(environment_from_slug("moon").is_err());
-        assert!(path_from_slug("f128").is_err());
+        assert_eq!(EnvironmentKind::from_slug("moon"), None);
+        assert_eq!(NumericPath::from_slug("f128"), None);
     }
 
     #[test]

@@ -22,14 +22,14 @@
 //!   Hybrid-fidelity cells share the process-wide waveform assets (the
 //!   preamble's pooled `uw_dsp::MatchedFilter` and symbol
 //!   `uw_dsp::FftPlan`s) built once in [`uw_core::waveform`].
-//! * [`replay`] — real-audio ingestion: [`replay::record_cell`] renders a
-//!   hybrid cell's leader-link exchanges to a 2-channel WAV (via
-//!   `uw-audio`'s hand-rolled codec) and [`matrix::EvalCell::from_recording`]
-//!   wraps a decoded [`replay::Recording`] into a *replay cell* — same
-//!   rounds, same statistics, but detection and channel estimation run on
-//!   the recorded audio instead of simulator output (`replay` id segment,
-//!   both numeric paths). The committed golden fixture under
-//!   `tests/fixtures/` is generated this way.
+//! * [`replay`] and [`import`] — real-audio ingestion:
+//!   [`replay::record_cell`] renders a hybrid cell's leader-link exchanges
+//!   and [`import::render_campaign_wav`] lays them onto one continuous
+//!   2-channel campaign WAV; [`import::scan_campaign`] and
+//!   [`import::load_campaign`] import such a recording blind into cells
+//!   whose detection and channel estimation run on the recorded audio
+//!   instead of simulator output (`import` id segment, every numeric
+//!   path).
 //! * [`soak`] — the fleet-scale fault soak: [`soak::SoakPlan`] expands a
 //!   master seed into hundreds of dive-group cells under scripted
 //!   [`uw_core::faults::FaultSchedule`]s (loss, churn, clock skew, leader

@@ -201,10 +201,11 @@ pub struct EvalCell {
     pub rounds: usize,
     /// The ready-to-run scenario.
     pub scenario: Scenario,
-    /// Recorded leader-link audio for *replay cells*
-    /// ([`EvalCell::from_recording`]): when set, the cell's session runs
-    /// detection and channel estimation on these decoded captures instead
-    /// of simulator output. `None` for simulated cells.
+    /// Recorded leader-link audio (set by
+    /// [`crate::import::ImportedCampaign::cell_with_path`]): when set, the
+    /// cell's session runs detection and channel estimation on these
+    /// decoded captures instead of simulator output. `None` for simulated
+    /// cells.
     pub replay: Option<std::sync::Arc<crate::replay::ReplayAudio>>,
 }
 

@@ -80,12 +80,11 @@ pub struct CellReport {
     pub condition: String,
     /// Mobility slug.
     pub mobility: String,
-    /// Numeric-path slug (`f64` or `q15`).
+    /// Numeric-path slug (`f64`, `f32` or `q15`).
     pub numeric_path: String,
-    /// Where the cell's audio came from: `sim` (channel simulator),
-    /// `replay` (a recorded segment directory), or `import` (a blind
-    /// import of a continuous field recording). Derived from the cell id
-    /// by [`source_from_id`].
+    /// Where the cell's audio came from: `sim` (channel simulator) or
+    /// `import` (a blind import of a continuous field recording). Derived
+    /// from the cell id by [`source_from_id`].
     pub source: String,
     /// RNG seed.
     pub seed: u64,
@@ -220,19 +219,14 @@ fn cell_json(o: &mut Seq<'_>, c: &CellReport) {
 }
 
 /// Audio provenance of a cell, read off its id segments: an `import`
-/// segment marks a blind-imported field recording, a `replay` segment a
-/// recorded segment directory, anything else the channel simulator.
+/// segment marks a blind-imported field recording, anything else the
+/// channel simulator.
 pub fn source_from_id(id: &str) -> &'static str {
     if id
         .split('/')
         .any(|seg| seg == crate::import::IMPORT_SEGMENT)
     {
         "import"
-    } else if id
-        .split('/')
-        .any(|seg| seg == crate::replay::REPLAY_SEGMENT)
-    {
-        "replay"
     } else {
         "sim"
     }

@@ -86,8 +86,8 @@ pub struct CellExecution {
 
 impl CellExecution {
     /// Prepares a cell for execution (validates the configuration and
-    /// builds the session; a replay cell's decoded audio is installed as
-    /// the session's recorded-link source). No rounds run yet.
+    /// builds the session; an imported cell's decoded audio is installed
+    /// as the session's recorded-link source). No rounds run yet.
     pub fn new(cell: &EvalCell) -> Result<Self> {
         let mut session = Session::new(cell.scenario.config().clone())?;
         if let Some(replay) = &cell.replay {

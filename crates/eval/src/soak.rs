@@ -83,10 +83,6 @@ impl Stream {
     }
 }
 
-fn environment_from_slug(slug: &str) -> Option<EnvironmentKind> {
-    EnvironmentKind::ALL.into_iter().find(|k| k.slug() == slug)
-}
-
 /// One soak cell: a dive group in an environment, run for a number of
 /// rounds under an optional fault schedule. The textual spec
 /// `env:n:rounds:seed:<schedule>` (schedule per
@@ -131,7 +127,7 @@ impl SoakCell {
                 .ok_or_else(|| bad(format!("soak cell spec '{spec}': missing {what}")))
         };
         let env_slug = next("environment")?;
-        let environment = environment_from_slug(env_slug)
+        let environment = EnvironmentKind::from_slug(env_slug)
             .ok_or_else(|| bad(format!("soak cell spec: unknown environment '{env_slug}'")))?;
         let n_devices: usize = next("device count")?
             .parse()

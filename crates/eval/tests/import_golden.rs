@@ -1,11 +1,14 @@
-//! Golden end-to-end field-recording import: render the dock fixture
+//! Golden end-to-end field-recording import: render the dock golden
 //! cell's three rounds into one continuous 2-channel WAV (the shape a
 //! field team's recorder hands us), import it *blind* — no burst
 //! positions, no round count, no skew table — and pin the replayed
-//! statistics against the simulated cell on both the f64 oracle and the
-//! on-device Q15 path. A ±200 ppm clock-skewed variant must survive the
-//! importer's skew fit and land within a relaxed band.
+//! statistics against the simulated cell on the f64 oracle and the
+//! on-device Q15 path, and the f32 path against the f64 import. A ±200 ppm
+//! clock-skewed variant must survive the importer's skew fit and land
+//! within a relaxed band. The recorder and renderer themselves are pinned
+//! by a digest of the golden cell's PCM16 campaign.
 
+use uw_audio::wav::SampleFormat;
 use uw_core::config::{Fidelity, NumericPath};
 use uw_core::prelude::EnvironmentKind;
 use uw_eval::replay::{fixture_cell, record_cell, FIXTURE_ROUNDS};
@@ -24,6 +27,30 @@ const SKEWED_MEDIAN_BAND_M: f64 = 0.2;
 /// Per-device skew the harsh variant plants (leader is the reference
 /// clock, so its entry is exactly zero).
 const PLANTED_SKEW_PPM: [f64; 5] = [0.0, 200.0, -200.0, 120.0, -160.0];
+
+/// Byte length of the golden cell's PCM16 campaign.
+const GOLDEN_PCM16_BYTES: usize = 1_518_772;
+
+/// [`digest`] of the golden cell's PCM16 campaign.
+const GOLDEN_PCM16_DIGEST: u64 = 0x8eef_d482_6390_b483;
+
+/// 64-bit FNV-1a over the length and the bytes, as `tests/format_digests.rs`
+/// pins the binary formats.
+fn digest(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn pcm16() -> RenderOptions {
+    RenderOptions {
+        format: SampleFormat::Pcm16,
+        ..RenderOptions::default()
+    }
+}
 
 fn blind_params() -> ImportParams {
     // Deployment facts only (a field team always knows these); all
@@ -96,6 +123,55 @@ fn blind_import_reproduces_the_simulated_cell_on_the_q15_path() {
         imported.error_2d.median,
         simulated.error_2d.median,
         IMPORT_MEDIAN_BAND_M
+    );
+}
+
+#[test]
+fn blind_import_on_the_f32_path_matches_the_f64_import() {
+    // The same PCM16 campaign, imported once, runs the single-precision
+    // lane-kernel DSP; it must pin to the f64 import's statistics within
+    // the 0.1 m band the import itself is held to.
+    let cell = fixture_cell().unwrap();
+    let recording = record_cell(&cell).unwrap();
+    let wav = uw_eval::render_campaign_wav(&recording, &pcm16()).unwrap();
+    let (campaign, _) = import_campaign(&wav, &blind_params()).unwrap();
+
+    let f32_cell = campaign.cell_with_path(NumericPath::F32).unwrap();
+    assert_eq!(f32_cell.id, "dock/5dev/clear/static/f32/import/s1");
+    let imported = run_cell(&f32_cell).unwrap();
+    let f64_imported = run_cell(&campaign.cell_with_path(NumericPath::F64).unwrap()).unwrap();
+
+    assert_eq!(imported.rounds_completed, FIXTURE_ROUNDS);
+    assert_eq!(imported.rounds_failed, 0);
+    let gap = (imported.error_2d.median - f64_imported.error_2d.median).abs();
+    assert!(
+        gap <= IMPORT_MEDIAN_BAND_M,
+        "f32 imported median {:.4} m vs f64 imported {:.4} m: gap {gap:.4} m exceeds {} m",
+        imported.error_2d.median,
+        f64_imported.error_2d.median,
+        IMPORT_MEDIAN_BAND_M
+    );
+    let ranging_gap = (imported.ranging_median_m - f64_imported.ranging_median_m).abs();
+    assert!(ranging_gap <= 0.1, "ranging gap {ranging_gap:.4} m");
+}
+
+#[test]
+fn recorder_is_deterministic_and_its_pcm16_campaign_is_pinned() {
+    // The recorder re-renders the golden cell identically run to run, and
+    // the recorder, channel model, renderer and WAV writer together still
+    // produce the pinned PCM16 bytes. PCM16 quantisation absorbs sub-ulp
+    // float drift; a change that moves these bytes on purpose re-pins
+    // both constants in the same commit.
+    let cell = fixture_cell().unwrap();
+    let recording = record_cell(&cell).unwrap();
+    assert_eq!(recording, record_cell(&cell).unwrap());
+    let wav = uw_eval::render_campaign_wav(&recording, &pcm16()).unwrap();
+    assert_eq!(wav.len(), GOLDEN_PCM16_BYTES);
+    assert_eq!(
+        digest(&wav),
+        GOLDEN_PCM16_DIGEST,
+        "golden PCM16 campaign digest {:#018x}",
+        digest(&wav)
     );
 }
 

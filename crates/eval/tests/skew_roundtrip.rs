@@ -1,14 +1,15 @@
-//! Round-trip of per-device clock skew through the record/replay path:
-//! captures synthesized under a skewed ADC (`uw_dsp::resample::apply_ppm_skew`)
-//! are compensated on replay and land back inside the golden-fixture
-//! accuracy band.
+//! Round-trip of per-device clock skew through recorded audio: captures
+//! synthesized under a skewed ADC (`uw_dsp::resample::apply_ppm_skew`),
+//! installed in memory as the cell's recorded audio, are compensated on
+//! replay and land back inside the golden accuracy band.
 
+use std::sync::Arc;
 use uw_core::config::{Fidelity, NumericPath};
 use uw_core::prelude::*;
 use uw_eval::matrix::{LinkProfile, MobilityProfile, ScenarioMatrix, Topology};
 use uw_eval::replay::{record_cell, Recording};
 use uw_eval::runner::run_cell;
-use uw_eval::EvalCell;
+use uw_eval::{EvalCell, ReplayAudio};
 
 fn tiny_hybrid_cell() -> EvalCell {
     let matrix = ScenarioMatrix {
@@ -41,7 +42,7 @@ fn capture_len(recording: &Recording, round: usize, device: usize) -> usize {
 fn skewed_recordings_compensate_back_into_the_golden_band() {
     let schedule = FaultSchedule::parse("seed=1;skew:0..:2:300").unwrap();
     let clean = tiny_hybrid_cell();
-    let skewed = tiny_hybrid_cell().with_faults(schedule.clone()).unwrap();
+    let skewed = tiny_hybrid_cell().with_faults(schedule).unwrap();
     assert!(skewed.id.contains("flt"), "{}", skewed.id);
 
     let rec_clean = record_cell(&clean).unwrap();
@@ -59,16 +60,17 @@ fn skewed_recordings_compensate_back_into_the_golden_band() {
         capture_len(&rec_clean, 0, 3)
     );
 
-    // Replay both recordings; the skewed one with its schedule installed,
-    // so the session compensates each capture before detection.
-    let replay_clean = EvalCell::from_recording(&rec_clean).unwrap();
-    let mut replay_skewed = EvalCell::from_recording(&rec_skewed).unwrap();
-    replay_skewed.faults = Some(schedule);
+    // Replay both recordings; the skewed cell carries its schedule, so
+    // the session compensates each capture before detection.
+    let mut replay_clean = clean;
+    replay_clean.replay = Some(Arc::new(ReplayAudio::new(&rec_clean)));
+    let mut replay_skewed = skewed;
+    replay_skewed.replay = Some(Arc::new(ReplayAudio::new(&rec_skewed)));
     let clean_report = run_cell(&replay_clean).unwrap();
     let skew_report = run_cell(&replay_skewed).unwrap();
 
-    // Skew-then-compensate stays within the golden-fixture band and close
-    // to the clean replay.
+    // Skew-then-compensate stays within the golden band and close to the
+    // clean replay.
     assert!(
         skew_report.error_2d.median.is_finite()
             && skew_report.error_2d.median > 0.05

@@ -40,9 +40,8 @@
 //!   CRC-checked frames ([`wire::encode_frame`] / [`wire::FrameReader`])
 //!   carrying jobs as declarative [`wire::JobSpec`] matrix coordinates
 //!   and events as mirrors of [`job::CellUpdate`]. Explicit — the
-//!   vendored serde is a no-op — and written, like replay's `uwRD`
-//!   directory and the `uwCM` manifest, in the shared bounded codec
-//!   [`uw_eval::codec`].
+//!   vendored serde is a no-op — and written, like the `uwCM` campaign
+//!   manifest, in the shared bounded codec [`uw_eval::codec`].
 //! * [`tcp`] — [`tcp::TcpServer`]: the wire protocol over
 //!   `std::net::TcpListener` (one acceptor; per-connection reader/writer
 //!   threads; bounded per-connection event queues so a slow client

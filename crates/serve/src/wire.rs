@@ -1,10 +1,9 @@
 //! The versioned binary wire format of the serving layer.
 //!
 //! The vendored serde is a no-op, so the protocol is an explicit binary
-//! format, written — like replay's `uwRD` directory and the `uwCM`
-//! campaign manifest — in the shared bounded codec [`uw_eval::codec`]
-//! (`uw-audio`'s, re-exported). Every message travels in one
-//! length-prefixed frame:
+//! format, written — like the `uwCM` campaign manifest — in the shared
+//! bounded codec [`uw_eval::codec`] (`uw-audio`'s, re-exported). Every
+//! message travels in one length-prefixed frame:
 //!
 //! | offset | size | field   | contents                                  |
 //! |-------:|-----:|---------|-------------------------------------------|
@@ -40,8 +39,9 @@
 //! serialized scenarios: the server re-expands the spec through a
 //! single-entry [`ScenarioMatrix`], which reproduces the exact cell —
 //! same id, same RNG seeding, same churn clamping — the submitter's own
-//! expansion would have built. Ad-hoc scenario jobs and replay cells
-//! (which carry decoded audio) are deliberately not wire-transportable.
+//! expansion would have built. Ad-hoc scenario jobs and cells carrying
+//! decoded audio are deliberately not wire-transportable; a job names a
+//! registered campaign instead ([`JobSpec::recording`]).
 
 use crate::job::RejectReason;
 use crate::tenant::Priority;
@@ -211,8 +211,9 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Extracts the wire spec from a matrix-expanded cell. Returns `None`
-    /// for replay cells — recorded audio does not travel over this
-    /// protocol (run replay campaigns through the in-process API).
+    /// for cells carrying recorded audio — audio does not travel over
+    /// this protocol (name a registered campaign in
+    /// [`JobSpec::recording`], or run the cell in process).
     pub fn from_cell(cell: &EvalCell) -> Option<Self> {
         if cell.replay.is_some() {
             return None;

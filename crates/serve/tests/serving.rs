@@ -269,11 +269,11 @@ fn graceful_shutdown_drains_queued_jobs() {
 
 #[test]
 fn replay_cells_serve_identically_to_batch() {
-    // A replay cell — recorded audio standing in for the simulator — is
-    // just another EvalCell to the serving layer: the job carries its
-    // decoded captures, shards attach them to their sessions, and the
-    // streamed report is byte-identical to the batch run of the same
-    // replay cell.
+    // A cell replaying recorded audio — a blind-imported campaign standing
+    // in for the simulator — is just another EvalCell to the serving
+    // layer: the job carries its decoded captures, shards attach them to
+    // their sessions, and the streamed report is byte-identical to the
+    // batch run of the same imported cell.
     let hybrid = ScenarioMatrix {
         environments: vec![EnvironmentKind::Dock],
         topologies: vec![Topology::FiveDevice],
@@ -283,20 +283,23 @@ fn replay_cells_serve_identically_to_batch() {
         faults: vec![None],
         seeds: vec![1],
         recordings: vec![],
-        rounds_per_cell: 1,
+        rounds_per_cell: 2,
         fidelity: Fidelity::Hybrid,
     };
     let recording = uw_eval::record_cell(&hybrid.expand().unwrap()[0]).unwrap();
-    let replay_cell = uw_eval::EvalCell::from_recording(&recording).unwrap();
-    assert_eq!(replay_cell.id, "dock/5dev/clear/static/replay/s1");
+    let wav = uw_eval::render_campaign_wav(&recording, &uw_eval::RenderOptions::default()).unwrap();
+    let params = uw_eval::ImportParams::new(EnvironmentKind::Dock, 5, 1);
+    let (campaign, _) = uw_eval::import_campaign(&wav, &params).unwrap();
+    let imported_cell = campaign.cell().unwrap();
+    assert_eq!(imported_cell.id, "dock/5dev/clear/static/import/s1");
 
-    let batch = uw_eval::runner::run_cell(&replay_cell).unwrap();
+    let batch = uw_eval::runner::run_cell(&imported_cell).unwrap();
     let (server, updates) = Server::start(ServeConfig::with_shards(2));
-    let handle = server.submit(LocalizationJob::Cell(replay_cell));
+    let handle = server.submit(LocalizationJob::Cell(imported_cell));
     let outcome = handle.wait();
     server.shutdown();
     drop(updates);
-    let streamed = outcome.report().expect("replay job completes").clone();
+    let streamed = outcome.report().expect("imported job completes").clone();
     assert_eq!(streamed, batch);
-    assert_eq!(streamed.rounds_completed, 1);
+    assert_eq!(streamed.rounds_completed, 2);
 }

@@ -1,7 +1,6 @@
-//! The bounded little-endian byte codec every binary format of the
-//! repository is written in: `uwlz` serving frames (`uw-serve`'s `wire`),
-//! `uwCM` campaign manifests ([`crate::manifest`]) and `uwRD` recording
-//! directories (`uw-eval`'s `replay`).
+//! The bounded little-endian byte codec both binary formats of the
+//! repository are written in: `uwlz` serving frames (`uw-serve`'s `wire`)
+//! and `uwCM` campaign manifests ([`crate::manifest`]).
 //!
 //! [`Reader`] never reads past its buffer. Every read checks the bytes
 //! left before it slices, a claimed element count is checked against the

@@ -8,10 +8,9 @@
 //!   covering the formats dive recorders actually produce (PCM16, PCM24,
 //!   PCM32 and IEEE float32; mono and interleaved multichannel). Reads are
 //!   chunked ([`wav::WavReader::read_frames`]), so a long dive recording
-//!   never fully materializes in memory, and writers can attach small
-//!   custom metadata chunks (the replay layer in `uw-eval` stores its
-//!   segment directory that way). Malformed or truncated files produce
-//!   [`AudioError`]s, never panics.
+//!   never fully materializes in memory, and chunks the reader does not
+//!   use (a phone recorder's `LIST` or `bext`) are skipped. Malformed or
+//!   truncated files produce [`AudioError`]s, never panics.
 //! * [`resample`] — linear and polyphase windowed-sinc resamplers for
 //!   bringing a recording at an arbitrary rate onto the pipeline's
 //!   44.1 kHz grid, including a streaming linear resampler whose phase
@@ -33,9 +32,9 @@
 //!   skew table, scenario axes) that lets evaluation load a scanned
 //!   campaign without re-running the detector.
 //! * [`codec`] — the bounded little-endian reader ([`codec::Reader`]),
-//!   `put_*` writers, one-byte code tables and CRC-32 that every binary
-//!   format of the workspace is written in: `uwCM` here, `uwRD` recording
-//!   directories in `uw-eval` and `uwlz` serving frames in `uw-serve`.
+//!   `put_*` writers, one-byte code tables and CRC-32 that both binary
+//!   formats of the workspace are written in: `uwCM` here and `uwlz`
+//!   serving frames in `uw-serve`.
 //!   A fault is one [`codec::CodecError`] naming the field and its offset.
 //!
 //! ## Example: write, stream back, resample

@@ -3,11 +3,11 @@
 //! Covers what dive recorders and phone audio stacks actually emit: PCM16,
 //! PCM24, PCM32 and IEEE float32 samples, mono or interleaved multichannel,
 //! in a plain `RIFF`/`WAVE` container. The reader scans the chunk list once
-//! at open (tolerating unknown chunks and odd-size padding), then streams
-//! the data chunk in caller-sized blocks so arbitrarily long recordings are
-//! decoded incrementally; the writer streams samples out and patches the
-//! declared sizes on finalize. Both sides support small custom metadata
-//! chunks, which the replay layer uses for its segment directory.
+//! at open (bounds-checking and skipping unknown chunks, such as the `LIST`
+//! and `bext` chunks phone recorders write, and odd-size padding), then
+//! streams the data chunk in caller-sized blocks so arbitrarily long
+//! recordings are decoded incrementally; the writer streams samples out
+//! and patches the declared sizes on finalize.
 //!
 //! Every malformed input — bad magic, impossible field combinations,
 //! declared sizes beyond the end of the file — is a structured
@@ -162,28 +162,21 @@ impl WavSpec {
     }
 }
 
-/// Largest custom metadata chunk the writer accepts and the reader
-/// retains (directories and annotations, not bulk data).
-pub const MAX_METADATA_CHUNK_BYTES: usize = 1 << 20;
-
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
 /// Streaming WAV encoder over any `Write + Seek` sink.
 ///
-/// Usage: [`WavWriter::new`] → optional [`WavWriter::add_chunk`] calls →
-/// [`WavWriter::write_interleaved`] as samples become available →
-/// [`WavWriter::finalize`], which patches the RIFF and `data` sizes and
-/// returns the sink. Dropping without finalizing leaves the declared sizes
-/// zero — readers will reject the file, which beats silently truncated
-/// audio.
+/// Usage: [`WavWriter::new`] → [`WavWriter::write_interleaved`] as
+/// samples become available → [`WavWriter::finalize`], which patches the
+/// RIFF and `data` sizes and returns the sink. Dropping without
+/// finalizing leaves the declared sizes zero — readers will reject the
+/// file, which beats silently truncated audio.
 #[derive(Debug)]
 pub struct WavWriter<W: Write + Seek> {
     sink: W,
     spec: WavSpec,
-    /// Custom chunks staged until the header is emitted.
-    pending_chunks: Vec<([u8; 4], Vec<u8>)>,
     header_written: bool,
     /// Offset of the `data` chunk's size field, patched on finalize.
     data_size_offset: u64,
@@ -194,13 +187,12 @@ pub struct WavWriter<W: Write + Seek> {
 
 impl<W: Write + Seek> WavWriter<W> {
     /// Creates a writer over `sink`. Nothing is written until the first
-    /// samples (or custom chunks) force the header out.
+    /// samples force the header out.
     pub fn new(sink: W, spec: WavSpec) -> Result<Self> {
         spec.validate()?;
         Ok(Self {
             sink,
             spec,
-            pending_chunks: Vec::new(),
             header_written: false,
             data_size_offset: 0,
             data_bytes: 0,
@@ -211,36 +203,6 @@ impl<W: Write + Seek> WavWriter<W> {
     /// The spec this writer encodes to.
     pub fn spec(&self) -> &WavSpec {
         &self.spec
-    }
-
-    /// Stages a custom metadata chunk, written between `fmt ` and `data`.
-    /// Must be called before the first [`WavWriter::write_interleaved`];
-    /// the id must not collide with the structural chunks.
-    pub fn add_chunk(&mut self, id: [u8; 4], data: &[u8]) -> Result<()> {
-        if self.header_written {
-            return Err(AudioError::InvalidParameter {
-                reason: "custom chunks must be added before any samples are written".into(),
-            });
-        }
-        if matches!(&id, b"RIFF" | b"WAVE" | b"fmt " | b"data") {
-            return Err(AudioError::InvalidParameter {
-                reason: format!(
-                    "chunk id {:?} collides with a structural chunk",
-                    String::from_utf8_lossy(&id)
-                ),
-            });
-        }
-        if data.len() > MAX_METADATA_CHUNK_BYTES {
-            return Err(AudioError::InvalidParameter {
-                reason: format!(
-                    "metadata chunk of {} bytes exceeds the {} byte cap",
-                    data.len(),
-                    MAX_METADATA_CHUNK_BYTES
-                ),
-            });
-        }
-        self.pending_chunks.push((id, data.to_vec()));
-        Ok(())
     }
 
     fn write_header(&mut self) -> Result<()> {
@@ -263,16 +225,6 @@ impl<W: Write + Seek> WavWriter<W> {
             .write_all(&(spec.bytes_per_frame() as u16).to_le_bytes())?;
         self.sink
             .write_all(&spec.format.bits_per_sample().to_le_bytes())?;
-
-        // Custom metadata chunks, each padded to even length.
-        for (id, data) in std::mem::take(&mut self.pending_chunks) {
-            self.sink.write_all(&id)?;
-            self.sink.write_all(&(data.len() as u32).to_le_bytes())?;
-            self.sink.write_all(&data)?;
-            if data.len() % 2 == 1 {
-                self.sink.write_all(&[0])?;
-            }
-        }
 
         // data chunk header; size patched on finalize.
         self.sink.write_all(b"data")?;
@@ -350,16 +302,13 @@ pub fn write_wav_bytes(spec: WavSpec, interleaved: &[f64]) -> Result<Vec<u8>> {
 /// Streaming WAV decoder over any `Read + Seek` source.
 ///
 /// The constructor scans the chunk list (validating sizes against the
-/// actual stream length and retaining small metadata chunks), then
+/// actual stream length and skipping chunks it does not use), then
 /// positions the stream at the start of the audio; [`WavReader::read_frames`]
 /// decodes from there in caller-sized blocks.
 #[derive(Debug)]
 pub struct WavReader<R: Read + Seek> {
     source: R,
     spec: WavSpec,
-    /// Non-structural chunks found before/after the data chunk.
-    chunks: Vec<([u8; 4], Vec<u8>)>,
-    data_offset: u64,
     total_frames: u64,
     next_frame: u64,
     read_buf: Vec<u8>,
@@ -409,7 +358,6 @@ impl<R: Read + Seek> WavReader<R> {
 
         let mut spec: Option<WavSpec> = None;
         let mut data: Option<(u64, u64)> = None;
-        let mut chunks = Vec::new();
         let mut pos = 12u64;
         // Scan only the declared RIFF extent: bytes after it (ID3 tags and
         // similar trailers that phone recorders append) are not chunks and
@@ -475,17 +423,7 @@ impl<R: Read + Seek> WavReader<R> {
                     }
                     data = Some((body, size));
                 }
-                _ => {
-                    if size as usize <= MAX_METADATA_CHUNK_BYTES {
-                        let mut content = vec![0u8; size as usize];
-                        read_exact_or(
-                            &mut source,
-                            &mut content,
-                            &format!("chunk {:?}", String::from_utf8_lossy(&id)),
-                        )?;
-                        chunks.push((id, content));
-                    }
-                }
+                _ => {}
             }
             // Chunks are word-aligned: odd sizes carry one pad byte.
             pos = body + size + (size % 2);
@@ -509,8 +447,6 @@ impl<R: Read + Seek> WavReader<R> {
         Ok(Self {
             source,
             spec,
-            chunks,
-            data_offset,
             total_frames: data_bytes / frame_bytes,
             next_frame: 0,
             read_buf: Vec::new(),
@@ -530,37 +466,6 @@ impl<R: Read + Seek> WavReader<R> {
     /// Frames not yet consumed by [`WavReader::read_frames`].
     pub fn frames_remaining(&self) -> u64 {
         self.total_frames - self.next_frame
-    }
-
-    /// Looks up a retained metadata chunk by id.
-    pub fn chunk(&self, id: [u8; 4]) -> Option<&[u8]> {
-        self.chunks
-            .iter()
-            .find(|(cid, _)| *cid == id)
-            .map(|(_, data)| data.as_slice())
-    }
-
-    /// All retained metadata chunks in file order.
-    pub fn chunks(&self) -> &[([u8; 4], Vec<u8>)] {
-        &self.chunks
-    }
-
-    /// Repositions the stream cursor to an absolute frame index (for
-    /// segment directories that index into one long recording).
-    pub fn seek_to_frame(&mut self, frame: u64) -> Result<()> {
-        if frame > self.total_frames {
-            return Err(AudioError::InvalidParameter {
-                reason: format!(
-                    "frame {frame} is beyond the stream's {} frames",
-                    self.total_frames
-                ),
-            });
-        }
-        self.source.seek(SeekFrom::Start(
-            self.data_offset + frame * self.spec.bytes_per_frame() as u64,
-        ))?;
-        self.next_frame = frame;
-        Ok(())
     }
 
     /// Decodes up to `max_frames` interleaved frames from the current
@@ -674,25 +579,22 @@ mod tests {
 
     #[test]
     fn custom_chunks_survive_and_pad_to_even() {
-        let mut writer =
-            WavWriter::new(Cursor::new(Vec::new()), spec(SampleFormat::Pcm16, 1)).unwrap();
-        writer.add_chunk(*b"uwRD", &[1, 2, 3]).unwrap(); // odd length → padded
-        writer.write_interleaved(&tone(10)).unwrap();
-        // Chunks cannot be added after samples.
-        assert!(writer.add_chunk(*b"late", &[0]).is_err());
-        let bytes = writer.finalize().unwrap().into_inner();
-        let reader = read_wav_bytes(bytes).unwrap();
-        assert_eq!(reader.chunk(*b"uwRD"), Some(&[1u8, 2, 3][..]));
-        assert_eq!(reader.chunk(*b"none"), None);
+        // A 3-byte chunk between `fmt ` and `data`, padded to even length,
+        // where a phone recorder's `LIST` or `bext` chunk sits.
+        let samples = tone(10);
+        let plain = write_wav_bytes(spec(SampleFormat::Pcm16, 1), &samples).unwrap();
+        let mut bytes = plain[..36].to_vec();
+        bytes.extend_from_slice(b"LIST\x03\0\0\0\x01\x02\x03\0");
+        bytes.extend_from_slice(&plain[36..]);
+        let riff = (bytes.len() - 8) as u32;
+        bytes[4..8].copy_from_slice(&riff.to_le_bytes());
+        let mut reader = read_wav_bytes(bytes).unwrap();
         assert_eq!(reader.total_frames(), 10);
-    }
-
-    #[test]
-    fn structural_chunk_ids_are_rejected() {
-        let mut writer =
-            WavWriter::new(Cursor::new(Vec::new()), spec(SampleFormat::Pcm16, 1)).unwrap();
-        assert!(writer.add_chunk(*b"data", &[0]).is_err());
-        assert!(writer.add_chunk(*b"fmt ", &[0]).is_err());
+        let mut plain_reader = read_wav_bytes(plain).unwrap();
+        assert_eq!(
+            reader.read_frames(10).unwrap(),
+            plain_reader.read_frames(10).unwrap()
+        );
     }
 
     #[test]
@@ -700,18 +602,6 @@ mod tests {
         let mut writer =
             WavWriter::new(Cursor::new(Vec::new()), spec(SampleFormat::Pcm16, 2)).unwrap();
         assert!(writer.write_interleaved(&[0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn seeking_rewinds_the_stream() {
-        let samples = tone(100);
-        let bytes = write_wav_bytes(spec(SampleFormat::Float32, 1), &samples).unwrap();
-        let mut reader = read_wav_bytes(bytes).unwrap();
-        let first = reader.read_frames(100).unwrap();
-        reader.seek_to_frame(40).unwrap();
-        let again = reader.read_frames(10).unwrap();
-        assert_eq!(&first[40..50], &again[..]);
-        assert!(reader.seek_to_frame(101).is_err());
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! reproduce the first byte stream exactly, for every sample format ×
 //! channel count × length combination (including the odd-data-size
 //! PCM24 mono case, which exercises the RIFF pad byte). That is the
-//! property the replay subsystem leans on when it regenerates golden
-//! fixtures offline.
+//! property the golden campaign digest leans on: the rendered bytes are
+//! exactly what the writer was given.
 
 use proptest::prelude::*;
-use uw_audio::wav::{read_wav_bytes, write_wav_bytes, SampleFormat, WavSpec, WavWriter};
+use uw_audio::wav::{read_wav_bytes, write_wav_bytes, SampleFormat, WavSpec};
 use uw_audio::AudioError;
 
 fn format_for(index: usize) -> SampleFormat {
@@ -30,6 +30,23 @@ fn read_all(bytes: Vec<u8>) -> (WavSpec, Vec<f64>) {
         samples.extend(block);
     }
     (spec, samples)
+}
+
+/// `wav` with a chunk `id` holding `payload` planted at byte `at` (a chunk
+/// boundary), padded to even length, and the RIFF size patched — the way
+/// phone recorders add `LIST` and `bext` chunks.
+fn plant_chunk(wav: &[u8], at: usize, id: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+    let mut bytes = wav[..at].to_vec();
+    bytes.extend_from_slice(id);
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    if payload.len() % 2 == 1 {
+        bytes.push(0);
+    }
+    bytes.extend_from_slice(&wav[at..]);
+    let riff = (bytes.len() - 8) as u32;
+    bytes[4..8].copy_from_slice(&riff.to_le_bytes());
+    bytes
 }
 
 proptest! {
@@ -58,7 +75,7 @@ proptest! {
 
     /// Odd-length PCM24 data (odd frame count, mono or 3 channels) pads
     /// its data chunk to even length, and the pad never leaks into the
-    /// decoded samples or a trailing custom chunk.
+    /// decoded samples or hides a chunk planted after it.
     #[test]
     fn pcm24_odd_lengths_pad_correctly(
         frames in 1usize..80,
@@ -69,15 +86,12 @@ proptest! {
         let spec = WavSpec { sample_rate: 8_000, channels, format: SampleFormat::Pcm24 };
         let n = frames * channels as usize;
         let samples: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).sin()).collect();
-        let mut writer = WavWriter::new(std::io::Cursor::new(Vec::new()), spec).unwrap();
-        writer.add_chunk(*b"tail", &tail_marker).unwrap();
-        writer.write_interleaved(&samples).unwrap();
-        let bytes = writer.finalize().unwrap().into_inner();
+        let bytes = write_wav_bytes(spec, &samples).unwrap();
         // Data bytes are 3·n; when odd, the container grows by a pad byte.
         prop_assert_eq!(bytes.len() % 2, 0);
+        let bytes = plant_chunk(&bytes, bytes.len(), b"tail", &tail_marker);
         let mut reader = read_wav_bytes(bytes).unwrap();
         prop_assert_eq!(reader.total_frames(), frames as u64);
-        prop_assert_eq!(reader.chunk(*b"tail").unwrap(), &tail_marker[..]);
         let decoded = reader.read_frames(usize::MAX >> 8).unwrap();
         prop_assert_eq!(decoded.len(), n);
         for (a, b) in samples.iter().zip(decoded.iter()) {
@@ -130,8 +144,8 @@ proptest! {
         }
     }
 
-    /// Custom metadata chunks of arbitrary (odd and even) sizes round-trip
-    /// and never disturb frame accounting.
+    /// Metadata chunks of arbitrary (odd and even) sizes between `fmt `
+    /// and `data` are skipped and never disturb frame accounting.
     #[test]
     fn metadata_chunks_roundtrip(
         payload in prop::collection::vec(any::<u8>(), 0..200),
@@ -139,13 +153,13 @@ proptest! {
     ) {
         let spec = WavSpec { sample_rate: 44_100, channels: 1, format: SampleFormat::Float32 };
         let samples: Vec<f64> = (0..frames).map(|i| i as f64 * 1e-3).collect();
-        let mut writer = WavWriter::new(std::io::Cursor::new(Vec::new()), spec).unwrap();
-        writer.add_chunk(*b"uwRD", &payload).unwrap();
-        writer.write_interleaved(&samples).unwrap();
-        let bytes = writer.finalize().unwrap().into_inner();
-        let reader = read_wav_bytes(bytes).unwrap();
-        prop_assert_eq!(reader.chunk(*b"uwRD").unwrap(), &payload[..]);
-        prop_assert_eq!(reader.total_frames(), frames as u64);
+        let plain = write_wav_bytes(spec, &samples).unwrap();
+        // 12 bytes of RIFF header and the 24-byte `fmt ` chunk come first.
+        let bytes = plant_chunk(&plain, 36, b"bext", &payload);
+        let (planted_spec, planted) = read_all(bytes);
+        prop_assert_eq!(planted_spec, spec);
+        prop_assert_eq!(planted.len(), frames);
+        prop_assert_eq!(planted, read_all(plain).1);
     }
 
     /// A NaN or infinite float32 sample anywhere in the data chunk is a

@@ -91,6 +91,11 @@ impl EnvironmentKind {
             EnvironmentKind::TidalChannel => "tidal",
         }
     }
+
+    /// The preset whose [`EnvironmentKind::slug`] is `slug`, if any.
+    pub fn from_slug(slug: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.slug() == slug)
+    }
 }
 
 /// A fully-parameterised acoustic environment.

@@ -85,6 +85,13 @@ impl NumericPath {
             NumericPath::Q15 => "q15",
         }
     }
+
+    /// The path whose [`NumericPath::slug`] is `slug`, if any.
+    pub fn from_slug(slug: &str) -> Option<Self> {
+        [NumericPath::F64, NumericPath::F32, NumericPath::Q15]
+            .into_iter()
+            .find(|p| p.slug() == slug)
+    }
 }
 
 /// Scale of the Q15 representation: `raw = round(value · 32768)`.

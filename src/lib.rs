@@ -23,8 +23,8 @@
 //! `docs/ARCHITECTURE.md` and `docs/SERVING.md`). Recorded (or
 //! synthetically recorded) audio re-enters the same pipeline through
 //! [`audio`] — a dependency-free WAV codec + resampler — and
-//! `eval::replay`, which records matrix cells to WAV and replays
-//! recordings as first-class cells.
+//! `eval::import`, which renders recorded cells as continuous campaign
+//! WAVs and imports such recordings blind as first-class cells.
 //!
 //! ## Quickstart
 //!

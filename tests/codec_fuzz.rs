@@ -1,22 +1,19 @@
-//! One fuzz harness for the three binary formats: `uwlz` serving frames,
-//! `uwCM` campaign manifests and `uwRD` recording directories. Each
-//! decoder takes input from outside — a socket, a file next to a field
-//! recording, a chunk of a WAV — so each must survive anything without
-//! panicking and answer with one of its structured errors.
+//! One fuzz harness for the two binary formats: `uwlz` serving frames and
+//! `uwCM` campaign manifests. Each decoder takes input from outside — a
+//! socket, a file next to a field recording — so each must survive
+//! anything without panicking and answer with one of its structured
+//! errors.
 //!
-//! Every battery is written once, generic over [`Format`], and runs on all
-//! three formats (one test module per format):
+//! Every battery is written once, generic over [`Format`], and runs on
+//! both formats (one test module per format):
 //! - truncation at every byte;
 //! - single-byte flips of 0x01, 0x80 and 0xFF at every position;
 //! - hostile count and length prefixes;
 //! - random noise, and noise behind a valid prefix.
 //!
-//! Whatever decodes must re-encode: to exactly the same bytes for the
-//! canonical `uwlz` and `uwCM` encodings (so a flip can never masquerade
-//! as the original), and to bytes that decode again for `uwRD`, whose WAV
-//! container carries padding and a normalising gain. `uwRD` runs through
-//! `Recording::from_wav_bytes`, so segment slicing is fuzzed too. Checks
-//! that belong to one format follow the batteries as short tests.
+//! Both encodings are canonical: whatever decodes must re-encode to
+//! exactly the same bytes, so a flip can never masquerade as the original.
+//! Checks that belong to one format follow the batteries as short tests.
 
 mod samples;
 
@@ -24,13 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::fmt::Debug;
 use std::io::Read;
-use uwgps::audio::{
-    AudioError, CampaignManifest, SampleFormat, WavSpec, WavWriter, MANIFEST_MAGIC,
-    MANIFEST_VERSION,
-};
-use uwgps::core::SystemError;
-use uwgps::eval::replay::DIRECTORY_CHUNK;
-use uwgps::eval::Recording;
+use uwgps::audio::{AudioError, CampaignManifest, MANIFEST_MAGIC, MANIFEST_VERSION};
 use uwgps::serve::wire::{
     crc32, decode_frame, encode_frame, FrameReader, WireError, WireMessage, HEADER_LEN,
     MAX_PAYLOAD, TRAILER_LEN, WIRE_MAGIC, WIRE_VERSION,
@@ -40,8 +31,6 @@ use uwgps::serve::wire::{
 trait Format {
     type Value;
     type Error: Debug;
-    /// Whether a decoded value re-encodes to exactly the bytes it came from.
-    const CANONICAL: bool;
     /// Error classes (variant names) a cut encoding may decode to.
     const CUT: &'static [&'static str];
     /// Error classes any malformed input may decode to.
@@ -68,20 +57,14 @@ fn class(err: &impl Debug) -> String {
 }
 
 /// Decodes `bytes`: an error must be one of `allowed`, and a value must
-/// re-encode as [`Format::CANONICAL`] promises.
+/// re-encode to exactly `bytes`.
 fn check<F: Format>(bytes: &[u8], allowed: &[&str], what: &str) {
     match F::decode(bytes) {
-        Ok(value) => {
-            let again = F::encode(&value);
-            if F::CANONICAL {
-                assert_eq!(again, bytes, "{what}: decoded, but re-encodes differently");
-            } else {
-                assert!(
-                    F::decode(&again).is_ok(),
-                    "{what}: re-encoding fails to decode"
-                );
-            }
-        }
+        Ok(value) => assert_eq!(
+            F::encode(&value),
+            bytes,
+            "{what}: decoded, but re-encodes differently"
+        ),
         Err(err) => assert!(
             allowed.contains(&class(&err).as_str()),
             "{what}: unexpected {err:?}"
@@ -175,7 +158,7 @@ macro_rules! batteries {
     )*};
 }
 
-batteries!(uwlz: Uwlz, uwcm: UwCm, uwrd: UwRd);
+batteries!(uwlz: Uwlz, uwcm: UwCm);
 
 // ---------------------------------------------------------------------
 // uwlz: serving frames
@@ -214,7 +197,6 @@ fn patch_frame(mut frame: Vec<u8>, at: usize, patch: &[u8]) -> Vec<u8> {
 impl Format for Uwlz {
     type Value = WireMessage;
     type Error = WireError;
-    const CANONICAL: bool = true;
     const CUT: &'static [&'static str] = &["Truncated"];
     const MALFORMED: &'static [&'static str] = &[
         "Truncated",
@@ -434,7 +416,6 @@ struct UwCm;
 impl Format for UwCm {
     type Value = CampaignManifest;
     type Error = AudioError;
-    const CANONICAL: bool = true;
     const CUT: &'static [&'static str] = &["Truncated", "MalformedFile"];
     const MALFORMED: &'static [&'static str] = Self::CUT;
     const PAST_HEADER: &'static [&'static str] = Self::CUT;
@@ -503,90 +484,4 @@ fn uwcm_errors_are_attributable() {
     let mut trailing = bytes.clone();
     trailing.extend_from_slice(b"junk");
     assert!(reason(&trailing).contains("trailing"));
-}
-
-// ---------------------------------------------------------------------
-// uwRD: recording directories, through the WAV they travel in
-// ---------------------------------------------------------------------
-
-struct UwRd;
-
-/// The first byte of every `uwRD` directory: its version.
-const DIRECTORY_VERSION: u8 = 1;
-
-/// A 2-channel WAV carrying `directory` as its `uwRD` chunk and 16
-/// silent frames.
-fn recording_wav(directory: &[u8]) -> Vec<u8> {
-    let spec = WavSpec {
-        sample_rate: 44_100,
-        channels: 2,
-        format: SampleFormat::Pcm16,
-    };
-    let mut writer = WavWriter::new(std::io::Cursor::new(Vec::new()), spec).unwrap();
-    writer.add_chunk(DIRECTORY_CHUNK, directory).unwrap();
-    writer.write_interleaved(&[0.0; 32]).unwrap();
-    writer.finalize().unwrap().into_inner()
-}
-
-impl Format for UwRd {
-    type Value = Recording;
-    type Error = SystemError;
-    const CANONICAL: bool = false;
-    const CUT: &'static [&'static str] = &["InvalidConfig", "Layer"];
-    const MALFORMED: &'static [&'static str] = Self::CUT;
-    const PAST_HEADER: &'static [&'static str] = &["InvalidConfig"];
-
-    fn samples() -> Vec<Vec<u8>> {
-        let formats = [SampleFormat::Float32, SampleFormat::Pcm16];
-        samples::recordings()
-            .iter()
-            .flat_map(|r| formats.map(|format| r.to_wav_bytes(format).unwrap()))
-            .collect()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Recording, SystemError> {
-        Recording::from_wav_bytes(bytes.to_vec())
-    }
-
-    fn encode(recording: &Recording) -> Vec<u8> {
-        recording.to_wav_bytes(SampleFormat::Float32).unwrap()
-    }
-
-    fn behind_valid_prefix(body: &[u8]) -> Vec<u8> {
-        recording_wav(&[&[DIRECTORY_VERSION], body].concat())
-    }
-
-    fn hostile() -> Vec<(Vec<u8>, String)> {
-        // The first sample: slug "boathouse", then three segments of 7, 6
-        // and 4 frames.
-        let wav = &Self::samples()[0];
-        let dir = wav.windows(4).position(|w| w == DIRECTORY_CHUNK).unwrap() + 8;
-        let slug_len = wav[dir + 1] as usize;
-        // Version, slug, device count, condition, mobility, path, seed,
-        // rounds and gain come before the segment count.
-        let count_at = dir + 1 + 1 + slug_len + 2 + 9 + 9 + 1 + 8 + 4 + 8;
-        let patched = |at: usize, patch: &[u8]| {
-            let mut bad = wav.clone();
-            bad[at..at + patch.len()].copy_from_slice(patch);
-            bad
-        };
-        let invalid = |reason: &str| format!("InvalidConfig {{ reason: \"{reason}");
-        vec![
-            // The second segment's mic-1 length, 4 (count) + 32 (first
-            // entry) + 16 (round, device, start) bytes on: its end must
-            // not overflow past the audio.
-            (
-                patched(count_at + 4 + 32 + 16, &u64::MAX.to_le_bytes()),
-                invalid("recording audio ends at frame"),
-            ),
-            (
-                patched(count_at, &u32::MAX.to_le_bytes()),
-                invalid("recording directory segments at offset"),
-            ),
-            (
-                patched(dir + 1, &[u8::MAX]),
-                invalid("recording directory environment slug at offset 2: truncated"),
-            ),
-        ]
-    }
 }

@@ -1,21 +1,21 @@
-//! Byte pins for the three binary formats and the JSON reports.
+//! Byte pins for the two binary formats and the JSON reports.
 //!
 //! Each test encodes the shared samples (`samples/mod.rs`) and folds every
 //! encoding, length first, into a 64-bit FNV-1a digest. The formats are
 //! frozen: a change that moves one encoded byte of a `uwlz` frame, a `uwCM`
-//! manifest, a `uwRD` recording or an `EvalReport` / `SoakReport` JSON
-//! document fails here. Every pinned binary encoding must also decode and
-//! re-encode to the same bytes, so the decoders read back exactly what the
-//! encoders wrote. The samples hold only exact binary fractions, so the
-//! digests are the same in debug and release builds.
+//! manifest or an `EvalReport` / `SoakReport` JSON document fails here.
+//! Every pinned binary encoding must also decode and re-encode to the same
+//! bytes, so the decoders read back exactly what the encoders wrote. The
+//! samples hold only exact binary fractions, so the digests are the same
+//! in debug and release builds.
 
 mod samples;
 
 use std::collections::BTreeMap;
 
-use uwgps::audio::{CampaignManifest, SampleFormat};
+use uwgps::audio::CampaignManifest;
 use uwgps::eval::soak::{Violation, SOAK_SCHEMA};
-use uwgps::eval::{EvalReport, Recording, SoakReport};
+use uwgps::eval::{EvalReport, SoakReport};
 use uwgps::serve::wire::{decode_frame, encode_frame};
 
 /// 64-bit FNV-1a over each encoding's length and bytes.
@@ -52,21 +52,6 @@ fn uwcm_manifests_are_pinned() {
         assert_eq!(&back.to_bytes().unwrap(), bytes);
     }
     assert_eq!(digest(&encoded), 0x9f1a_ff76_285f_f7c5);
-}
-
-#[test]
-fn uwrd_recordings_are_pinned() {
-    let mut wavs = Vec::new();
-    for recording in samples::recordings() {
-        for format in [SampleFormat::Float32, SampleFormat::Pcm16] {
-            let bytes = recording.to_wav_bytes(format).unwrap();
-            let back = Recording::from_wav_bytes(bytes.clone()).unwrap();
-            assert_eq!(back, recording);
-            assert_eq!(back.to_wav_bytes(format).unwrap(), bytes);
-            wavs.push(bytes);
-        }
-    }
-    assert_eq!(digest(&wavs), 0x91f4_640b_7e68_a1c9);
 }
 
 /// The JSON documents behind `BENCH_eval_matrix.json` and `BENCH_soak.json`

@@ -1,17 +1,15 @@
-//! Sample values of the three binary formats — `uwlz` serving frames,
-//! `uwCM` campaign manifests and `uwRD` recording directories — shared by
-//! the byte pins (`format_digests.rs`, which also pins the JSON of
-//! reports over [`report`]) and the fuzz harness (`codec_fuzz.rs`).
-//! Between them the samples reach every message tag and every one-byte
-//! code each format defines.
+//! Sample values of the two binary formats — `uwlz` serving frames and
+//! `uwCM` campaign manifests — shared by the byte pins
+//! (`format_digests.rs`, which also pins the JSON of reports over
+//! [`report`]) and the fuzz harness (`codec_fuzz.rs`). Between them the
+//! samples reach every message tag and every one-byte code each format
+//! defines.
 
 use uwgps::audio::{CampaignManifest, SegmentRange};
 use uwgps::core::config::{Fidelity, NumericPath};
 use uwgps::core::prelude::EnvironmentKind;
-use uwgps::core::waveform::LinkCapture;
-use uwgps::eval::replay::RecordedLink;
 use uwgps::eval::report::ErrorSummary;
-use uwgps::eval::{CellReport, LinkProfile, MobilityProfile, Recording, RoundSummary};
+use uwgps::eval::{CellReport, LinkProfile, MobilityProfile, RoundSummary};
 use uwgps::serve::wire::{JobSpec, WireMessage, MAX_PAYLOAD, WIRE_VERSION};
 use uwgps::serve::{Priority, RejectReason};
 
@@ -203,45 +201,4 @@ pub fn manifests() -> Vec<CampaignManifest> {
         }],
     };
     vec![full, no_segments, minimal]
-}
-
-fn link(round: usize, device: usize, mic1: usize, mic2: usize) -> RecordedLink {
-    RecordedLink {
-        round,
-        device,
-        capture: LinkCapture {
-            mic1: vec![0.0; mic1],
-            mic2: vec![0.0; mic2],
-        },
-    }
-}
-
-/// Two short hand-built recordings: F32 path with an occluded swimmer,
-/// and Q15 path with device churn in a current. The captures are silent,
-/// so the stored gain is exactly 1 and every encoding decodes and
-/// re-encodes to the same bytes; one link has mic streams of different
-/// lengths, so the zero padding between them is exercised.
-pub fn recordings() -> Vec<Recording> {
-    vec![
-        Recording {
-            environment: EnvironmentKind::Boathouse,
-            n_devices: 3,
-            condition: LinkProfile::Occluded { bias_m: 1.25 },
-            mobility: MobilityProfile::Swimmer { speed_cm_s: 12.5 },
-            numeric_path: NumericPath::F32,
-            seed: 0xDEAD_BEEF,
-            rounds: 2,
-            links: vec![link(0, 1, 7, 5), link(0, 2, 6, 6), link(1, 1, 4, 4)],
-        },
-        Recording {
-            environment: EnvironmentKind::TidalChannel,
-            n_devices: 4,
-            condition: LinkProfile::DeviceChurn { after_round: 3 },
-            mobility: MobilityProfile::CurrentDrift { speed_cm_s: 30.0 },
-            numeric_path: NumericPath::Q15,
-            seed: 7,
-            rounds: 4,
-            links: vec![link(0, 3, 3, 8), link(2, 1, 5, 5)],
-        },
-    ]
 }
