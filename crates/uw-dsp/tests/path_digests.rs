@@ -15,8 +15,9 @@
 //! of a signal barely longer than the template (the bottom rung of every
 //! block-length ladder), of one that spans several blocks and ends on a
 //! short final block, and of a 1,800-sample signal pinned in its own
-//! assertions (the middle rung of the Q15 ladder); and
-//! `ls_channel_estimate` on each path's paper-default preamble.
+//! assertions (the middle rung of the Q15 ladder); `ls_channel_estimate`
+//! on each path's paper-default preamble; and `validation_score` at 132
+//! candidate starts of the channel-estimate input.
 //!
 //! The f64 and Q15 matched-filter constants were re-pinned when each block
 //! started to run on the shortest rung that covers its lags, with the f64
@@ -34,6 +35,7 @@ use uw_dsp::ofdm::OfdmConfig;
 use uw_dsp::plan::FftPlan;
 use uw_dsp::MatchedFilter;
 use uw_ranging::channel_est::ls_channel_estimate;
+use uw_ranging::detect::validation_score;
 use uw_ranging::preamble::RangingPreamble;
 
 /// 64-bit FNV-1a over little-endian words.
@@ -265,15 +267,25 @@ fn matched_filters_are_bit_pinned_on_a_mid_length_signal() {
     );
 }
 
-fn digest_channel_estimate(path: NumericPath) -> u64 {
-    let preamble = RangingPreamble::new_with_path(OfdmConfig::default(), path).unwrap();
-    let offset = 1200;
+/// Where the channel-estimate input plants its preamble.
+const PREAMBLE_OFFSET: usize = 1200;
+
+/// The channel-estimate input: the preamble at [`PREAMBLE_OFFSET`] and an
+/// echo 37 samples later, over integer-LCG noise.
+fn channel_input(preamble: &RangingPreamble) -> Vec<f64> {
+    let offset = PREAMBLE_OFFSET;
     let mut stream = Lcg(11).signal(offset + preamble.len() + 3000, 0.05);
     for (i, &w) in preamble.waveform.iter().enumerate() {
         stream[offset + i] += 0.6 * w;
         stream[offset + 37 + i] += 0.25 * w;
     }
-    let est = ls_channel_estimate(&stream, &preamble, offset - 20).unwrap();
+    stream
+}
+
+fn digest_channel_estimate(path: NumericPath) -> u64 {
+    let preamble = RangingPreamble::new_with_path(OfdmConfig::default(), path).unwrap();
+    let stream = channel_input(&preamble);
+    let est = ls_channel_estimate(&stream, &preamble, PREAMBLE_OFFSET - 20).unwrap();
     let mut h = Fnv::new();
     for c in &est.freq_response {
         h.f64s(&[c.re, c.im]);
@@ -299,4 +311,20 @@ fn channel_estimates_are_bit_pinned() {
         0x8cff_8039_29bf_8b21,
         "Q15"
     );
+}
+
+/// PN auto-correlation validation (which runs in `f64` on every path) at
+/// every candidate start within 64 samples of the planted preamble, at
+/// starts in the leading noise, and at the last start whose symbols still
+/// fit the stream.
+#[test]
+fn validation_scores_are_bit_pinned() {
+    let preamble = RangingPreamble::default_paper().unwrap();
+    let stream = channel_input(&preamble);
+    let last = stream.len() - preamble.len();
+    let mut h = Fnv::new();
+    for start in (PREAMBLE_OFFSET - 64..=PREAMBLE_OFFSET + 64).chain([0, 333, last]) {
+        h.f64s(&[validation_score(&stream, &preamble, start).unwrap()]);
+    }
+    assert_eq!(h.0, 0xcce0_e95e_6748_66fc, "validation_score");
 }
