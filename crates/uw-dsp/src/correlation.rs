@@ -120,31 +120,65 @@ pub fn segment_correlation(a: &[f64], b: &[f64]) -> Result<f64> {
             reason: "segments must be equal-length and non-empty",
         });
     }
-    let n = a.len() as f64;
-    let mean_a = a.iter().sum::<f64>() / n;
-    let mean_b = b.iter().sum::<f64>() / n;
-    let mut num = 0.0;
-    let mut da = 0.0;
-    let mut db = 0.0;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        let xa = x - mean_a;
-        let yb = y - mean_b;
-        num += xa * yb;
-        da += xa * xa;
-        db += yb * yb;
+    Ok(Centred::new(a, 1.0).correlation(&Centred::new(b, 1.0)))
+}
+
+/// A segment read under a ±1 sign, with the two per-segment terms of a
+/// Pearson coefficient: the signed segment's mean and centred energy.
+/// Flipping a sign is exact, so these are the bits a sign-flipped copy of
+/// the segment would give.
+struct Centred<'a> {
+    x: &'a [f64],
+    sign: f64,
+    mean: f64,
+    energy: f64,
+}
+
+impl<'a> Centred<'a> {
+    fn new(x: &'a [f64], sign: f64) -> Self {
+        let mean = x.iter().map(|&v| v * sign).sum::<f64>() / x.len() as f64;
+        let energy = x.iter().fold(0.0, |e, &v| {
+            let c = v * sign - mean;
+            e + c * c
+        });
+        Self {
+            x,
+            sign,
+            mean,
+            energy,
+        }
     }
-    let denom = (da * db).sqrt();
-    Ok(if denom > 0.0 { num / denom } else { 0.0 })
+
+    /// Pearson correlation with an equal-length segment (0 when either is
+    /// constant).
+    fn correlation(&self, other: &Centred) -> f64 {
+        let num = self.x.iter().zip(other.x).fold(0.0, |acc, (&x, &y)| {
+            acc + (x * self.sign - self.mean) * (y * other.sign - other.mean)
+        });
+        let denom = (self.energy * other.energy).sqrt();
+        if denom > 0.0 {
+            num / denom
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Auto-correlation validation score for a candidate preamble start.
 ///
-/// `segment` must contain at least `n_symbols * symbol_len` samples starting
-/// at the candidate position. Each symbol segment is multiplied by its PN
-/// sign and the mean pairwise Pearson correlation across all segment pairs
-/// is returned. Genuine preambles score close to 1; impulsive noise and
-/// random signals score near 0.
-pub fn autocorr_validation(segment: &[f64], symbol_len: usize, pn_signs: &[f64]) -> Result<f64> {
+/// Symbol `i` is `stream[i · stride ..][..symbol_len]`, read in place:
+/// `stride` is the symbol length for back-to-back symbols, or the symbol
+/// plus cyclic-prefix length to skip each prefix. Each symbol is
+/// multiplied by its PN sign and the mean pairwise Pearson correlation
+/// across all symbol pairs is returned; each symbol's mean and centred
+/// energy are computed once. Genuine preambles score close to 1;
+/// impulsive noise and random signals score near 0.
+pub fn autocorr_validation(
+    stream: &[f64],
+    stride: usize,
+    symbol_len: usize,
+    pn_signs: &[f64],
+) -> Result<f64> {
     let n_symbols = pn_signs.len();
     if n_symbols < 2 {
         return Err(DspError::InvalidParameter {
@@ -156,27 +190,21 @@ pub fn autocorr_validation(segment: &[f64], symbol_len: usize, pn_signs: &[f64])
             reason: "symbol length must be positive",
         });
     }
-    if segment.len() < n_symbols * symbol_len {
+    if stream.len() < (n_symbols - 1) * stride + symbol_len {
         return Err(DspError::InvalidLength {
             reason: "segment shorter than the PN-coded preamble",
         });
     }
-    // Undo the PN signs so that all segments should look identical.
-    let mut segs: Vec<Vec<f64>> = Vec::with_capacity(n_symbols);
-    for (i, &sign) in pn_signs.iter().enumerate() {
-        let start = i * symbol_len;
-        segs.push(
-            segment[start..start + symbol_len]
-                .iter()
-                .map(|&s| s * sign)
-                .collect(),
-        );
-    }
+    let symbols: Vec<Centred> = pn_signs
+        .iter()
+        .enumerate()
+        .map(|(i, &sign)| Centred::new(&stream[i * stride..i * stride + symbol_len], sign))
+        .collect();
     let mut total = 0.0;
     let mut pairs = 0usize;
-    for i in 0..n_symbols {
-        for j in (i + 1)..n_symbols {
-            total += segment_correlation(&segs[i], &segs[j])?;
+    for (i, a) in symbols.iter().enumerate() {
+        for b in &symbols[i + 1..] {
+            total += a.correlation(b);
             pairs += 1;
         }
     }
@@ -254,7 +282,7 @@ mod tests {
         for &s in &signs {
             stream.extend(symbol.iter().map(|&x| x * s));
         }
-        let score = autocorr_validation(&stream, symbol.len(), &signs).unwrap();
+        let score = autocorr_validation(&stream, symbol.len(), symbol.len(), &signs).unwrap();
         assert!(score > 0.999, "score {score}");
     }
 
@@ -270,7 +298,7 @@ mod tests {
         };
         let stream: Vec<f64> = (0..800).map(|_| next()).collect();
         let signs = [1.0, 1.0, -1.0, 1.0];
-        let score = autocorr_validation(&stream, 200, &signs).unwrap();
+        let score = autocorr_validation(&stream, 200, 200, &signs).unwrap();
         assert!(
             score.abs() < 0.3,
             "noise should not validate, score {score}"
@@ -284,9 +312,10 @@ mod tests {
         assert!(xcorr_direct(&[1.0], &[1.0, 2.0]).is_err());
         assert!(xcorr_normalized(&[1.0, 2.0, 3.0], &[0.0, 0.0]).is_err());
         assert!(segment_correlation(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(autocorr_validation(&[0.0; 10], 5, &[1.0]).is_err());
-        assert!(autocorr_validation(&[0.0; 10], 0, &[1.0, 1.0]).is_err());
-        assert!(autocorr_validation(&[0.0; 10], 50, &[1.0, 1.0]).is_err());
+        assert!(autocorr_validation(&[0.0; 10], 5, 5, &[1.0]).is_err());
+        assert!(autocorr_validation(&[0.0; 10], 0, 0, &[1.0, 1.0]).is_err());
+        assert!(autocorr_validation(&[0.0; 10], 50, 50, &[1.0, 1.0]).is_err());
+        assert!(autocorr_validation(&[0.0; 10], 6, 5, &[1.0, 1.0]).is_err());
     }
 
     #[test]

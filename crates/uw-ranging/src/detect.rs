@@ -157,21 +157,15 @@ pub fn detect_all(
 /// Auto-correlation validation score for a candidate start index.
 pub fn validation_score(stream: &[f64], preamble: &RangingPreamble, start: usize) -> Result<f64> {
     let block = preamble.block_len();
-    let n_symbols = preamble.pn_signs.len();
-    let needed = n_symbols * block;
-    if start + needed > stream.len() {
+    if start + preamble.pn_signs.len() * block > stream.len() {
         // Cannot validate a candidate whose symbols run past the stream end.
         return Ok(0.0);
     }
-    // Strip each block's cyclic prefix, keeping only the symbol bodies, so
-    // the segments being compared are the repeated OFDM symbols themselves.
-    let mut segments = Vec::with_capacity(n_symbols * preamble.config.symbol_len);
-    for i in 0..n_symbols {
-        let s = start + i * block + preamble.config.cyclic_prefix;
-        segments.extend_from_slice(&stream[s..s + preamble.config.symbol_len]);
-    }
+    // Step over each block's cyclic prefix, so the segments being compared
+    // are the repeated OFDM symbol bodies themselves, read in place.
     Ok(autocorr_validation(
-        &segments,
+        &stream[start + preamble.config.cyclic_prefix..],
+        block,
         preamble.config.symbol_len,
         &preamble.pn_signs,
     )?)
