@@ -7,7 +7,9 @@
 //! 2. back the coarse start off by a safety margin so that, if the
 //!    correlation locked onto a later multipath arrival, the true direct
 //!    path still lands at a positive channel tap,
-//! 3. LS-estimate both microphone channels from that common start,
+//! 3. LS-estimate both microphone channels from that common start (on the
+//!    f64 and f32 paths in one packed forward and one inverse transform
+//!    for the pair, see [`crate::channel_est`]),
 //! 4. run the dual-microphone direct-path search,
 //! 5. report the arrival as `fine_start + τ_LOS` samples (fractional).
 //!
@@ -16,7 +18,7 @@
 //! timestamp combination that removes clock offsets lives in
 //! `uw-protocol::timestamps`.
 
-use crate::channel_est::ls_channel_estimate;
+use crate::channel_est::{ls_channel_estimate, ls_channel_estimate_pair};
 use crate::detect::{detect_preamble, DetectorConfig};
 use crate::los::{arrival_sign, dual_mic_los, single_mic_los, LosConfig, LosEstimate};
 use crate::preamble::RangingPreamble;
@@ -115,8 +117,8 @@ pub fn estimate_arrival_dual(
 
     let (los_est, tau) = match config.mic_mode {
         MicMode::Both => {
-            let h1 = ls_channel_estimate(stream_mic1, preamble, fine_start)?;
-            let h2 = ls_channel_estimate(stream_mic2, preamble, fine_start)?;
+            let [h1, h2] =
+                ls_channel_estimate_pair(stream_mic1, stream_mic2, preamble, fine_start)?;
             let est = dual_mic_los(&h1.impulse_magnitude, &h2.impulse_magnitude, &config.los)?;
             (est, est.tau_taps)
         }
