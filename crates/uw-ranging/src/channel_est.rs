@@ -604,8 +604,10 @@ mod tests {
                 let (mic1, mic2) =
                     two_mic_capture(&p, start, &paths, offset, noise_amp, case as u64);
                 let pair = ls_channel_estimate_pair(&mic1, &mic2, &p, start).unwrap();
-                for (m, (mic, est)) in [&mic1, &mic2].into_iter().zip(&pair).enumerate() {
-                    let (profile, response) = gaps(est, &reference(mic, &p, start));
+                let per_symbol = [reference(&mic1, &p, start), reference(&mic2, &p, start)];
+                let mics = [&mic1, &mic2].into_iter().zip(&pair).zip(&per_symbol);
+                for (m, ((mic, est), want)) in mics.enumerate() {
+                    let (profile, response) = gaps(est, want);
                     let single = ls_channel_estimate(mic, &p, start).unwrap();
                     let (single_profile, single_response) = gaps(&single, est);
                     assert!(
@@ -619,7 +621,6 @@ mod tests {
                         m + 1
                     );
                 }
-                let per_symbol = [reference(&mic1, &p, start), reference(&mic2, &p, start)];
                 assert_eq!(
                     dual_mic_los(&pair[0].impulse_magnitude, &pair[1].impulse_magnitude, &los),
                     dual_mic_los(
