@@ -45,10 +45,10 @@
 //! The Q15 path quantises each symbol by its own peak before its transform,
 //! as a phone's capture-side AGC would, so every symbol uses the full 16-bit
 //! mantissa whatever the level of the other three. Summing the symbols
-//! first would let the loudest one set the scale of all four (changing Q15
-//! answers), and packing two microphones into one transform would make them
-//! share one block exponent. So Q15 keeps four forward transforms and one
-//! inverse per microphone.
+//! first would let the loudest one set the quantisation scale of all four,
+//! and packing two microphones into one transform would make them share
+//! one block exponent. So Q15 keeps four forward transforms and one inverse
+//! per microphone.
 
 use crate::preamble::RangingPreamble;
 use crate::{RangingError, Result};
