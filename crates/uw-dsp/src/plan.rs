@@ -825,7 +825,10 @@ mod tests {
 
     #[test]
     fn lane_path_is_bit_identical_to_the_scalar_reference() {
-        for n in [1usize, 2, 16, 256, 2048] {
+        // Every power of two up to 4096, so every boundary of the stage
+        // schedule (fused first stages, stage pairs, a final odd stage) is
+        // pinned.
+        for n in (0..=12).map(|s| 1usize << s) {
             let signal = test_signal(n);
             let plan = Radix2Plan::new(n).unwrap();
             let mut lane = signal.clone();
