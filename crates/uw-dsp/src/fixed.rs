@@ -48,11 +48,13 @@
 //! widened into separate `re[i32]` / `im[i32]` buffers and processed
 //! through the `[i32; 8]` kernels in [`crate::lanes`] (BFP butterfly with
 //! the per-stage shift fused, half-scaled pointwise products, and the
-//! guard-scan block maximum). The scalar transforms remain as
-//! [`FixedRadix2Plan::forward_scalar`] /
-//! [`FixedRadix2Plan::inverse_raw_scalar`], and the tests pin the lane path
-//! **bit-identical** to them — integer arithmetic leaves no rounding slack,
-//! so vectorization cannot change a single sample.
+//! guard-scan block maximum). Unlike the float paths, Q15 runs one stage
+//! per sweep: each stage scans the block for its guard shift before it
+//! runs, so stages cannot be fused. The scalar BFP transforms remain as
+//! test-only references (`forward_scalar` / `inverse_raw_scalar`), and the
+//! unit tests pin the lane path **bit-identical** to them at every power of
+//! two up to 4096 — integer arithmetic leaves no rounding slack, so
+//! vectorization cannot change a single sample.
 
 use crate::complex::Complex64;
 use crate::lanes;
@@ -222,7 +224,7 @@ impl ComplexQ15 {
 
 /// Largest component magnitude in a block (0 for an empty/zero block).
 /// Scalar form, used by the BFP reference transform.
-#[inline]
+#[cfg(test)]
 fn block_max(data: &[ComplexQ15]) -> i32 {
     data.iter()
         .map(|c| (c.re.0 as i32).abs().max((c.im.0 as i32).abs()))
@@ -234,6 +236,7 @@ fn block_max(data: &[ComplexQ15]) -> i32 {
 /// steps, keeping the maximum at or below the stage guard. Returns the
 /// number of shifts applied (the true value scale shrinks by `2^k`).
 /// Scalar form, used by the BFP reference transform.
+#[cfg(test)]
 fn renormalize_up(data: &mut [ComplexQ15]) -> u32 {
     let max = block_max(data);
     if max == 0 {
@@ -366,18 +369,21 @@ impl Radix2<Q15> {
     pub fn inverse_raw(&self, data: &mut [ComplexQ15]) -> Result<i32> {
         self.interleaved(data, false)
     }
+}
 
+#[cfg(test)]
+impl Radix2<Q15> {
     /// The one-lane-per-sample forward BFP transform, kept as the
     /// reference the tests pin the lane kernels against (bit-identical
     /// output required — integer arithmetic leaves no rounding slack).
-    pub fn forward_scalar(&self, data: &mut [ComplexQ15]) -> Result<i32> {
+    pub(crate) fn forward_scalar(&self, data: &mut [ComplexQ15]) -> Result<i32> {
         self.check(data.len())?;
         Ok(self.bfp_scalar(data, true))
     }
 
     /// The scalar raw inverse transform; reference twin of
     /// [`FixedRadix2Plan::inverse_raw`].
-    pub fn inverse_raw_scalar(&self, data: &mut [ComplexQ15]) -> Result<i32> {
+    pub(crate) fn inverse_raw_scalar(&self, data: &mut [ComplexQ15]) -> Result<i32> {
         self.check(data.len())?;
         Ok(self.bfp_scalar(data, false))
     }

@@ -38,7 +38,7 @@
 use crate::complex::Complex64;
 use crate::lanes;
 use crate::matched::OverlapSave;
-use crate::plan::{for_each_group, stage_twiddles, Float, Path, Plan, Pool, Radix2};
+use crate::plan::{float_stages, Float, Path, Plan, Pool, Radix2};
 
 /// A single-precision complex number (mirror of [`Complex64`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -160,47 +160,21 @@ impl Path for f32 {
         Complex32::new(re, im)
     }
     fn stages(re: &mut [f32], im: &mut [f32], twr: &[f32], twi: &[f32]) -> i32 {
-        let n = re.len();
-        let mut half = 1usize;
-        if n >= 8 {
-            // Stages half=1,2,4 fused into one sweep of closed 8-point
-            // cells (see `butterfly_f32_first3`).
-            lanes::butterfly_f32_first3(re, im, &twr[0..7], &twi[0..7]);
-            half = 8;
-        }
-        while half < n {
-            let (swr, swi) = stage_twiddles(twr, twi, half);
-            if half < lanes::F32_LANES {
-                // Tiny transforms (n < 8) never reach the fused pass; run
-                // the whole sub-lane stage in one flat kernel pass.
-                lanes::butterfly_f32_small(re, im, swr, swi);
-                half <<= 1;
-            } else if half * 2 < n {
-                // Two more stages exist: fuse this stage with the next one
-                // into a single radix-4-cell sweep.
-                let (nwr, nwi) = stage_twiddles(twr, twi, 2 * half);
-                lanes::butterfly_f32_pair(re, im, swr, swi, nwr, nwi);
-                half <<= 2;
-            } else {
-                for_each_group(re, im, half, |er, ei, or, oi| {
-                    lanes::butterfly_f32(er, ei, or, oi, swr, swi)
-                });
-                half <<= 1;
-            }
-        }
-        0
+        float_stages::<Self>(re, im, twr, twi)
     }
     fn normalize(re: &mut [f32], im: &mut [f32], n: usize) {
-        lanes::scale_f32(re, im, Self::recip_len(n));
+        lanes::scale::<Self>(re, im, Self::recip_len(n));
     }
     fn mul_spectrum(x_re: &mut [f32], x_im: &mut [f32], t_re: &[f32], t_im: &[f32]) {
-        lanes::cmul_f32(x_re, x_im, t_re, t_im);
+        lanes::cmul::<Self>(x_re, x_im, t_re, t_im);
     }
     fn shift(_: i32) {}
     fn scale(_: i32, _: f64, _: usize) {}
 }
 
 impl Float for f32 {
+    const LANES: usize = 8;
+
     #[inline]
     fn recip_len(n: usize) -> f32 {
         1.0 / n as f32

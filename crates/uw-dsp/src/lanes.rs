@@ -29,11 +29,7 @@
 //! [`crate::plan`], [`crate::float32`], [`crate::fixed`] and
 //! [`crate::matched`].
 
-/// Lane width of the f64 kernels: `[f64; 4]` is one AVX2 register.
-pub const F64_LANES: usize = 4;
-
-/// Lane width of the f32 kernels: `[f32; 8]` is one AVX2 register.
-pub const F32_LANES: usize = 8;
+use crate::plan::Float;
 
 /// Lane width of the widened-Q15 integer kernels: `[i32; 8]` is one AVX2
 /// register.
@@ -46,10 +42,10 @@ pub fn sat16_i64(v: i64) -> i32 {
 }
 
 // ---------------------------------------------------------------------------
-// f64 kernels
+// Float kernels (f64 and f32)
 // ---------------------------------------------------------------------------
 
-/// One radix-2 butterfly group in SoA form, `[f64; 4]` lanes.
+/// One radix-2 butterfly group in SoA form, in [`Float::LANES`]-wide blocks.
 ///
 /// For each `k`: `p = odd[k] · w[k]`, then `even[k] ← even[k] + p` and
 /// `odd[k] ← even[k] − p` — the exact expressions of the scalar
@@ -58,13 +54,13 @@ pub fn sat16_i64(v: i64) -> i32 {
 ///
 /// All six slices must have the same length (the stage half-width).
 #[inline]
-pub fn butterfly_f64(
-    e_re: &mut [f64],
-    e_im: &mut [f64],
-    o_re: &mut [f64],
-    o_im: &mut [f64],
-    w_re: &[f64],
-    w_im: &[f64],
+pub fn butterfly<T: Float>(
+    e_re: &mut [T::Real],
+    e_im: &mut [T::Real],
+    o_re: &mut [T::Real],
+    o_im: &mut [T::Real],
+    w_re: &[T::Real],
+    w_im: &[T::Real],
 ) {
     let half = e_re.len();
     assert!(
@@ -73,24 +69,24 @@ pub fn butterfly_f64(
             && o_im.len() == half
             && w_re.len() == half
             && w_im.len() == half,
-        "butterfly_f64 slice lengths must match"
+        "butterfly slice lengths must match"
     );
-    // `chunks_exact` hands LLVM compile-time `[f64; F64_LANES]` blocks with
-    // no bounds checks, which it lowers to packed SIMD; the remainder runs
-    // the same expressions one lane at a time.
-    let mut er_b = e_re.chunks_exact_mut(F64_LANES);
-    let mut ei_b = e_im.chunks_exact_mut(F64_LANES);
-    let mut or_b = o_re.chunks_exact_mut(F64_LANES);
-    let mut oi_b = o_im.chunks_exact_mut(F64_LANES);
-    let mut wr_b = w_re.chunks_exact(F64_LANES);
-    let mut wi_b = w_im.chunks_exact(F64_LANES);
+    // `chunks_exact` hands LLVM compile-time `[T; LANES]` blocks with no
+    // bounds checks, which it lowers to packed SIMD; the remainder runs the
+    // same expressions one lane at a time.
+    let mut er_b = e_re.chunks_exact_mut(T::LANES);
+    let mut ei_b = e_im.chunks_exact_mut(T::LANES);
+    let mut or_b = o_re.chunks_exact_mut(T::LANES);
+    let mut oi_b = o_im.chunks_exact_mut(T::LANES);
+    let mut wr_b = w_re.chunks_exact(T::LANES);
+    let mut wi_b = w_im.chunks_exact(T::LANES);
     for ((((er_c, ei_c), or_c), oi_c), (wr_c, wi_c)) in (&mut er_b)
         .zip(&mut ei_b)
         .zip(&mut or_b)
         .zip(&mut oi_b)
         .zip((&mut wr_b).zip(&mut wi_b))
     {
-        for j in 0..F64_LANES {
+        for j in 0..T::LANES {
             let pr = or_c[j] * wr_c[j] - oi_c[j] * wi_c[j];
             let pi = or_c[j] * wi_c[j] + oi_c[j] * wr_c[j];
             let er = er_c[j];
@@ -117,206 +113,6 @@ pub fn butterfly_f64(
         *ei = ei0 + pi;
         *or_ = er0 - pr;
         *oi = ei0 - pi;
-    }
-}
-
-/// One whole small-half butterfly **stage** (`half = w_re.len() < F64_LANES`)
-/// in a single flat pass: the per-group loop lives inside the kernel, so the
-/// early FFT stages (tens of thousands of one- and two-element groups) pay
-/// the call/setup cost once per stage instead of once per group. `re.len()`
-/// must be a multiple of `2 · half`. The butterfly expressions are exactly
-/// those of [`butterfly_f64`], so outputs stay bit-identical to the scalar
-/// reference.
-#[inline]
-pub fn butterfly_f64_small(re: &mut [f64], im: &mut [f64], w_re: &[f64], w_im: &[f64]) {
-    debug_assert_eq!(w_re.len(), w_im.len());
-    debug_assert_eq!(re.len() % (2 * w_re.len().max(1)), 0);
-    match w_re.len() {
-        1 => small_stage_f64::<1>(re, im, w_re, w_im),
-        2 => small_stage_f64::<2>(re, im, w_re, w_im),
-        half => {
-            // Fallback for callers outside the {1, 2} dispatch; same math
-            // through the general kernel, one group at a time.
-            let mut start = 0usize;
-            while start < re.len() {
-                let (e_re, o_re) = re[start..start + 2 * half].split_at_mut(half);
-                let (e_im, o_im) = im[start..start + 2 * half].split_at_mut(half);
-                butterfly_f64(e_re, e_im, o_re, o_im, w_re, w_im);
-                start += half << 1;
-            }
-        }
-    }
-}
-
-#[inline]
-fn small_stage_f64<const HALF: usize>(re: &mut [f64], im: &mut [f64], w_re: &[f64], w_im: &[f64]) {
-    let mut wr = [0.0f64; HALF];
-    let mut wi = [0.0f64; HALF];
-    wr.copy_from_slice(&w_re[..HALF]);
-    wi.copy_from_slice(&w_im[..HALF]);
-    for (rc, ic) in re
-        .chunks_exact_mut(2 * HALF)
-        .zip(im.chunks_exact_mut(2 * HALF))
-    {
-        for k in 0..HALF {
-            let pr = rc[k + HALF] * wr[k] - ic[k + HALF] * wi[k];
-            let pi = rc[k + HALF] * wi[k] + ic[k + HALF] * wr[k];
-            let er = rc[k];
-            let ei = ic[k];
-            rc[k] = er + pr;
-            ic[k] = ei + pi;
-            rc[k + HALF] = er - pr;
-            ic[k + HALF] = ei - pi;
-        }
-    }
-}
-
-/// Pointwise complex product `x[k] ← x[k] · t[k]` in SoA form, f64 lanes.
-#[inline]
-pub fn cmul_f64(x_re: &mut [f64], x_im: &mut [f64], t_re: &[f64], t_im: &[f64]) {
-    let n = x_re.len();
-    assert!(
-        x_im.len() == n && t_re.len() == n && t_im.len() == n,
-        "cmul_f64 slice lengths must match"
-    );
-    let mut k = 0usize;
-    while k + F64_LANES <= n {
-        for j in 0..F64_LANES {
-            let xr = x_re[k + j];
-            let xi = x_im[k + j];
-            x_re[k + j] = xr * t_re[k + j] - xi * t_im[k + j];
-            x_im[k + j] = xr * t_im[k + j] + xi * t_re[k + j];
-        }
-        k += F64_LANES;
-    }
-    while k < n {
-        let xr = x_re[k];
-        let xi = x_im[k];
-        x_re[k] = xr * t_re[k] - xi * t_im[k];
-        x_im[k] = xr * t_im[k] + xi * t_re[k];
-        k += 1;
-    }
-}
-
-/// Scales both components by a real factor, f64 lanes.
-#[inline]
-pub fn scale_f64(re: &mut [f64], im: &mut [f64], s: f64) {
-    for x in re.iter_mut() {
-        *x *= s;
-    }
-    for x in im.iter_mut() {
-        *x *= s;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// f32 kernels
-// ---------------------------------------------------------------------------
-
-/// One radix-2 butterfly group in SoA form, `[f32; 8]` lanes. Same
-/// expressions as [`butterfly_f64`], in single precision.
-#[inline]
-pub fn butterfly_f32(
-    e_re: &mut [f32],
-    e_im: &mut [f32],
-    o_re: &mut [f32],
-    o_im: &mut [f32],
-    w_re: &[f32],
-    w_im: &[f32],
-) {
-    let half = e_re.len();
-    assert!(
-        e_im.len() == half
-            && o_re.len() == half
-            && o_im.len() == half
-            && w_re.len() == half
-            && w_im.len() == half,
-        "butterfly_f32 slice lengths must match"
-    );
-    let mut er_b = e_re.chunks_exact_mut(F32_LANES);
-    let mut ei_b = e_im.chunks_exact_mut(F32_LANES);
-    let mut or_b = o_re.chunks_exact_mut(F32_LANES);
-    let mut oi_b = o_im.chunks_exact_mut(F32_LANES);
-    let mut wr_b = w_re.chunks_exact(F32_LANES);
-    let mut wi_b = w_im.chunks_exact(F32_LANES);
-    for ((((er_c, ei_c), or_c), oi_c), (wr_c, wi_c)) in (&mut er_b)
-        .zip(&mut ei_b)
-        .zip(&mut or_b)
-        .zip(&mut oi_b)
-        .zip((&mut wr_b).zip(&mut wi_b))
-    {
-        for j in 0..F32_LANES {
-            let pr = or_c[j] * wr_c[j] - oi_c[j] * wi_c[j];
-            let pi = or_c[j] * wi_c[j] + oi_c[j] * wr_c[j];
-            let er = er_c[j];
-            let ei = ei_c[j];
-            er_c[j] = er + pr;
-            ei_c[j] = ei + pi;
-            or_c[j] = er - pr;
-            oi_c[j] = ei - pi;
-        }
-    }
-    for ((((er, ei), or_), oi), (wr, wi)) in er_b
-        .into_remainder()
-        .iter_mut()
-        .zip(ei_b.into_remainder().iter_mut())
-        .zip(or_b.into_remainder().iter_mut())
-        .zip(oi_b.into_remainder().iter_mut())
-        .zip(wr_b.remainder().iter().zip(wi_b.remainder().iter()))
-    {
-        let pr = *or_ * *wr - *oi * *wi;
-        let pi = *or_ * *wi + *oi * *wr;
-        let er0 = *er;
-        let ei0 = *ei;
-        *er = er0 + pr;
-        *ei = ei0 + pi;
-        *or_ = er0 - pr;
-        *oi = ei0 - pi;
-    }
-}
-
-/// One whole small-half butterfly stage (`half = w_re.len() < F32_LANES`) in
-/// a single flat pass; the f32 twin of [`butterfly_f64_small`].
-#[inline]
-pub fn butterfly_f32_small(re: &mut [f32], im: &mut [f32], w_re: &[f32], w_im: &[f32]) {
-    debug_assert_eq!(w_re.len(), w_im.len());
-    debug_assert_eq!(re.len() % (2 * w_re.len().max(1)), 0);
-    match w_re.len() {
-        1 => small_stage_f32::<1>(re, im, w_re, w_im),
-        2 => small_stage_f32::<2>(re, im, w_re, w_im),
-        4 => small_stage_f32::<4>(re, im, w_re, w_im),
-        half => {
-            let mut start = 0usize;
-            while start < re.len() {
-                let (e_re, o_re) = re[start..start + 2 * half].split_at_mut(half);
-                let (e_im, o_im) = im[start..start + 2 * half].split_at_mut(half);
-                butterfly_f32(e_re, e_im, o_re, o_im, w_re, w_im);
-                start += half << 1;
-            }
-        }
-    }
-}
-
-#[inline]
-fn small_stage_f32<const HALF: usize>(re: &mut [f32], im: &mut [f32], w_re: &[f32], w_im: &[f32]) {
-    let mut wr = [0.0f32; HALF];
-    let mut wi = [0.0f32; HALF];
-    wr.copy_from_slice(&w_re[..HALF]);
-    wi.copy_from_slice(&w_im[..HALF]);
-    for (rc, ic) in re
-        .chunks_exact_mut(2 * HALF)
-        .zip(im.chunks_exact_mut(2 * HALF))
-    {
-        for k in 0..HALF {
-            let pr = rc[k + HALF] * wr[k] - ic[k + HALF] * wi[k];
-            let pi = rc[k + HALF] * wi[k] + ic[k + HALF] * wr[k];
-            let er = rc[k];
-            let ei = ic[k];
-            rc[k] = er + pr;
-            ic[k] = ei + pi;
-            rc[k + HALF] = er - pr;
-            ic[k + HALF] = ei - pi;
-        }
     }
 }
 
@@ -331,16 +127,21 @@ fn small_stage_f32<const HALF: usize>(re: &mut [f32], im: &mut [f32], w_re: &[f3
 /// (stage half=1 at `[0..1]`, half=2 at `[1..3]`, half=4 at `[3..7]`);
 /// `re.len()` must be a multiple of 8.
 #[inline]
-pub fn butterfly_f32_first3(re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im: &[f32]) {
+pub fn butterfly_first3<T: Float>(
+    re: &mut [T::Real],
+    im: &mut [T::Real],
+    tw_re: &[T::Real],
+    tw_im: &[T::Real],
+) {
     debug_assert!(tw_re.len() >= 7 && tw_im.len() >= 7);
     debug_assert_eq!(re.len() % 8, 0);
     debug_assert_eq!(re.len(), im.len());
-    let mut w = [0.0f32; 14];
+    let mut w = [T::Real::default(); 14];
     w[..7].copy_from_slice(&tw_re[..7]);
     w[7..].copy_from_slice(&tw_im[..7]);
     for (rc, ic) in re.chunks_exact_mut(8).zip(im.chunks_exact_mut(8)) {
-        let mut r = [0.0f32; 8];
-        let mut q = [0.0f32; 8];
+        let mut r = [T::Real::default(); 8];
+        let mut q = [T::Real::default(); 8];
         r.copy_from_slice(rc);
         q.copy_from_slice(ic);
         // Stage half=1: pairs (0,1) (2,3) (4,5) (6,7), twiddle w[0].
@@ -396,13 +197,13 @@ pub fn butterfly_f32_first3(re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im
 /// `re.len()` must be a multiple of `4h`; `wb_*` must hold the `2h`
 /// twiddles of the second stage.
 #[inline]
-pub fn butterfly_f32_pair(
-    re: &mut [f32],
-    im: &mut [f32],
-    wa_re: &[f32],
-    wa_im: &[f32],
-    wb_re: &[f32],
-    wb_im: &[f32],
+pub fn butterfly_pair<T: Float>(
+    re: &mut [T::Real],
+    im: &mut [T::Real],
+    wa_re: &[T::Real],
+    wa_im: &[T::Real],
+    wb_re: &[T::Real],
+    wb_im: &[T::Real],
 ) {
     let h = wa_re.len();
     debug_assert_eq!(wa_im.len(), h);
@@ -453,23 +254,29 @@ pub fn butterfly_f32_pair(
     }
 }
 
-/// Pointwise complex product `x[k] ← x[k] · t[k]` in SoA form, f32 lanes.
+/// Pointwise complex product `x[k] ← x[k] · t[k]` in SoA form, in
+/// [`Float::LANES`]-wide blocks.
 #[inline]
-pub fn cmul_f32(x_re: &mut [f32], x_im: &mut [f32], t_re: &[f32], t_im: &[f32]) {
+pub fn cmul<T: Float>(
+    x_re: &mut [T::Real],
+    x_im: &mut [T::Real],
+    t_re: &[T::Real],
+    t_im: &[T::Real],
+) {
     let n = x_re.len();
     assert!(
         x_im.len() == n && t_re.len() == n && t_im.len() == n,
-        "cmul_f32 slice lengths must match"
+        "cmul slice lengths must match"
     );
     let mut k = 0usize;
-    while k + F32_LANES <= n {
-        for j in 0..F32_LANES {
+    while k + T::LANES <= n {
+        for j in 0..T::LANES {
             let xr = x_re[k + j];
             let xi = x_im[k + j];
             x_re[k + j] = xr * t_re[k + j] - xi * t_im[k + j];
             x_im[k + j] = xr * t_im[k + j] + xi * t_re[k + j];
         }
-        k += F32_LANES;
+        k += T::LANES;
     }
     while k < n {
         let xr = x_re[k];
@@ -480,14 +287,14 @@ pub fn cmul_f32(x_re: &mut [f32], x_im: &mut [f32], t_re: &[f32], t_im: &[f32]) 
     }
 }
 
-/// Scales both components by a real factor, f32 lanes.
+/// Scales both components by a real factor.
 #[inline]
-pub fn scale_f32(re: &mut [f32], im: &mut [f32], s: f32) {
+pub fn scale<T: Float>(re: &mut [T::Real], im: &mut [T::Real], s: T::Real) {
     for x in re.iter_mut() {
-        *x *= s;
+        *x = *x * s;
     }
     for x in im.iter_mut() {
-        *x *= s;
+        *x = *x * s;
     }
 }
 
@@ -568,8 +375,10 @@ pub fn butterfly_q15(
 }
 
 /// One whole small-half BFP butterfly stage (`half = w_re.len() < I32_LANES`)
-/// in a single flat pass; the Q15 twin of [`butterfly_f64_small`], with the
-/// stage shift fused exactly as in [`butterfly_q15`].
+/// in a single flat pass: the per-group loop lives inside the kernel, so the
+/// early FFT stages (tens of thousands of one- to four-element groups) pay
+/// the call/setup cost once per stage instead of once per group. The stage
+/// shift is fused exactly as in [`butterfly_q15`].
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn butterfly_q15_small(
@@ -714,21 +523,27 @@ pub fn renormalize_up_i32(re: &mut [i32], im: &mut [i32], guard: i32) -> u32 {
 mod tests {
     use super::*;
 
-    fn seq_f64(n: usize, phase: f64) -> Vec<f64> {
-        (0..n).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
+    fn seq<T: Float>(n: usize, phase: f64) -> Vec<T::Real> {
+        (0..n)
+            .map(|i| T::from_f64(((i as f64) * 0.37 + phase).sin()))
+            .collect()
+    }
+
+    /// Widens a float lane to `f64` exactly, so `==` compares the bits.
+    fn wide<T: Float>(v: &[T::Real]) -> Vec<f64> {
+        v.iter().map(|&x| T::to_f64(x)).collect()
     }
 
     /// The lane butterfly must be bit-identical to a naive scalar loop over
     /// the same expressions, including the non-multiple-of-lane tail.
-    #[test]
-    fn f64_butterfly_matches_scalar_bitwise() {
-        for half in [1usize, 3, 4, 7, 8, 13, 64, 100] {
-            let mut e_re = seq_f64(half, 0.0);
-            let mut e_im = seq_f64(half, 1.0);
-            let mut o_re = seq_f64(half, 2.0);
-            let mut o_im = seq_f64(half, 3.0);
-            let w_re = seq_f64(half, 4.0);
-            let w_im = seq_f64(half, 5.0);
+    fn butterfly_matches_scalar<T: Float>() {
+        for half in [1usize, 3, 4, 7, 8, 9, 13, 16, 64, 100] {
+            let mut e_re = seq::<T>(half, 0.0);
+            let mut e_im = seq::<T>(half, 1.0);
+            let mut o_re = seq::<T>(half, 2.0);
+            let mut o_im = seq::<T>(half, 3.0);
+            let w_re = seq::<T>(half, 4.0);
+            let w_im = seq::<T>(half, 5.0);
             let (mut se_re, mut se_im) = (e_re.clone(), e_im.clone());
             let (mut so_re, mut so_im) = (o_re.clone(), o_im.clone());
             for k in 0..half {
@@ -741,41 +556,18 @@ mod tests {
                 so_re[k] = er - pr;
                 so_im[k] = ei - pi;
             }
-            butterfly_f64(&mut e_re, &mut e_im, &mut o_re, &mut o_im, &w_re, &w_im);
-            assert_eq!(e_re, se_re);
-            assert_eq!(e_im, se_im);
-            assert_eq!(o_re, so_re);
-            assert_eq!(o_im, so_im);
+            butterfly::<T>(&mut e_re, &mut e_im, &mut o_re, &mut o_im, &w_re, &w_im);
+            assert_eq!(wide::<T>(&e_re), wide::<T>(&se_re), "half={half}");
+            assert_eq!(wide::<T>(&e_im), wide::<T>(&se_im), "half={half}");
+            assert_eq!(wide::<T>(&o_re), wide::<T>(&so_re), "half={half}");
+            assert_eq!(wide::<T>(&o_im), wide::<T>(&so_im), "half={half}");
         }
     }
 
     #[test]
-    fn f32_butterfly_matches_scalar_bitwise() {
-        for half in [1usize, 7, 8, 9, 16, 100] {
-            let mut e_re: Vec<f32> = seq_f64(half, 0.0).iter().map(|&x| x as f32).collect();
-            let mut e_im: Vec<f32> = seq_f64(half, 1.0).iter().map(|&x| x as f32).collect();
-            let mut o_re: Vec<f32> = seq_f64(half, 2.0).iter().map(|&x| x as f32).collect();
-            let mut o_im: Vec<f32> = seq_f64(half, 3.0).iter().map(|&x| x as f32).collect();
-            let w_re: Vec<f32> = seq_f64(half, 4.0).iter().map(|&x| x as f32).collect();
-            let w_im: Vec<f32> = seq_f64(half, 5.0).iter().map(|&x| x as f32).collect();
-            let (mut se_re, mut se_im) = (e_re.clone(), e_im.clone());
-            let (mut so_re, mut so_im) = (o_re.clone(), o_im.clone());
-            for k in 0..half {
-                let pr = so_re[k] * w_re[k] - so_im[k] * w_im[k];
-                let pi = so_re[k] * w_im[k] + so_im[k] * w_re[k];
-                let er = se_re[k];
-                let ei = se_im[k];
-                se_re[k] = er + pr;
-                se_im[k] = ei + pi;
-                so_re[k] = er - pr;
-                so_im[k] = ei - pi;
-            }
-            butterfly_f32(&mut e_re, &mut e_im, &mut o_re, &mut o_im, &w_re, &w_im);
-            assert_eq!(e_re, se_re);
-            assert_eq!(e_im, se_im);
-            assert_eq!(o_re, so_re);
-            assert_eq!(o_im, so_im);
-        }
+    fn butterfly_matches_scalar_bitwise() {
+        butterfly_matches_scalar::<f64>();
+        butterfly_matches_scalar::<f32>();
     }
 
     #[test]
@@ -828,13 +620,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pointwise_products_match_scalar_bitwise() {
-        let n = 37; // exercises both the lane body and the tail
-        let mut x_re = seq_f64(n, 0.3);
-        let mut x_im = seq_f64(n, 1.3);
-        let t_re = seq_f64(n, 2.3);
-        let t_im = seq_f64(n, 3.3);
+    fn cmul_matches_scalar<T: Float>(n: usize) {
+        let mut x_re = seq::<T>(n, 0.3);
+        let mut x_im = seq::<T>(n, 1.3);
+        let t_re = seq::<T>(n, 2.3);
+        let t_im = seq::<T>(n, 3.3);
         let (mut sx_re, mut sx_im) = (x_re.clone(), x_im.clone());
         for k in 0..n {
             let xr = sx_re[k];
@@ -842,9 +632,16 @@ mod tests {
             sx_re[k] = xr * t_re[k] - xi * t_im[k];
             sx_im[k] = xr * t_im[k] + xi * t_re[k];
         }
-        cmul_f64(&mut x_re, &mut x_im, &t_re, &t_im);
-        assert_eq!(x_re, sx_re);
-        assert_eq!(x_im, sx_im);
+        cmul::<T>(&mut x_re, &mut x_im, &t_re, &t_im);
+        assert_eq!(wide::<T>(&x_re), wide::<T>(&sx_re));
+        assert_eq!(wide::<T>(&x_im), wide::<T>(&sx_im));
+    }
+
+    #[test]
+    fn pointwise_products_match_scalar_bitwise() {
+        let n = 37; // exercises both the lane body and the tail
+        cmul_matches_scalar::<f64>(n);
+        cmul_matches_scalar::<f32>(n);
 
         let mut q_re: Vec<i32> = (0..n).map(|i| ((i * 991) % 65536) as i32 - 32768).collect();
         let mut q_im: Vec<i32> = (0..n).map(|i| ((i * 457) % 65536) as i32 - 32768).collect();

@@ -23,8 +23,9 @@
 //! [`crate::fixed`]). The core owns the tables, the bit reversal, the
 //! structure-of-arrays scratch, the chirp-z algorithm and the pooling; a
 //! path supplies only what really differs — how a table entry is rounded,
-//! its butterfly stages (plain `[f64; 4]` lanes, fused `[f32; 8]` stages,
-//! or `[i32; 8]` stages with per-stage BFP guard shifts), its pointwise
+//! its butterfly stages (the float paths share one fused schedule,
+//! [`float_stages`], in `[f64; 4]` or `[f32; 8]` lanes; Q15 runs
+//! `[i32; 8]` stages with per-stage BFP guard shifts), its pointwise
 //! products, and what an inverse does with `1/N` (the float paths scale
 //! the buffer, Q15 folds it into the scale the transform returns). The
 //! public names callers use are type aliases over the core:
@@ -37,9 +38,10 @@
 //! into a pooled SoA scratch, run the stages, and scatter back; SoA callers
 //! such as the matched filters use [`Radix2::forward_soa`] directly and
 //! never interleave. The one-lane-per-sample transforms remain as
-//! reference methods ([`Radix2::forward_scalar`] on the float paths, the
-//! BFP twin on Q15), and the tests pin the lane path bit-identical to
-//! them, so vectorization can never silently change answers.
+//! test-only reference methods (`forward_scalar` / `inverse_scalar` on the
+//! float paths, a BFP twin on Q15), and the unit tests pin the lane path
+//! bit-identical to them at every power of two up to 4096, so
+//! vectorization can never silently change answers.
 
 use crate::complex::Complex64;
 use crate::fft::{is_pow2, next_pow2};
@@ -124,8 +126,13 @@ pub trait Path: Copy + Send + Sync + 'static {
 }
 
 /// The IEEE paths (`f64`, `f32`): nothing to track beyond the samples,
-/// and inverse transforms pay `1/N` in the buffer.
+/// and inverse transforms pay `1/N` in the buffer. Both run the same lane
+/// kernels ([`crate::lanes`]) and the same stage schedule
+/// ([`float_stages`]); only the lane width differs.
 pub trait Float: Path<Shift = (), Scale = ()> {
+    /// Samples per lane block of the float kernels: one AVX2 register,
+    /// `[f64; 4]` or `[f32; 8]`.
+    const LANES: usize;
     /// `1 / n` in this precision.
     fn recip_len(n: usize) -> Self::Real;
     /// Rounds an `f64` sample to this precision.
@@ -157,33 +164,21 @@ impl Path for f64 {
         Complex64::new(re, im)
     }
     fn stages(re: &mut [f64], im: &mut [f64], twr: &[f64], twi: &[f64]) -> i32 {
-        let mut half = 1usize;
-        while half < re.len() {
-            let (swr, swi) = stage_twiddles(twr, twi, half);
-            if half < lanes::F64_LANES {
-                // Early stages have sub-lane groups; run the whole stage in
-                // one flat kernel pass instead of n/(2·half) tiny calls.
-                lanes::butterfly_f64_small(re, im, swr, swi);
-            } else {
-                for_each_group(re, im, half, |er, ei, or, oi| {
-                    lanes::butterfly_f64(er, ei, or, oi, swr, swi)
-                });
-            }
-            half <<= 1;
-        }
-        0
+        float_stages::<Self>(re, im, twr, twi)
     }
     fn normalize(re: &mut [f64], im: &mut [f64], n: usize) {
-        lanes::scale_f64(re, im, Self::recip_len(n));
+        lanes::scale::<Self>(re, im, Self::recip_len(n));
     }
     fn mul_spectrum(x_re: &mut [f64], x_im: &mut [f64], t_re: &[f64], t_im: &[f64]) {
-        lanes::cmul_f64(x_re, x_im, t_re, t_im);
+        lanes::cmul::<Self>(x_re, x_im, t_re, t_im);
     }
     fn shift(_: i32) {}
     fn scale(_: i32, _: f64, _: usize) {}
 }
 
 impl Float for f64 {
+    const LANES: usize = 4;
+
     #[inline]
     fn recip_len(n: usize) -> f64 {
         1.0 / n as f64
@@ -203,6 +198,41 @@ impl Float for f64 {
 #[inline]
 pub(crate) fn stage_twiddles<'a, R>(twr: &'a [R], twi: &'a [R], half: usize) -> (&'a [R], &'a [R]) {
     (&twr[half - 1..2 * half - 1], &twi[half - 1..2 * half - 1])
+}
+
+/// The butterfly stages of both float paths, on bit-reversed data of length
+/// `n ≥ 2`: the first three stages fused into one sweep of closed 8-point
+/// cells when `n ≥ 8`, then two stages per sweep, and a last odd stage on
+/// its own. Every fused kernel evaluates the plain butterfly's expressions
+/// on the same operands, so the output is bit-identical to running one
+/// stage per sweep. (Q15 cannot fuse: each of its stages scans the block
+/// for its guard shift first.)
+pub(crate) fn float_stages<T: Float>(
+    re: &mut [T::Real],
+    im: &mut [T::Real],
+    twr: &[T::Real],
+    twi: &[T::Real],
+) -> i32 {
+    let n = re.len();
+    let mut half = 1usize;
+    if n >= 8 {
+        lanes::butterfly_first3::<T>(re, im, &twr[..7], &twi[..7]);
+        half = 8;
+    }
+    while half < n {
+        let (swr, swi) = stage_twiddles(twr, twi, half);
+        if 2 * half < n {
+            let (nwr, nwi) = stage_twiddles(twr, twi, 2 * half);
+            lanes::butterfly_pair::<T>(re, im, swr, swi, nwr, nwi);
+            half <<= 2;
+        } else {
+            for_each_group(re, im, half, |er, ei, or, oi| {
+                lanes::butterfly::<T>(er, ei, or, oi, swr, swi)
+            });
+            half <<= 1;
+        }
+    }
+    0
 }
 
 /// Calls `f(even_re, even_im, odd_re, odd_im)` for every butterfly group
@@ -508,11 +538,14 @@ impl<T: Float> Radix2<T> {
         T::normalize(re, im, self.n);
         Ok(())
     }
+}
 
+#[cfg(test)]
+impl<T: Float> Radix2<T> {
     /// The one-lane-per-sample forward transform, kept as the reference
     /// the tests pin the lane kernels against (bit-identical output
     /// required).
-    pub fn forward_scalar(&self, data: &mut [T::Complex]) -> Result<()> {
+    pub(crate) fn forward_scalar(&self, data: &mut [T::Complex]) -> Result<()> {
         self.check(data.len())?;
         self.scalar(data, true);
         Ok(())
@@ -520,7 +553,7 @@ impl<T: Float> Radix2<T> {
 
     /// The one-lane-per-sample inverse transform (normalised by 1/N);
     /// reference twin of [`Radix2::inverse`].
-    pub fn inverse_scalar(&self, data: &mut [T::Complex]) -> Result<()> {
+    pub(crate) fn inverse_scalar(&self, data: &mut [T::Complex]) -> Result<()> {
         self.check(data.len())?;
         self.scalar(data, false);
         let s = T::recip_len(self.n);

@@ -1,13 +1,12 @@
 //! Three-way differential-testing harness: the single-precision f32 and
-//! Q15 fixed-point paths against the f64 oracle, plus scalar-vs-lane
-//! bitwise equivalence on all three paths.
+//! Q15 fixed-point paths against the f64 oracle.
 //!
 //! Every reduced-precision primitive in `uw_dsp::fixed` and
 //! `uw_dsp::float32` is property-tested here against its double-precision
-//! reference with SNR-style tolerance bounds, and every structure-of-arrays
-//! lane kernel in `uw_dsp::lanes` is pinned bit-for-bit against the scalar
-//! reference transform it replaced. The documented tolerances (asserted
-//! below, so they cannot drift from this comment):
+//! reference with SNR-style tolerance bounds. (The bitwise lane-vs-scalar
+//! pins live in the plan unit tests of each path, which run every power of
+//! two up to 4096.) The documented tolerances (asserted below, so they
+//! cannot drift from this comment):
 //!
 //! | primitive                         | bound vs f64 oracle                          |
 //! |-----------------------------------|----------------------------------------------|
@@ -23,7 +22,6 @@
 //! | f32 Bluestein forward             | SQNR ≥ 85 dB                                 |
 //! | `F32MatchedFilter` peak location  | within ±1 sample of the f64 peak             |
 //! | `F32MatchedFilter` peak value     | |Δ| ≤ 1e-3 normalised correlation            |
-//! | lane kernels vs scalar reference  | bit-identical (all three paths)              |
 //! | saturation edge cases             | exact (±1.0 inputs never wrap, zeros stay 0) |
 //!
 //! The matched-filter peak properties draw the signal length as well as the
@@ -33,21 +31,13 @@
 //! full scale — the proptest generators below draw amplitudes from
 //! [0.05, 0.95], covering everything the automatic per-call gain
 //! normalisation in the hot path can produce.
-//!
-//! Bitwise lane-vs-scalar equivalence is not a tolerance test: the lane
-//! kernels evaluate the same IEEE expressions in the same order as the
-//! scalar transforms (and the Q15 kernels are exact integer arithmetic),
-//! so any nonzero difference is a bug.
 
 use proptest::prelude::*;
 use uw_dsp::complex::Complex64;
 use uw_dsp::correlation::argmax;
 use uw_dsp::fft::{fft, fft_any};
-use uw_dsp::fixed::{
-    ComplexQ15, FixedFftPlan, FixedRadix2Plan, NumericPath, Q15MatchedFilter, Q15, Q15_ONE,
-};
-use uw_dsp::float32::{Complex32, F32FftPlan, F32MatchedFilter, F32Radix2Plan};
-use uw_dsp::plan::Radix2Plan;
+use uw_dsp::fixed::{ComplexQ15, FixedFftPlan, NumericPath, Q15MatchedFilter, Q15, Q15_ONE};
+use uw_dsp::float32::{Complex32, F32FftPlan, F32MatchedFilter};
 use uw_dsp::MatchedFilter;
 
 fn quantize(signal: &[Complex64]) -> Vec<ComplexQ15> {
@@ -313,77 +303,6 @@ proptest! {
             (ref_peak - f32_peak).abs() <= 1e-3,
             "peak value {ref_peak:.6} (f64) vs {f32_peak:.6} (f32)"
         );
-    }
-}
-
-proptest! {
-    // Bitwise equivalence needs fewer cases: any divergence is
-    // deterministic in the length/stage structure, not the data.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn f64_lane_kernels_match_the_scalar_reference_bitwise(
-        exp in 0u32..12, amp in 0.05f64..0.95, w1 in 0.1f64..3.0, w2 in 0.1f64..3.0,
-    ) {
-        let n = 1usize << exp;
-        let signal = tone_signal(n, amp, w1, w2);
-        let plan = Radix2Plan::new(n).unwrap();
-        let mut lane = signal.clone();
-        let mut scalar = signal.clone();
-        plan.forward(&mut lane).unwrap();
-        plan.forward_scalar(&mut scalar).unwrap();
-        for (l, s) in lane.iter().zip(scalar.iter()) {
-            prop_assert_eq!(l.re.to_bits(), s.re.to_bits());
-            prop_assert_eq!(l.im.to_bits(), s.im.to_bits());
-        }
-        plan.inverse(&mut lane).unwrap();
-        plan.inverse_scalar(&mut scalar).unwrap();
-        for (l, s) in lane.iter().zip(scalar.iter()) {
-            prop_assert_eq!(l.re.to_bits(), s.re.to_bits());
-            prop_assert_eq!(l.im.to_bits(), s.im.to_bits());
-        }
-    }
-
-    #[test]
-    fn f32_lane_kernels_match_the_scalar_reference_bitwise(
-        exp in 0u32..12, amp in 0.05f64..0.95, w1 in 0.1f64..3.0, w2 in 0.1f64..3.0,
-    ) {
-        let n = 1usize << exp;
-        let signal = to_f32(&tone_signal(n, amp, w1, w2));
-        let plan = F32Radix2Plan::new(n).unwrap();
-        let mut lane = signal.clone();
-        let mut scalar = signal;
-        plan.forward(&mut lane).unwrap();
-        plan.forward_scalar(&mut scalar).unwrap();
-        for (l, s) in lane.iter().zip(scalar.iter()) {
-            prop_assert_eq!(l.re.to_bits(), s.re.to_bits());
-            prop_assert_eq!(l.im.to_bits(), s.im.to_bits());
-        }
-        plan.inverse(&mut lane).unwrap();
-        plan.inverse_scalar(&mut scalar).unwrap();
-        for (l, s) in lane.iter().zip(scalar.iter()) {
-            prop_assert_eq!(l.re.to_bits(), s.re.to_bits());
-            prop_assert_eq!(l.im.to_bits(), s.im.to_bits());
-        }
-    }
-
-    #[test]
-    fn q15_lane_kernels_match_the_scalar_reference_exactly(
-        exp in 0u32..12, amp in 0.05f64..0.95, w1 in 0.1f64..3.0, w2 in 0.1f64..3.0,
-    ) {
-        let n = 1usize << exp;
-        let signal = quantize(&tone_signal(n, amp, w1, w2));
-        let plan = FixedRadix2Plan::new(n).unwrap();
-        let mut lane = signal.clone();
-        let mut scalar = signal;
-        let lane_shifts = plan.forward(&mut lane).unwrap();
-        let scalar_shifts = plan.forward_scalar(&mut scalar).unwrap();
-        prop_assert_eq!(lane_shifts, scalar_shifts);
-        prop_assert_eq!(&lane, &scalar);
-        let lane_shifts = plan.inverse_raw(&mut lane).unwrap();
-        let scalar_shifts = plan.inverse_raw_scalar(&mut scalar).unwrap();
-        prop_assert_eq!(lane_shifts, scalar_shifts);
-        prop_assert_eq!(&lane, &scalar);
     }
 }
 
