@@ -77,7 +77,7 @@ pub mod wav;
 pub use burst::{scan_all, Burst, BurstScanner};
 pub use manifest::{CampaignManifest, SegmentRange, MANIFEST_MAGIC, MANIFEST_VERSION};
 pub use replay::{ReplayBlock, ReplaySource};
-pub use resample::{resample_linear, SincResampler, StreamingLinearResampler};
+pub use resample::{SincResampler, StreamingLinearResampler};
 pub use skew::{estimate_skew_ppm, SKEW_DEADBAND_PPM, SKEW_MAX_PPM};
 pub use wav::{SampleFormat, WavReader, WavSpec, WavWriter};
 

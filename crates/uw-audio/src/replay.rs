@@ -75,7 +75,7 @@ impl<R: Read + Seek> ReplaySource<R> {
         })
     }
 
-    /// The underlying reader (spec, metadata chunks, remaining frames).
+    /// The underlying reader (spec, remaining frames).
     pub fn reader(&self) -> &WavReader<R> {
         &self.reader
     }

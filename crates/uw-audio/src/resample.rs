@@ -8,11 +8,11 @@
 //!   rate ratios (`L/M` after reduction). This is the quality path: the
 //!   anti-aliasing cutoff tracks the lower of the two Nyquist rates, so
 //!   down-sampling does not fold noise into the 1–5 kHz ranging band.
-//! * [`resample_linear`] / [`StreamingLinearResampler`] — linear
-//!   interpolation, adequate for the near-unity ratios of clock-skewed
-//!   recorders and cheap enough for block-streaming ingestion; the
-//!   streaming variant keeps its fractional phase across blocks so a
-//!   chunked decode resamples identically to a one-shot pass.
+//! * [`StreamingLinearResampler`] — linear interpolation, adequate for
+//!   the near-unity ratios of clock-skewed recorders and cheap enough for
+//!   block-streaming ingestion. It keeps its fractional phase across
+//!   blocks, so a chunked decode resamples identically to a one-shot pass
+//!   of [`uw_dsp::resample::resample`].
 
 use crate::{AudioError, Result};
 
@@ -24,33 +24,6 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
         a = t;
     }
     a.max(1)
-}
-
-/// Resamples a whole signal by `ratio = output_rate / input_rate` with
-/// linear interpolation.
-pub fn resample_linear(signal: &[f64], ratio: f64) -> Result<Vec<f64>> {
-    if !(ratio.is_finite() && ratio > 0.0) {
-        return Err(AudioError::InvalidParameter {
-            reason: "resampling ratio must be positive and finite".into(),
-        });
-    }
-    if signal.is_empty() {
-        return Ok(Vec::new());
-    }
-    let out_len = ((signal.len() as f64) * ratio).floor() as usize;
-    let mut out = Vec::with_capacity(out_len);
-    for i in 0..out_len {
-        let src = i as f64 / ratio;
-        let lo = src.floor() as usize;
-        let frac = src - lo as f64;
-        let a = signal.get(lo).copied().unwrap_or(0.0);
-        let b = signal
-            .get(lo + 1)
-            .copied()
-            .unwrap_or_else(|| *signal.last().unwrap());
-        out.push(a * (1.0 - frac) + b * frac);
-    }
-    Ok(out)
 }
 
 /// A linear resampler whose fractional read position survives across
@@ -119,7 +92,7 @@ impl StreamingLinearResampler {
 
     /// Flushes the final sample once the stream ends (the last input
     /// sample is emitted by zero-order hold, matching
-    /// [`resample_linear`]'s edge behaviour).
+    /// [`uw_dsp::resample::resample`]'s edge behaviour).
     pub fn finish(&mut self) -> Vec<f64> {
         let mut out = Vec::new();
         if let Some(last) = self.carry.take() {
@@ -280,24 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn linear_identity_and_length() {
-        let s = tone(1000, 100.0, 8000.0);
-        let out = resample_linear(&s, 1.0).unwrap();
-        assert_eq!(out.len(), 1000);
-        for (a, b) in s.iter().zip(out.iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        assert_eq!(resample_linear(&s, 0.5).unwrap().len(), 500);
-        assert!(resample_linear(&s, 0.0).is_err());
-        assert!(resample_linear(&s, f64::NAN).is_err());
-        assert!(resample_linear(&[], 2.0).unwrap().is_empty());
-    }
-
-    #[test]
     fn streaming_linear_matches_one_shot() {
         let s = tone(4000, 440.0, 48_000.0);
         let ratio = 44_100.0 / 48_000.0;
-        let one_shot = resample_linear(&s, ratio).unwrap();
+        let one_shot = uw_dsp::resample::resample(&s, ratio).unwrap();
         let mut streaming = StreamingLinearResampler::new(ratio).unwrap();
         let mut streamed = Vec::new();
         for block in s.chunks(257) {

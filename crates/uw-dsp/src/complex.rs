@@ -45,15 +45,6 @@ impl Complex64 {
         }
     }
 
-    /// Returns a complex number from polar form `r·exp(i·theta)`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Self {
-            re: r * theta.cos(),
-            im: r * theta.sin(),
-        }
-    }
-
     /// Complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
@@ -73,12 +64,6 @@ impl Complex64 {
     #[inline]
     pub fn abs(self) -> f64 {
         self.norm_sqr().sqrt()
-    }
-
-    /// Argument (phase angle) in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
     }
 
     /// Multiplies by a real scalar.
@@ -224,16 +209,6 @@ pub fn to_complex(samples: &[f64]) -> Vec<Complex64> {
     samples.iter().map(|&s| Complex64::from_re(s)).collect()
 }
 
-/// Extracts the real parts of a complex buffer.
-pub fn to_real(samples: &[Complex64]) -> Vec<f64> {
-    samples.iter().map(|c| c.re).collect()
-}
-
-/// Extracts the magnitudes of a complex buffer.
-pub fn magnitudes(samples: &[Complex64]) -> Vec<f64> {
-    samples.iter().map(|c| c.abs()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,13 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn polar_roundtrip() {
-        let c = Complex64::from_polar(2.5, 0.7);
-        assert!(close(c.abs(), 2.5));
-        assert!(close(c.arg(), 0.7));
-    }
-
-    #[test]
     fn unit_phasor_has_unit_magnitude() {
         for k in 0..32 {
             let theta = k as f64 * 0.41;
@@ -301,8 +269,7 @@ mod tests {
     fn conversions_roundtrip() {
         let real = vec![1.0, -2.0, 3.5];
         let cx = to_complex(&real);
-        assert_eq!(to_real(&cx), real);
-        assert_eq!(magnitudes(&cx), vec![1.0, 2.0, 3.5]);
+        assert!(cx.iter().zip(&real).all(|(c, &r)| c.re == r && c.im == 0.0));
     }
 
     #[test]

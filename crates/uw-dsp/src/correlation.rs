@@ -113,16 +113,6 @@ pub fn xcorr_normalized(signal: &[f64], template: &[f64]) -> Result<Vec<f64>> {
     Ok(out)
 }
 
-/// Pearson correlation coefficient between two equal-length segments.
-pub fn segment_correlation(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.len() != b.len() || a.is_empty() {
-        return Err(DspError::InvalidLength {
-            reason: "segments must be equal-length and non-empty",
-        });
-    }
-    Ok(Centred::new(a, 1.0).correlation(&Centred::new(b, 1.0)))
-}
-
 /// A segment read under a ±1 sign, with the two per-segment terms of a
 /// Pearson coefficient: the signed segment's mean and centred energy.
 /// Flipping a sign is exact, so these are the bits a sign-flipped copy of
@@ -311,7 +301,6 @@ mod tests {
         assert!(xcorr_direct(&[1.0], &[]).is_err());
         assert!(xcorr_direct(&[1.0], &[1.0, 2.0]).is_err());
         assert!(xcorr_normalized(&[1.0, 2.0, 3.0], &[0.0, 0.0]).is_err());
-        assert!(segment_correlation(&[1.0], &[1.0, 2.0]).is_err());
         assert!(autocorr_validation(&[0.0; 10], 5, 5, &[1.0]).is_err());
         assert!(autocorr_validation(&[0.0; 10], 0, 0, &[1.0, 1.0]).is_err());
         assert!(autocorr_validation(&[0.0; 10], 50, 50, &[1.0, 1.0]).is_err());
@@ -323,15 +312,5 @@ mod tests {
         assert!(argmax(&[]).is_none());
         assert!(argmax(&[f64::NAN, f64::NAN]).is_none());
         assert_eq!(argmax(&[1.0, f64::NAN, 3.0, 2.0]).unwrap().0, 2);
-    }
-
-    #[test]
-    fn segment_correlation_of_identical_segments_is_one() {
-        let a: Vec<f64> = (0..50).map(|i| (i as f64).sin()).collect();
-        let r = segment_correlation(&a, &a).unwrap();
-        assert!((r - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = a.iter().map(|x| -x).collect();
-        let r = segment_correlation(&a, &neg).unwrap();
-        assert!((r + 1.0).abs() < 1e-12);
     }
 }

@@ -10,7 +10,7 @@
 //! samples, matching §2.2.1.
 
 use crate::complex::Complex64;
-use crate::fft::{bin_for_freq, fft_any, ifft_any};
+use crate::fft::{bin_for_freq, ifft_any};
 use crate::zc::zadoff_chu;
 use crate::{DspError, Result, BAND_HIGH_HZ, BAND_LOW_HZ, SAMPLE_RATE};
 
@@ -77,11 +77,6 @@ impl OfdmConfig {
     /// preceded by a cyclic prefix.
     pub fn preamble_len(&self) -> usize {
         self.n_symbols * (self.symbol_len + self.cyclic_prefix)
-    }
-
-    /// Duration of the preamble in seconds.
-    pub fn preamble_duration(&self) -> f64 {
-        self.preamble_len() as f64 / self.sample_rate
     }
 
     /// Validates the configuration.
@@ -206,16 +201,6 @@ pub fn add_cyclic_prefix(symbol: &[f64], cp_len: usize) -> Result<Vec<f64>> {
     Ok(out)
 }
 
-/// Removes a cyclic prefix from a received block.
-pub fn remove_cyclic_prefix(block: &[f64], cp_len: usize) -> Result<&[f64]> {
-    if cp_len >= block.len() {
-        return Err(DspError::InvalidLength {
-            reason: "block shorter than the cyclic prefix",
-        });
-    }
-    Ok(&block[cp_len..])
-}
-
 /// Builds the full ranging preamble: `n_symbols` PN-signed copies of the
 /// base symbol, each preceded by a cyclic prefix.
 pub fn build_preamble(config: &OfdmConfig) -> Result<Vec<f64>> {
@@ -230,29 +215,8 @@ pub fn build_preamble(config: &OfdmConfig) -> Result<Vec<f64>> {
 }
 
 /// Demodulates one received OFDM symbol (cyclic prefix already removed) to
-/// its occupied-bin values. The symbol is zero-padded to the FFT length.
-///
-/// One-shot convenience: pays the full Bluestein setup per call. Receivers
-/// demodulating many symbols should hold an [`crate::plan::FftPlan`] and
-/// call [`demodulate_symbol_with`] instead.
-pub fn demodulate_symbol(config: &OfdmConfig, symbol: &[f64]) -> Result<Vec<Complex64>> {
-    config.validate()?;
-    if symbol.len() < config.symbol_len {
-        return Err(DspError::InvalidLength {
-            reason: "received symbol shorter than the symbol length",
-        });
-    }
-    let n_fft = config.fft_len();
-    let mut buf = vec![Complex64::ZERO; n_fft];
-    for (b, &s) in buf.iter_mut().zip(symbol.iter().take(config.symbol_len)) {
-        *b = Complex64::from_re(s);
-    }
-    let spec = fft_any(&buf)?;
-    let range = config.occupied_bins();
-    Ok(spec[range].to_vec())
-}
-
-/// As [`demodulate_symbol`], but through a caller-held plan so the chirp
+/// its occupied-bin values. The symbol is zero-padded to the FFT length and
+/// transformed through a caller-held [`crate::plan::FftPlan`], so the chirp
 /// setup for the non-power-of-two symbol length is paid once, not per
 /// symbol. The plan must have been built for `config.fft_len()`.
 pub fn demodulate_symbol_with(
@@ -311,6 +275,7 @@ mod tests {
     use super::*;
     use crate::correlation::{argmax, xcorr_normalized};
     use crate::fft::rfft_any;
+    use crate::plan::FftPlan;
 
     #[test]
     fn default_config_matches_paper() {
@@ -319,8 +284,6 @@ mod tests {
         assert_eq!(c.cyclic_prefix, 540);
         assert_eq!(c.n_symbols, 4);
         assert_eq!(c.preamble_len(), 4 * (1920 + 540));
-        // 4*(1920+540)/44100 = 223 ms of preamble, < Tpacket = 278 ms.
-        assert!(c.preamble_duration() < 0.278);
         c.validate().unwrap();
         assert_eq!(c.fft_len(), c.symbol_len);
     }
@@ -403,10 +366,7 @@ mod tests {
         let with_cp = add_cyclic_prefix(&symbol, 20).unwrap();
         assert_eq!(with_cp.len(), 120);
         assert_eq!(&with_cp[..20], &symbol[80..]);
-        let stripped = remove_cyclic_prefix(&with_cp, 20).unwrap();
-        assert_eq!(stripped, &symbol[..]);
         assert!(add_cyclic_prefix(&symbol, 200).is_err());
-        assert!(remove_cyclic_prefix(&symbol, 100).is_err());
     }
 
     #[test]
@@ -429,7 +389,8 @@ mod tests {
         let config = OfdmConfig::default();
         let spectrum = base_symbol_spectrum(&config).unwrap();
         let symbol = base_symbol(&config).unwrap();
-        let rx = demodulate_symbol(&config, &symbol).unwrap();
+        let mut plan = FftPlan::new(config.fft_len()).unwrap();
+        let rx = demodulate_symbol_with(&mut plan, &config, &symbol).unwrap();
         assert_eq!(rx.len(), spectrum.bins.len());
         // Phases should match the transmitted ZC bins (up to a common scale);
         // compare normalised inner product.
@@ -457,6 +418,7 @@ mod tests {
     #[test]
     fn demodulate_rejects_short_input() {
         let config = OfdmConfig::default();
-        assert!(demodulate_symbol(&config, &[0.0; 10]).is_err());
+        let mut plan = FftPlan::new(config.fft_len()).unwrap();
+        assert!(demodulate_symbol_with(&mut plan, &config, &[0.0; 10]).is_err());
     }
 }

@@ -63,11 +63,6 @@ pub fn normalize_profile(values: &[f64]) -> Vec<f64> {
     values.iter().map(|&v| v / max).collect()
 }
 
-/// Earliest index whose value is a peak exceeding `threshold`.
-pub fn earliest_peak_above(values: &[f64], threshold: f64) -> Option<usize> {
-    (0..values.len()).find(|&i| values[i] > threshold && is_peak(values, i))
-}
-
 /// Summary statistics of a set of scalar errors, used throughout the
 /// evaluation harness (medians and percentiles of error distributions).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -174,14 +169,6 @@ mod tests {
         assert_eq!(find_peaks_above(&v, 0.5), vec![1, 3, 5]);
         assert_eq!(find_peaks_above(&v, 1.5), vec![5]);
         assert!(find_peaks_above(&v, 5.0).is_empty());
-    }
-
-    #[test]
-    fn earliest_peak() {
-        let v = [0.0, 0.3, 0.1, 0.9, 0.2];
-        assert_eq!(earliest_peak_above(&v, 0.2), Some(1));
-        assert_eq!(earliest_peak_above(&v, 0.5), Some(3));
-        assert_eq!(earliest_peak_above(&v, 2.0), None);
     }
 
     #[test]

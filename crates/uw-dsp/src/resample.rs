@@ -74,37 +74,6 @@ pub fn apply_ppm_skew(signal: &[f64], ppm: f64) -> Result<Vec<f64>> {
     resample(signal, 1.0 + ppm * 1e-6)
 }
 
-/// Mixes a delayed, scaled copy of `source` into `target` starting at
-/// `offset` samples (integer part) with linear-interpolated fractional part.
-/// Samples that fall beyond `target` are dropped.
-pub fn add_delayed_scaled(
-    target: &mut [f64],
-    source: &[f64],
-    delay_samples: f64,
-    gain: f64,
-) -> Result<()> {
-    if delay_samples < 0.0 || !delay_samples.is_finite() {
-        return Err(DspError::InvalidParameter {
-            reason: "delay must be non-negative and finite",
-        });
-    }
-    let int_delay = delay_samples.floor() as usize;
-    let frac = delay_samples - int_delay as f64;
-    for (i, &s) in source.iter().enumerate() {
-        // Split the sample between two adjacent output positions (linear
-        // interpolation transposed).
-        let idx0 = int_delay + i;
-        if idx0 < target.len() {
-            target[idx0] += gain * s * (1.0 - frac);
-        }
-        let idx1 = idx0 + 1;
-        if frac > 0.0 && idx1 < target.len() {
-            target[idx1] += gain * s * frac;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,23 +144,5 @@ mod tests {
         let out_freq = crossings(&out) as f64 * fs / out.len() as f64;
         assert!((in_freq - 400.0).abs() < 10.0);
         assert!((out_freq - 320.0).abs() < 10.0);
-    }
-
-    #[test]
-    fn add_delayed_scaled_superimposes() {
-        let mut target = vec![0.0; 10];
-        add_delayed_scaled(&mut target, &[1.0, 1.0], 3.0, 0.5).unwrap();
-        assert_eq!(target[3], 0.5);
-        assert_eq!(target[4], 0.5);
-        // Fractional delay splits energy across two samples.
-        let mut target = vec![0.0; 10];
-        add_delayed_scaled(&mut target, &[1.0], 2.25, 1.0).unwrap();
-        assert!((target[2] - 0.75).abs() < 1e-12);
-        assert!((target[3] - 0.25).abs() < 1e-12);
-        // Out-of-range samples are silently dropped.
-        let mut target = vec![0.0; 3];
-        add_delayed_scaled(&mut target, &[1.0, 1.0, 1.0], 2.0, 1.0).unwrap();
-        assert_eq!(target, vec![0.0, 0.0, 1.0]);
-        assert!(add_delayed_scaled(&mut target, &[1.0], -0.5, 1.0).is_err());
     }
 }

@@ -5,7 +5,6 @@
 //! and comparing the signal power on each occupied bin against the noise
 //! power measured on the same bins when no signal is present.
 
-use crate::complex::Complex64;
 use crate::fft::freq_for_bin;
 use crate::ofdm::{demodulate_symbol_with, OfdmConfig};
 use crate::plan::FftPlan;
@@ -89,28 +88,6 @@ pub fn mean_snr_db(subcarriers: &[SubcarrierSnr]) -> Option<f64> {
     Some(10.0 * mean_linear.log10())
 }
 
-/// Wideband SNR of a received signal given a reference noise segment, in dB.
-pub fn wideband_snr_db(signal_plus_noise: &[f64], noise: &[f64]) -> Result<f64> {
-    if signal_plus_noise.is_empty() || noise.is_empty() {
-        return Err(DspError::InvalidLength {
-            reason: "SNR inputs must be non-empty",
-        });
-    }
-    let p_total =
-        signal_plus_noise.iter().map(|s| s * s).sum::<f64>() / signal_plus_noise.len() as f64;
-    let p_noise = (noise.iter().map(|s| s * s).sum::<f64>() / noise.len() as f64).max(1e-20);
-    let p_signal = (p_total - p_noise).max(1e-20);
-    Ok(10.0 * (p_signal / p_noise).log10())
-}
-
-/// Complex per-bin channel estimate magnitude in dB relative to unity.
-pub fn channel_magnitude_db(channel: &[Complex64]) -> Vec<f64> {
-    channel
-        .iter()
-        .map(|c| 20.0 * c.abs().max(1e-20).log10())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,30 +151,6 @@ mod tests {
         assert!(per_subcarrier_snr(&config, &[], &noise_seg).is_err());
         assert!(per_subcarrier_snr(&config, &[vec![0.0; 10]], &noise_seg).is_err());
         assert!(per_subcarrier_snr(&config, &[vec![0.0; config.symbol_len]], &[0.0; 10]).is_err());
-        assert!(wideband_snr_db(&[], &[1.0]).is_err());
         assert!(mean_snr_db(&[]).is_none());
-    }
-
-    #[test]
-    fn wideband_snr_behaves() {
-        let signal: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.3).sin()).collect();
-        let n = noise(1000, 0.1, 7);
-        let rx: Vec<f64> = signal.iter().zip(n.iter()).map(|(s, w)| s + w).collect();
-        let snr = wideband_snr_db(&rx, &n).unwrap();
-        // Signal power 0.5, noise power ~0.0033 → ~21.7 dB.
-        assert!(snr > 15.0 && snr < 30.0, "snr {snr}");
-    }
-
-    #[test]
-    fn channel_magnitude_db_handles_zero() {
-        let ch = vec![
-            Complex64::new(1.0, 0.0),
-            Complex64::ZERO,
-            Complex64::new(0.0, 10.0),
-        ];
-        let db = channel_magnitude_db(&ch);
-        assert!((db[0] - 0.0).abs() < 1e-9);
-        assert!(db[1] < -300.0);
-        assert!((db[2] - 20.0).abs() < 1e-9);
     }
 }

@@ -71,19 +71,6 @@ pub fn circular_autocorr(seq: &[Complex64], lag: usize) -> Result<f64> {
     Ok(acc.abs() / energy)
 }
 
-/// Cyclically shifts a sequence left by `shift` positions.
-pub fn cyclic_shift(seq: &[Complex64], shift: usize) -> Vec<Complex64> {
-    if seq.is_empty() {
-        return Vec::new();
-    }
-    let n = seq.len();
-    let shift = shift % n;
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&seq[shift..]);
-    out.extend_from_slice(&seq[..shift]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,17 +109,6 @@ mod tests {
         assert_eq!(gcd(7, 13), 1);
         assert_eq!(gcd(0, 5), 5);
         assert_eq!(gcd(5, 0), 5);
-    }
-
-    #[test]
-    fn cyclic_shift_roundtrip() {
-        let seq = zadoff_chu(31, 7).unwrap();
-        let shifted = cyclic_shift(&seq, 11);
-        let back = cyclic_shift(&shifted, 31 - 11);
-        for (a, b) in seq.iter().zip(back.iter()) {
-            assert!((a.re - b.re).abs() < 1e-15 && (a.im - b.im).abs() < 1e-15);
-        }
-        assert!(cyclic_shift(&[], 3).is_empty());
     }
 
     #[test]
