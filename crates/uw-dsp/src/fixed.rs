@@ -659,9 +659,9 @@ mod tests {
 
     #[test]
     fn lane_path_is_bit_identical_to_the_scalar_reference() {
-        // Every power of two up to 4096, so every boundary of the stage
-        // schedule (fused first stages, stage pairs, a final odd stage) is
-        // pinned.
+        // Every power of two up to 4096, so every stage count and the
+        // switch from whole-stage kernels to per-group lanes at half = 8
+        // are pinned.
         for n in (0..=12).map(|s| 1usize << s) {
             for amp in [0.01, 0.5, 0.98] {
                 let signal = test_signal(n, amp);

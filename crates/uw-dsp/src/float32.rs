@@ -7,9 +7,10 @@
 //! ([`crate::plan`]) and matched-filter driver ([`crate::matched`]):
 //!
 //! * [`Complex32`] — the single-precision complex sample.
-//! * The `f32` [`Path`]: fused butterfly stages (the first three stages
-//!   in one sweep of 8-point cells, later stages two at a time) through
-//!   the `[f32; 8]` lane kernels in [`crate::lanes`], behind the
+//! * The `f32` [`Path`]: the butterfly schedule and lane kernels it
+//!   shares with the `f64` oracle (the first three stages in one sweep of
+//!   8-point cells, later stages two at a time, through the generic float
+//!   kernels in [`crate::lanes`] at `[f32; 8]` width), behind the
 //!   [`F32Radix2Plan`] / [`F32FftPlan`] / [`F32PlanPool`] aliases.
 //! * [`F32MatchedFilter`]: the generic overlap-save filter on this path.
 //!   Each block runs on the shortest rung of its block-length ladder that
@@ -26,9 +27,10 @@
 //! length, and matched-filter peak position within ±1 sample — inside the
 //! acoustic SNR budget. Wall-clock, the f32 filter runs the same blocks as
 //! the f64 oracle with half-width samples, so twice the lanes per register
-//! and half the memory traffic: on the paper preamble it takes about 0.7×
-//! the f64 filter's time per call (14,112- and 29,840-sample captures, both
-//! filters in one process on an AVX-512 x86-64 VM).
+//! and half the memory traffic: on the paper preamble it takes about 0.8×
+//! the f64 filter's time per call (0.13 against 0.17 ms on a 14,112-sample
+//! capture, 0.37 against 0.46 ms on a 29,840-sample one; both filters in
+//! one process on a 2-vCPU AVX-512 x86-64 VM).
 //!
 //! Normalised correlation divides by sliding window energies accumulated
 //! as `f64` prefix sums **of the f32-cast samples**, so numerator and

@@ -9,9 +9,10 @@
 //! **structure-of-arrays** form — separate `re[]` / `im[]` slices — processed
 //! in fixed-width blocks the LLVM autovectorizer reliably lowers to SIMD:
 //!
-//! * `[f64; 4]` blocks (one AVX2 register / two NEON registers) for the f64
-//!   oracle path,
-//! * `[f32; 8]` blocks for the f32 phone-DSP path,
+//! * the float kernels are written once, generic over [`Float`], in blocks
+//!   of [`Float::LANES`] samples: `[f64; 4]` (one AVX2 register / two NEON
+//!   registers) for the f64 oracle path and `[f32; 8]` for the f32
+//!   phone-DSP path;
 //! * `[i32; 8]` blocks (widened Q15 mantissas) for the fixed-point path,
 //!   with `i64` product accumulators exactly as the scalar code uses.
 //!
@@ -20,14 +21,14 @@
 //! SIMD on every target the workspace builds for and degrades to the scalar
 //! code path otherwise. Every kernel computes **the same expressions in the
 //! same order** as its scalar counterpart, so results are bit-identical —
-//! pinned by the scalar-vs-lane equivalence tests in this module and in
-//! `tests/fixed_vs_float.rs`. Vectorization can never silently change
+//! pinned by the tests in this module and by the plan unit tests of each
+//! path, which compare whole transforms against the scalar reference at
+//! every power of two up to 4096. Vectorization can never silently change
 //! answers.
 //!
-//! The kernels are `pub` so the differential harness and the bench suite can
-//! drive them directly; production code reaches them through
-//! [`crate::plan`], [`crate::float32`], [`crate::fixed`] and
-//! [`crate::matched`].
+//! Production code reaches the kernels through [`crate::plan`] (whose
+//! `float_stages` is the one butterfly schedule of both float paths),
+//! [`crate::float32`], [`crate::fixed`] and [`crate::matched`].
 
 use crate::plan::Float;
 
@@ -535,7 +536,8 @@ mod tests {
     }
 
     /// The lane butterfly must be bit-identical to a naive scalar loop over
-    /// the same expressions, including the non-multiple-of-lane tail.
+    /// the same expressions, including the non-multiple-of-lane tail. One
+    /// generic body, run at both lane widths.
     fn butterfly_matches_scalar<T: Float>() {
         for half in [1usize, 3, 4, 7, 8, 9, 13, 16, 64, 100] {
             let mut e_re = seq::<T>(half, 0.0);
@@ -565,8 +567,12 @@ mod tests {
     }
 
     #[test]
-    fn butterfly_matches_scalar_bitwise() {
+    fn f64_butterfly_matches_scalar_bitwise() {
         butterfly_matches_scalar::<f64>();
+    }
+
+    #[test]
+    fn f32_butterfly_matches_scalar_bitwise() {
         butterfly_matches_scalar::<f32>();
     }
 

@@ -40,8 +40,9 @@
 //!   and the hooks behind [`F32FftPlan`] / [`F32MatchedFilter`], with
 //!   twice the SIMD lanes per register.
 //! * [`lanes`] — the fixed-width structure-of-arrays lane kernels
-//!   (`[f64; 4]`/`[f32; 8]`/`[i32; 8]`) all three numeric paths execute
-//!   their butterflies and pointwise products through.
+//!   (`[f64; 4]`/`[f32; 8]` from one generic float set, `[i32; 8]` for
+//!   Q15) all three numeric paths execute their butterflies and pointwise
+//!   products through.
 //!
 //! All functions operate on `f64` sample buffers at a nominal 44.1 kHz
 //! sampling rate (the rate exposed by commodity smart devices underwater).
@@ -62,7 +63,8 @@
 //!   the plan pool and the overlap-save filter are each written once,
 //!   generic over the path. `f64`, `f32` and [`Q15`] plug in only what
 //!   really differs: how a table entry is rounded, the butterfly stages
-//!   (fused on f32, with per-stage guard shifts on Q15), the pointwise
+//!   (one fused schedule for both float paths, which differ only in lane
+//!   width; per-stage guard shifts on Q15), the pointwise
 //!   products, and one overlap-save block (one half-length real-input
 //!   block for both float paths; Q15's complex block with its per-call
 //!   quantisation and scale bookkeeping). The generic filter alone picks
@@ -76,8 +78,9 @@
 //!   lengths like the paper's 1920-sample OFDM symbol — the Bluestein
 //!   chirp, its padded spectrum, and the convolution scratch. Steady-state
 //!   `process_forward` / `process_inverse` calls are **allocation-free**
-//!   (enforced by a counting-allocator test) and run ~2.4× faster than
-//!   [`fft::fft_any`] at 1920 samples.
+//!   (enforced by a counting-allocator test) and run about 4× faster
+//!   than [`fft::fft_any`] at 1920 samples (58 µs against 230 µs in
+//!   `BENCH_pipeline.json`).
 //! * **Correlating many streams against one template** → build a
 //!   [`MatchedFilter`] once. It stores the template's conjugated spectrum
 //!   at every block length of its ladder (from `next_pow2(m)` to
@@ -129,9 +132,9 @@
 //!   indices within ±1 sample of the f64 peak at matrix SNRs, and exact
 //!   saturation behaviour at ±1.0.
 //! * **What the perf axis records.** With the `[i32; 8]` lane kernels a
-//!   Q15 transform runs close to its f64 twin on x86: ≈ 23 µs vs 19 µs at
-//!   2048 points. Its matched filter costs about twice the f64 one
-//!   (1.79 vs 0.99 ms on the 29,840-sample detection stream,
+//!   Q15 transform runs close to its f64 twin on x86: 14.1 µs vs 12.2 µs
+//!   at 2048 points. Its matched filter costs about twice the f64 one
+//!   (0.95 vs 0.46 ms on the 29,840-sample detection stream,
 //!   `q15_matched_filter_65k` vs `preamble_correlation_65k_stream` in
 //!   `BENCH_pipeline.json`), because the float paths run a half-length
 //!   real-input leg that Q15 does not have. The point of the axis was
@@ -155,30 +158,35 @@
 //!   iterators), so LLVM sees fixed-trip-count inner loops with no bounds
 //!   checks — the shape it reliably lowers to full-width packed SIMD.
 //!   The crate stays dependency-free and `forbid(unsafe_code)`, and the
-//!   same loops degrade to scalar code on targets without SIMD. Early
-//!   FFT stages (`half < LANES`), whose groups are narrower than a lane
-//!   block, run through const-generic whole-stage kernels instead of
-//!   per-group calls.
+//!   same loops degrade to scalar code on targets without SIMD.
+//! * **One float schedule.** The f64 and f32 kernels are one generic set,
+//!   and both paths run one butterfly schedule: the first three stages
+//!   fused into one sweep of closed 8-point cells, then two stages per
+//!   sweep, then a last odd stage — so no float stage narrower than a
+//!   lane block is left (transforms shorter than 8 points run the pair
+//!   and plain kernels). Q15 cannot fuse, because each of its stages
+//!   scans the block for its guard shift first; its early stages
+//!   (`half < 8`) run through const-generic whole-stage kernels instead
+//!   of per-group calls.
 //! * **Bit-identical by construction.** Every kernel computes the same
-//!   expressions in the same order as the one-lane-per-sample reference
-//!   transforms (one generic `forward_scalar` / `inverse_scalar` for the
-//!   two float paths, a BFP twin for Q15); the tests assert `==` on the
-//!   outputs, so vectorization can never silently change answers. The
+//!   expressions in the same order as the test-only one-lane-per-sample
+//!   reference transforms (one generic `forward_scalar` /
+//!   `inverse_scalar` for the two float paths, a BFP twin for Q15); the
+//!   unit tests assert `==` on the outputs at every power of two up to
+//!   4096, so vectorization can never silently change answers. The
 //!   interleaved entry points gather into pooled SoA scratch at the
 //!   boundary; SoA-native callers (the matched filters) never interleave.
-//! * **Measured effect** (noisy x86 CI container, medians from
-//!   `BENCH_pipeline.json`): the Q15 radix-2 2048 transform dropped
-//!   ~56 µs → ~23 µs and the f64 one ~25 µs → ~19 µs. Whole correlations
-//!   gained more from transform length than from lane width. With one
-//!   65,536-point complex block per call, the f64 and Q15 matched filters
-//!   both took ~3.5 ms on the 29,840-sample detection stream, memory-bound,
-//!   while f32's half-length real-input blocks took 0.84 ms (one run of
-//!   `scripts/bench_pipeline.sh` on a 2-vCPU x86-64 VM). Every path now
-//!   runs each block at the shortest length that covers its lags, and
-//!   both float paths run the real-input leg: on the same VM the stream
-//!   takes 0.99 ms on f64, 0.85 ms on f32 and 1.79 ms on Q15 (see
-//!   [`matched`]). On NEON phones the f32/i16 lane widths double the gain
-//!   again.
+//! * **Measured effect** (medians of six runs of
+//!   `scripts/bench_pipeline.sh` on a 2-vCPU AVX-512 x86-64 VM): a
+//!   2048-point radix-2 transform takes 12.2 µs on f64, 8.9 µs on f32 and
+//!   14.1 µs on Q15. Whole correlations gained more from transform length
+//!   than from lane width: every path runs each block at the shortest
+//!   length that covers its lags, and both float paths run the
+//!   real-input leg, so the 29,840-sample detection stream takes 0.46 ms
+//!   on f64, 0.37 ms on f32 and 0.95 ms on Q15 (see [`matched`]). Moving
+//!   f64 from one stage per sweep onto the fused float schedule took its
+//!   2048-point transform from 14.2 to 12.2 µs and the stream from 0.50 to
+//!   0.46 ms.
 //!
 //! ## Example
 //!

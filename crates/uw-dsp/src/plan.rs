@@ -24,7 +24,7 @@
 //! structure-of-arrays scratch, the chirp-z algorithm and the pooling; a
 //! path supplies only what really differs — how a table entry is rounded,
 //! its butterfly stages (the float paths share one fused schedule,
-//! [`float_stages`], in `[f64; 4]` or `[f32; 8]` lanes; Q15 runs
+//! `float_stages`, in `[f64; 4]` or `[f32; 8]` lanes; Q15 runs
 //! `[i32; 8]` stages with per-stage BFP guard shifts), its pointwise
 //! products, and what an inverse does with `1/N` (the float paths scale
 //! the buffer, Q15 folds it into the scale the transform returns). The
@@ -128,7 +128,7 @@ pub trait Path: Copy + Send + Sync + 'static {
 /// The IEEE paths (`f64`, `f32`): nothing to track beyond the samples,
 /// and inverse transforms pay `1/N` in the buffer. Both run the same lane
 /// kernels ([`crate::lanes`]) and the same stage schedule
-/// ([`float_stages`]); only the lane width differs.
+/// (`float_stages`); only the lane width differs.
 pub trait Float: Path<Shift = (), Scale = ()> {
     /// Samples per lane block of the float kernels: one AVX2 register,
     /// `[f64; 4]` or `[f32; 8]`.
