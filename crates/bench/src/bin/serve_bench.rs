@@ -1,7 +1,7 @@
 //! Serving-layer throughput/latency benchmark: batch runner vs. `uw-serve`.
 //!
 //! ```text
-//! cargo run --release -p uw-bench --bin serve_bench -- [--socket] [BENCH_serve.json]
+//! cargo run --release -p uw-bench --bin serve_bench -- [BENCH_serve.json]
 //! ```
 //!
 //! Three sections, all written into one deterministic JSON artifact next
@@ -17,18 +17,12 @@
 //!   slow client: workers block in the per-job sink, an *I/O* wait, not
 //!   a CPU wait). This is what lets shard counts differentiate even on a
 //!   single-core CI runner.
-//! * **socket** (`--socket` only) — the fleet run: thousands of simulated
+//! * **socket** — the fleet run: over a thousand simulated
 //!   tenants over loopback TCP on a handful of connections, one job per
 //!   tenant, half live / half replay priority. Asserts zero non-shed
 //!   drops and that the reconstructed `EvalReport` is byte-identical to
 //!   the batch runner's JSON, and records per-priority latency
 //!   percentiles.
-//!
-//! Environment overrides: `UWGPS_JOBS` (default 24 jobs),
-//! `UWGPS_ROUNDS` (default 4 rounds per job), `UWGPS_TENANTS` (default
-//! 1200 fleet tenants), `UWGPS_CONNS` (default 16 fleet connections),
-//! `UWGPS_SOCKET_SHARDS` (default 4), `UWGPS_CONT_JOBS` (default 3 jobs
-//! per contention tenant).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,13 +38,15 @@ use uw_serve::{
     TcpConfig, TcpServer, WireMessage,
 };
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
+/// Jobs in the batch-vs-pools set, and rounds per job.
+const JOBS: usize = 24;
+const ROUNDS: usize = 4;
+/// Jobs per tenant in the contention grid.
+const CONTENTION_JOBS: usize = 3;
+/// The fleet: tenants, loopback-TCP connections and worker shards.
+const FLEET_TENANTS: usize = 1200;
+const FLEET_CONNECTIONS: usize = 16;
+const FLEET_SHARDS: usize = 4;
 
 /// One cell per seed: identical work in batch and served form.
 fn workload(jobs: usize, rounds: usize) -> ScenarioMatrix {
@@ -358,30 +354,22 @@ fn run_socket_fleet(tenants: usize, connections: usize, shards: usize) -> FleetR
 }
 
 fn main() {
-    let mut socket = false;
-    let mut out = "BENCH_serve.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--socket" {
-            socket = true;
-        } else {
-            out = arg;
-        }
-    }
-    let jobs = env_usize("UWGPS_JOBS", 24);
-    let rounds = env_usize("UWGPS_ROUNDS", 4);
-    let matrix = workload(jobs, rounds);
+    let out = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_serve.json".into());
+    let matrix = workload(JOBS, ROUNDS);
 
-    println!("serve_bench: {jobs} jobs x {rounds} rounds");
+    println!("serve_bench: {JOBS} jobs x {ROUNDS} rounds");
 
     // Batch baseline: the rayon matrix runner over the identical cells.
     let t0 = Instant::now();
     let batch_report = run_matrix(&matrix).expect("batch workload runs");
     let batch_wall = t0.elapsed();
-    assert_eq!(batch_report.cells.len(), jobs);
+    assert_eq!(batch_report.cells.len(), JOBS);
     println!(
         "  batch (rayon):        {:7.1} ms  {:6.1} jobs/s",
         batch_wall.as_secs_f64() * 1e3,
-        jobs_per_s(jobs, batch_wall),
+        jobs_per_s(JOBS, batch_wall),
     );
 
     // Served pools: at least two sizes (acceptance criterion), spanning
@@ -395,7 +383,7 @@ fn main() {
             run.shards,
             if run.shards == 1 { " " } else { "s" },
             run.wall.as_secs_f64() * 1e3,
-            jobs_per_s(jobs, run.wall),
+            jobs_per_s(JOBS, run.wall),
             run.latency.0,
             run.latency.1,
         );
@@ -404,11 +392,10 @@ fn main() {
 
     // Contention grid: I/O-waiting tenants (slow bounded-sink drains) so
     // shard counts separate even when only one core is available.
-    let cont_jobs = env_usize("UWGPS_CONT_JOBS", 3);
     let mut contention = Vec::new();
     for tenants in [4usize, 16] {
         for shards in [1usize, 2, 4] {
-            let run = run_contention(tenants, shards, cont_jobs);
+            let run = run_contention(tenants, shards, CONTENTION_JOBS);
             println!(
                 "  contend ({:2} tenants x {} shard{}): {:7.1} ms  p50 {:6.1} ms  p99 {:6.1} ms",
                 run.tenants,
@@ -422,45 +409,37 @@ fn main() {
         }
     }
 
-    // Fleet over loopback TCP (opt-in: it is the long pole of the bench).
-    let fleet = if socket {
-        let tenants = env_usize("UWGPS_TENANTS", 1200);
-        let conns = env_usize("UWGPS_CONNS", 16);
-        let shards = env_usize("UWGPS_SOCKET_SHARDS", 4);
-        let run = run_socket_fleet(tenants, conns, shards);
-        println!(
-            "  fleet  ({} tenants / {} conns / {} shards): {:7.1} ms  {:6.1} jobs/s  \
-             live p50 {:6.1} p99 {:6.1}  replay p50 {:6.1} p99 {:6.1}  (byte-identical)",
-            run.tenants,
-            run.connections,
-            run.shards,
-            run.wall.as_secs_f64() * 1e3,
-            jobs_per_s(run.tenants, run.wall),
-            run.live.0,
-            run.live.1,
-            run.replay.0,
-            run.replay.1,
-        );
-        Some(run)
-    } else {
-        None
-    };
+    // Fleet over loopback TCP.
+    let fleet = run_socket_fleet(FLEET_TENANTS, FLEET_CONNECTIONS, FLEET_SHARDS);
+    println!(
+        "  fleet  ({} tenants / {} conns / {} shards): {:7.1} ms  {:6.1} jobs/s  \
+         live p50 {:6.1} p99 {:6.1}  replay p50 {:6.1} p99 {:6.1}  (byte-identical)",
+        fleet.tenants,
+        fleet.connections,
+        fleet.shards,
+        fleet.wall.as_secs_f64() * 1e3,
+        jobs_per_s(fleet.tenants, fleet.wall),
+        fleet.live.0,
+        fleet.live.1,
+        fleet.replay.0,
+        fleet.replay.1,
+    );
 
     let ms = |wall: Duration| wall.as_secs_f64() * 1e3;
     let json = json::document(|o| {
         o.key("schema").str("uwgps-serve-bench-v2");
-        o.key("jobs").raw(jobs);
-        o.key("rounds_per_job").raw(rounds);
+        o.key("jobs").raw(JOBS);
+        o.key("rounds_per_job").raw(ROUNDS);
         o.key("batch").object(Layout::Line, |b| {
             b.key("wall_ms").fixed(ms(batch_wall), 3);
-            b.key("jobs_per_s").fixed(jobs_per_s(jobs, batch_wall), 3);
+            b.key("jobs_per_s").fixed(jobs_per_s(JOBS, batch_wall), 3);
         });
         o.key("pools").array(Layout::Lines, |rows| {
             for run in &pools {
                 rows.item().object(Layout::Line, |row| {
                     row.key("shards").raw(run.shards);
                     row.key("wall_ms").fixed(ms(run.wall), 3);
-                    row.key("jobs_per_s").fixed(jobs_per_s(jobs, run.wall), 3);
+                    row.key("jobs_per_s").fixed(jobs_per_s(JOBS, run.wall), 3);
                     row.key("latency_p50_ms").fixed(run.latency.0, 3);
                     row.key("latency_p99_ms").fixed(run.latency.1, 3);
                 });
@@ -480,26 +459,23 @@ fn main() {
                 });
             }
         });
-        match &fleet {
-            Some(run) => o.key("socket").object(Layout::Line, |s| {
-                s.key("tenants").raw(run.tenants);
-                s.key("connections").raw(run.connections);
-                s.key("shards").raw(run.shards);
-                s.key("wall_ms").fixed(ms(run.wall), 3);
-                s.key("jobs_per_s")
-                    .fixed(jobs_per_s(run.tenants, run.wall), 3);
-                s.key("batch_wall_ms").fixed(ms(run.batch_wall), 3);
-                s.key("byte_identical").raw(true);
-                s.key("dropped").raw(0);
-                for (class, (p50, p99)) in [("live", run.live), ("replay", run.replay)] {
-                    s.key(class).object(Layout::Line, |l| {
-                        l.key("latency_p50_ms").fixed(p50, 3);
-                        l.key("latency_p99_ms").fixed(p99, 3);
-                    });
-                }
-            }),
-            None => o.key("socket").raw("null"),
-        }
+        o.key("socket").object(Layout::Line, |s| {
+            s.key("tenants").raw(fleet.tenants);
+            s.key("connections").raw(fleet.connections);
+            s.key("shards").raw(fleet.shards);
+            s.key("wall_ms").fixed(ms(fleet.wall), 3);
+            s.key("jobs_per_s")
+                .fixed(jobs_per_s(fleet.tenants, fleet.wall), 3);
+            s.key("batch_wall_ms").fixed(ms(fleet.batch_wall), 3);
+            s.key("byte_identical").raw(true);
+            s.key("dropped").raw(0);
+            for (class, (p50, p99)) in [("live", fleet.live), ("replay", fleet.replay)] {
+                s.key(class).object(Layout::Line, |l| {
+                    l.key("latency_p50_ms").fixed(p50, 3);
+                    l.key("latency_p99_ms").fixed(p99, 3);
+                });
+            }
+        });
     });
     std::fs::write(&out, json).expect("write benchmark artifact");
     println!("wrote {out}");

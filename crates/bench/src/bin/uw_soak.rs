@@ -16,7 +16,6 @@
 
 use std::process::ExitCode;
 
-use uw_bench::header;
 use uw_eval::soak::{run_cell, run_plan, Sabotage, SoakCell, SoakPlan};
 
 struct Args {
@@ -126,10 +125,10 @@ fn main() -> ExitCode {
         };
     }
 
-    header(
-        "uw_soak — fleet-scale fault soak",
+    println!("=== uw_soak — fleet-scale fault soak ===");
+    println!(
         "Scripted packet loss, churn, clock skew, leader failover and \
-         cross-network interference; invariants checked after every round",
+         cross-network interference; invariants checked after every round\n"
     );
     let plan = SoakPlan::generate(args.seed, args.fleets);
     println!(

@@ -52,7 +52,6 @@ pub mod waveform;
 pub mod prelude {
     pub use crate::config::{Fidelity, NumericPath, SystemConfig};
     pub use crate::faults::{FaultEvent, FaultKind, FaultSchedule, RoundFailureReason};
-    pub use crate::metrics::SeriesStats;
     pub use crate::network::DiveNetwork;
     pub use crate::scenario::Scenario;
     pub use crate::session::{RoundControl, Session, SessionOutcome};

@@ -2,40 +2,8 @@
 //! evaluation harness.
 
 use serde::{Deserialize, Serialize};
-pub use uw_dsp::peaks::{empirical_cdf, percentile, ErrorStats};
-
-/// Summary of a series of scalar measurements, printed by the benchmark
-/// binaries as one row of a table/figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SeriesStats {
-    /// Label of the series (e.g. "10 m", "5 devices").
-    pub label: String,
-    /// Statistics of the measurements.
-    pub stats: ErrorStats,
-}
-
-impl SeriesStats {
-    /// Builds a series from raw samples. Returns `None` for an empty set.
-    pub fn from_samples(label: impl Into<String>, samples: &[f64]) -> Option<Self> {
-        ErrorStats::from_samples(samples).map(|stats| Self {
-            label: label.into(),
-            stats,
-        })
-    }
-
-    /// One formatted table row: label, count, median, mean, 95th percentile.
-    pub fn row(&self) -> String {
-        format!(
-            "{:<24} n={:<5} median={:>7.3} mean={:>7.3} p95={:>7.3} max={:>7.3}",
-            self.label,
-            self.stats.count,
-            self.stats.median,
-            self.stats.mean,
-            self.stats.p95,
-            self.stats.max
-        )
-    }
-}
+use uw_dsp::peaks::empirical_cdf;
+pub use uw_dsp::peaks::percentile;
 
 /// Points of an empirical CDF, down-sampled for plotting.
 pub fn cdf_points(samples: &[f64], n_points: usize) -> Vec<(f64, f64)> {
@@ -127,16 +95,6 @@ pub fn localization_duty_cycle(tx_s: f64, interval_s: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_stats_formatting() {
-        let s = SeriesStats::from_samples("10 m", &[0.2, 0.4, 0.6, 0.8, 1.0]).unwrap();
-        assert_eq!(s.stats.count, 5);
-        let row = s.row();
-        assert!(row.contains("10 m"));
-        assert!(row.contains("median"));
-        assert!(SeriesStats::from_samples("empty", &[]).is_none());
-    }
 
     #[test]
     fn cdf_points_are_monotone() {

@@ -464,24 +464,27 @@ pub fn run_pairwise_trial(
 }
 
 /// Runs `n_trials` repetitions of a trial with different seeds and returns
-/// the absolute errors of the successful ones (failed detections are
-/// skipped, as in the paper's measurement campaigns). Trials are
-/// independent and fan out across cores; the shared preamble's pooled DSP
-/// state keeps them from serialising on FFT scratch.
+/// the absolute errors of the successful ones together with the number of
+/// trials that failed (no detection, or no direct path), so a caller
+/// decides whether a failure is acceptable instead of never seeing it.
+/// Trials are independent and fan out across cores; the shared
+/// preamble's pooled DSP state keeps them from serialising on FFT
+/// scratch.
 pub fn repeated_trial_errors(
     trial: &PairwiseTrial,
     scheme: RangingScheme,
     n_trials: usize,
     base_seed: u64,
-) -> Vec<f64> {
-    (0..n_trials)
+) -> (Vec<f64>, usize) {
+    let errors: Vec<f64> = (0..n_trials)
         .into_par_iter()
-        .map(|k| run_pairwise_trial(trial, scheme, base_seed.wrapping_add(k as u64)).ok())
+        .map(|k| run_pairwise_trial(trial, scheme, base_seed.wrapping_add(k as u64)))
         .collect::<Vec<_>>()
         .into_iter()
-        .flatten()
-        .map(|r| r.error_m.abs())
-        .collect()
+        .filter_map(|r| r.ok().map(|r| r.error_m.abs()))
+        .collect();
+    let failed = n_trials - errors.len();
+    (errors, failed)
 }
 
 /// Outcome of one detection trial (signal present or noise only).
@@ -663,18 +666,19 @@ mod tests {
 
     #[test]
     fn error_grows_with_separation_on_average() {
-        let near: Vec<f64> = repeated_trial_errors(
+        let (near, near_failed) = repeated_trial_errors(
             &PairwiseTrial::at_distance(EnvironmentKind::Dock, 10.0, 2.5),
             RangingScheme::DualMicOfdm,
             6,
             10,
         );
-        let far: Vec<f64> = repeated_trial_errors(
+        let (far, far_failed) = repeated_trial_errors(
             &PairwiseTrial::at_distance(EnvironmentKind::Dock, 35.0, 2.5),
             RangingScheme::DualMicOfdm,
             6,
             10,
         );
+        assert_eq!((near.len() + near_failed, far.len() + far_failed), (6, 6));
         assert!(!near.is_empty() && !far.is_empty());
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         // Far trials should not be dramatically better than near ones.
@@ -695,8 +699,8 @@ mod tests {
             occlusion_db: 35.0,
             ..clear.clone()
         };
-        let clear_errs = repeated_trial_errors(&clear, RangingScheme::DualMicOfdm, 5, 42);
-        let occ_errs = repeated_trial_errors(&occluded, RangingScheme::DualMicOfdm, 5, 42);
+        let (clear_errs, _) = repeated_trial_errors(&clear, RangingScheme::DualMicOfdm, 5, 42);
+        let (occ_errs, _) = repeated_trial_errors(&occluded, RangingScheme::DualMicOfdm, 5, 42);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
         assert!(
             mean(&occ_errs) > mean(&clear_errs),

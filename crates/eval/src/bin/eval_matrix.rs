@@ -6,16 +6,22 @@
 //!     [--guide docs/EVALUATION.md] [--check]
 //! ```
 //!
-//! * `--smoke`  — run only the tier-1 smoke slice instead of the full suite.
+//! * `--smoke`  — run only the tier-1 smoke slice instead of the full suite
+//!   and no probes.
 //! * `--rounds N` — override every matrix's default rounds per cell.
 //! * `--out PATH` — write the JSON [`uw_eval::EvalReport`].
 //! * `--guide PATH` — regenerate the figure-by-figure reproduction guide.
 //! * `--check` — exit non-zero if any documented acceptance band is
-//!   violated. Every band whose cell was run is checked; with the full
-//!   suite, a mapped cell missing from the report is also a violation.
+//!   violated. Every band whose cell or probe was run is checked; with the
+//!   full suite, a mapped cell missing from the report and a failed probe
+//!   are violations too.
+//!
+//! The full run also measures every probe row of
+//! [`uw_eval::guide::FIGURE_MAP`] (the waveform-level figures, see
+//! [`uw_eval::probes`]) and prints its value after the cell rows.
 
 use std::process::ExitCode;
-use uw_eval::guide::{check_bands, generate_guide};
+use uw_eval::guide::{check_bands, generate_guide, run_probes};
 use uw_eval::runner::run_suite;
 use uw_eval::ScenarioMatrix;
 
@@ -89,6 +95,13 @@ fn main() -> ExitCode {
         println!("{}", cell.row());
     }
     println!("{} cells evaluated", report.cells.len());
+    let probes = if args.smoke { Vec::new() } else { run_probes() };
+    for (name, value) in &probes {
+        match value {
+            Ok(v) => println!("probe {name:<40} {v:>9.3}"),
+            Err(e) => println!("probe {name:<40} failed: {e}"),
+        }
+    }
 
     if let Some(path) = &args.out {
         if let Err(e) = std::fs::write(path, report.to_json()) {
@@ -98,7 +111,7 @@ fn main() -> ExitCode {
         println!("wrote {path}");
     }
     if let Some(path) = &args.guide {
-        if let Err(e) = std::fs::write(path, generate_guide(&report)) {
+        if let Err(e) = std::fs::write(path, generate_guide(&report, &probes)) {
             eprintln!("eval_matrix: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -106,9 +119,9 @@ fn main() -> ExitCode {
     }
 
     if args.check {
-        // The full suite must contain every mapped cell; the smoke slice
-        // checks only the bands whose cells it ran.
-        let violations = check_bands(&report, !args.smoke);
+        // The full run must measure every row; the smoke slice checks
+        // only the bands whose cells it ran.
+        let violations = check_bands(&report, &probes, !args.smoke);
         if !violations.is_empty() {
             eprintln!("{} acceptance band(s) violated:", violations.len());
             for v in &violations {

@@ -90,6 +90,7 @@ pub mod guide;
 pub mod import;
 pub mod json;
 pub mod matrix;
+pub mod probes;
 pub mod replay;
 pub mod report;
 pub mod runner;
@@ -127,12 +128,12 @@ mod tests {
         // Every smoke claim's cell must actually be in the smoke slice.
         for claim in &smoke_claims {
             assert!(
-                report.cell(claim.cell_id).is_some(),
+                report.cell(claim.source.id()).is_some(),
                 "smoke slice does not run {}",
-                claim.cell_id
+                claim.source.id()
             );
         }
-        let violations = guide::check_bands(&report, false);
+        let violations = guide::check_bands(&report, &Vec::new(), false);
         assert!(
             violations.is_empty(),
             "documented acceptance bands violated:\n{}",

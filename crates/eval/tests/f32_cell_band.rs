@@ -17,7 +17,7 @@
 //! that push single-precision rounding far enough to move taps.
 
 use uw_core::config::NumericPath;
-use uw_eval::guide::{check_bands, FIGURE_MAP};
+use uw_eval::guide::{check_bands, Source, FIGURE_MAP};
 use uw_eval::runner::run_matrix;
 use uw_eval::ScenarioMatrix;
 
@@ -62,18 +62,21 @@ fn f32_dock_cell_median_stays_within_the_f64_band() {
     assert!(ranging_gap <= 0.1, "ranging gap {ranging_gap:.4} m");
 
     // The guide's `ext. f32` acceptance band holds for the cell.
-    let claim = FIGURE_MAP
+    let (claim, metric) = FIGURE_MAP
         .iter()
-        .find(|c| c.cell_id == "dock/5dev/clear/static/f32/s1")
+        .find_map(|c| match c.source {
+            Source::Cell("dock/5dev/clear/static/f32/s1", metric) => Some((c, metric)),
+            _ => None,
+        })
         .expect("the guide maps the f32 cell");
-    let measured = claim.metric.read(f32_cell);
+    let measured = metric.read(f32_cell);
     assert!(
         measured >= claim.lo && measured <= claim.hi,
         "f32 cell median {measured:.3} outside guide band [{}, {}]",
         claim.lo,
         claim.hi
     );
-    assert!(check_bands(&f32_report, false).is_empty());
+    assert!(check_bands(&f32_report, &Vec::new(), false).is_empty());
 }
 
 #[test]

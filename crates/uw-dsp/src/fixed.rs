@@ -46,7 +46,7 @@
 //!
 //! The hot loops run in structure-of-arrays form: Q15 mantissas are
 //! widened into separate `re[i32]` / `im[i32]` buffers and processed
-//! through the `[i32; 8]` kernels in [`crate::lanes`] (BFP butterfly with
+//! through the `[i32; 8]` kernels in the crate's `lanes` module (BFP butterfly with
 //! the per-stage shift fused, half-scaled pointwise products, and the
 //! guard-scan block maximum). Unlike the float paths, Q15 runs one stage
 //! per sweep: each stage scans the block for its guard shift before it

@@ -10,7 +10,7 @@
 //! * The `f32` [`Path`]: the butterfly schedule and lane kernels it
 //!   shares with the `f64` oracle (the first three stages in one sweep of
 //!   8-point cells, later stages two at a time, through the generic float
-//!   kernels in [`crate::lanes`] at `[f32; 8]` width), behind the
+//!   kernels of the crate's `lanes` module at `[f32; 8]` width), behind the
 //!   [`F32Radix2Plan`] / [`F32FftPlan`] / [`F32PlanPool`] aliases.
 //! * [`F32MatchedFilter`]: the generic overlap-save filter on this path.
 //!   Each block runs on the shortest rung of its block-length ladder that

@@ -39,10 +39,10 @@
 //! * [`float32`] — the single-precision phone-float path: [`Complex32`]
 //!   and the hooks behind [`F32FftPlan`] / [`F32MatchedFilter`], with
 //!   twice the SIMD lanes per register.
-//! * [`lanes`] — the fixed-width structure-of-arrays lane kernels
-//!   (`[f64; 4]`/`[f32; 8]` from one generic float set, `[i32; 8]` for
-//!   Q15) all three numeric paths execute their butterflies and pointwise
-//!   products through.
+//! * `lanes` (crate-private) — the fixed-width structure-of-arrays lane
+//!   kernels (`[f64; 4]`/`[f32; 8]` from one generic float set, `[i32; 8]`
+//!   for Q15) all three numeric paths execute their butterflies and
+//!   pointwise products through.
 //!
 //! All functions operate on `f64` sample buffers at a nominal 44.1 kHz
 //! sampling rate (the rate exposed by commodity smart devices underwater).
@@ -144,7 +144,7 @@
 //! ## Performance notes: structure-of-arrays lane kernels
 //!
 //! All three numeric paths execute their hot loops through the fixed-width
-//! lane kernels in [`lanes`]: structure-of-arrays `re[]` / `im[]` buffers
+//! lane kernels in the crate-private `lanes` module: structure-of-arrays `re[]` / `im[]` buffers
 //! processed in `[f64; 4]` / `[f32; 8]` / `[i32; 8]` blocks with scalar
 //! tails.
 //!
@@ -219,7 +219,7 @@ pub mod fft;
 pub mod fixed;
 pub mod float32;
 pub mod fsk;
-pub mod lanes;
+mod lanes;
 pub mod matched;
 pub mod ofdm;
 pub mod peaks;

@@ -33,13 +33,14 @@
 //! [`crate::float32`] and their `Fixed*` twins in [`crate::fixed`].
 //!
 //! The butterflies run in structure-of-arrays form on split `re[]` /
-//! `im[]` buffers through the fixed-width kernels in [`crate::lanes`]. The
-//! interleaved entry points gather through the bit-reversal permutation
-//! into a pooled SoA scratch, run the stages, and scatter back; SoA callers
-//! such as the matched filters use [`Radix2::forward_soa`] directly and
-//! never interleave. The one-lane-per-sample transforms remain as
-//! test-only reference methods (`forward_scalar` / `inverse_scalar` on the
-//! float paths, a BFP twin on Q15), and the unit tests pin the lane path
+//! `im[]` buffers through the fixed-width kernels in the crate's `lanes`
+//! module. The interleaved entry points gather through the bit-reversal
+//! permutation into a pooled SoA scratch, run the stages, and scatter
+//! back; SoA callers such as the matched filters use
+//! [`Radix2::forward_soa`] directly and never interleave. The
+//! one-lane-per-sample transforms remain as test-only reference methods
+//! (`forward_scalar` / `inverse_scalar` on the float paths, a BFP twin on
+//! Q15), and the unit tests pin the lane path
 //! bit-identical to them at every power of two up to 4096, so
 //! vectorization can never silently change answers.
 
@@ -127,7 +128,7 @@ pub trait Path: Copy + Send + Sync + 'static {
 
 /// The IEEE paths (`f64`, `f32`): nothing to track beyond the samples,
 /// and inverse transforms pay `1/N` in the buffer. Both run the same lane
-/// kernels ([`crate::lanes`]) and the same stage schedule
+/// kernels (the crate's `lanes` module) and the same stage schedule
 /// (`float_stages`); only the lane width differs.
 pub trait Float: Path<Shift = (), Scale = ()> {
     /// Samples per lane block of the float kernels: one AVX2 register,

@@ -58,14 +58,14 @@ pub fn round_latency(n_devices: usize, report_bps: f64) -> Result<RoundLatency> 
     })
 }
 
-/// The acoustic round-trip times the paper measured for 3–7 devices
-/// (seconds), used as the reference series for the latency table.
-pub const PAPER_MEASURED_RTT_S: [(usize, f64); 5] =
-    [(3, 1.2), (4, 1.6), (5, 1.9), (6, 2.2), (7, 2.5)];
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The acoustic round-trip times the paper measured for 3–7 devices
+    /// (seconds).
+    const PAPER_MEASURED_RTT_S: [(usize, f64); 5] =
+        [(3, 1.2), (4, 1.6), (5, 1.9), (6, 2.2), (7, 2.5)];
 
     #[test]
     fn model_matches_paper_measurements() {

@@ -171,59 +171,6 @@ pub fn validation_score(stream: &[f64], preamble: &RangingPreamble, start: usize
     )?)
 }
 
-/// Outcome counts for a detection experiment (Fig. 12a).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DetectionStats {
-    /// Preamble present and detected near the true position.
-    pub true_positives: usize,
-    /// Preamble present but not detected (or detected far from the truth).
-    pub false_negatives: usize,
-    /// Detection reported in a noise-only stream.
-    pub false_positives: usize,
-    /// Noise-only stream correctly yielding no detection.
-    pub true_negatives: usize,
-}
-
-impl DetectionStats {
-    /// Fraction of signal-present trials that were missed.
-    pub fn false_negative_rate(&self) -> f64 {
-        let denom = self.true_positives + self.false_negatives;
-        if denom == 0 {
-            0.0
-        } else {
-            self.false_negatives as f64 / denom as f64
-        }
-    }
-
-    /// Fraction of noise-only trials that produced a detection.
-    pub fn false_positive_rate(&self) -> f64 {
-        let denom = self.false_positives + self.true_negatives;
-        if denom == 0 {
-            0.0
-        } else {
-            self.false_positives as f64 / denom as f64
-        }
-    }
-
-    /// Records the outcome of one signal-present trial.
-    pub fn record_signal_trial(&mut self, detected_near_truth: bool) {
-        if detected_near_truth {
-            self.true_positives += 1;
-        } else {
-            self.false_negatives += 1;
-        }
-    }
-
-    /// Records the outcome of one noise-only trial.
-    pub fn record_noise_trial(&mut self, detected: bool) {
-        if detected {
-            self.false_positives += 1;
-        } else {
-            self.true_negatives += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,22 +278,6 @@ mod tests {
             detect_preamble(&stream, &p, &DetectorConfig::default()),
             Err(RangingError::InvalidInput { .. })
         ));
-    }
-
-    #[test]
-    fn detection_stats_rates() {
-        let mut stats = DetectionStats::default();
-        for i in 0..10 {
-            stats.record_signal_trial(i < 9); // 1 miss
-            stats.record_noise_trial(i < 1); // 1 false alarm
-        }
-        assert!((stats.false_negative_rate() - 0.1).abs() < 1e-12);
-        assert!((stats.false_positive_rate() - 0.1).abs() < 1e-12);
-        assert_eq!(stats.true_positives, 9);
-        assert_eq!(stats.true_negatives, 9);
-        let empty = DetectionStats::default();
-        assert_eq!(empty.false_negative_rate(), 0.0);
-        assert_eq!(empty.false_positive_rate(), 0.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! topology and prints every diver's position next to the ground truth.
 
 use uwgps::core::prelude::*;
-use uwgps::eval::guide::FIGURE_MAP;
+use uwgps::eval::guide::{Source, FIGURE_MAP};
 use uwgps::eval::{run_matrix, ScenarioMatrix};
 
 fn main() {
@@ -30,12 +30,15 @@ fn main() {
         println!("\n");
     }
     for claim in FIGURE_MAP.iter().filter(|c| c.smoke) {
-        if let Some(cell) = report.cell(claim.cell_id) {
-            let v = claim.metric.read(cell);
+        let Source::Cell(id, metric) = claim.source else {
+            continue;
+        };
+        if let Some(cell) = report.cell(id) {
+            let v = metric.read(cell);
             println!(
                 "[{}] {}: {:.2} (band [{}, {}])",
                 claim.figure,
-                claim.metric.label(),
+                metric.label(),
                 v,
                 claim.lo,
                 claim.hi

@@ -6,21 +6,17 @@
 # counterpart of BENCH_pipeline.json / BENCH_eval_matrix.json.
 #
 # Also runs the tenant-count × shard-count contention grid (I/O-waiting
-# tenants, so shard counts separate on 1-core runners) and — because
-# --socket is passed — the fleet mode: 1200 simulated tenants over
-# loopback TCP, asserting zero dropped jobs and byte-identical
-# EvalReport reconstruction, and recording per-priority latency
-# percentiles.
+# tenants, so shard counts separate on 1-core runners) and the fleet
+# mode: 1200 simulated tenants over 16 loopback TCP connections and 4
+# shards, asserting zero dropped jobs and byte-identical EvalReport
+# reconstruction, and recording per-priority latency percentiles. The
+# job set is 24 jobs of 4 rounds each; every size is a constant in
+# crates/bench/src/bin/serve_bench.rs.
 #
 # Usage: ./scripts/serve_bench.sh [output.json]
-#   UWGPS_JOBS          — jobs in the set            (default 24)
-#   UWGPS_ROUNDS        — rounds per job             (default 4)
-#   UWGPS_TENANTS       — fleet tenants              (default 1200)
-#   UWGPS_CONNS         — fleet TCP connections      (default 16)
-#   UWGPS_SOCKET_SHARDS — fleet worker shards        (default 4)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_serve.json}"
 
-cargo run --release -p uw-bench --bin serve_bench -- --socket "$out"
+cargo run --release -p uw-bench --bin serve_bench -- "$out"

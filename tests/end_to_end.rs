@@ -1,8 +1,12 @@
 //! Integration tests spanning the whole workspace: channel → device →
 //! ranging → protocol → localization, driven through the public facade.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use uwgps::core::prelude::*;
 use uwgps::core::scenario::Scenario as CoreScenario;
+use uwgps::localization::ambiguity::{geometric_side, resolve_ambiguities};
+use uwgps::localization::pipeline::truth_in_leader_frame;
 
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -141,6 +145,38 @@ fn flipping_disambiguation_improves_with_more_voters() {
     assert!(
         correct >= 18,
         "flipping correct in only {correct}/20 rounds"
+    );
+}
+
+#[test]
+fn one_voter_flipping_accuracy_matches_its_sign_error_rate() {
+    // Tab. flipping with one voter (paper: 90.1%): device 2 alone votes on
+    // the dock testbed's true layout in 200 rounds, its side sign wrong
+    // with the configured per-device probability (10%). The vote is right
+    // when it leaves the true configuration unflipped. The band holds the
+    // accuracy at seeds 1 to 10.
+    let scenario = CoreScenario::dock_five_devices(1);
+    let error_prob = scenario.config().mic_sign_error_prob;
+    let frame = truth_in_leader_frame(&scenario.network().positions_at(0.0));
+    let pointing = scenario.network().leader_pointing_azimuth(0.0).unwrap();
+    let mut rng = StdRng::seed_from_u64(1 ^ 0xF11);
+    let correct = (0..200)
+        .filter(|_| {
+            let mut sign = geometric_side(&frame, 2);
+            if sign != 0 && rng.gen_bool(error_prob) {
+                sign = -sign;
+            }
+            let mut side_signs = vec![None; frame.len()];
+            side_signs[2] = Some(sign);
+            !resolve_ambiguities(&frame, pointing, &side_signs)
+                .unwrap()
+                .flipped
+        })
+        .count();
+    let accuracy = 100.0 * correct as f64 / 200.0;
+    assert!(
+        (85.0..=93.0).contains(&accuracy),
+        "one-voter flipping accuracy {accuracy}%"
     );
 }
 
