@@ -357,6 +357,10 @@ fn main() {
     let out = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_serve.json".into());
+    if out.starts_with('-') {
+        eprintln!("serve_bench: takes no flags, only the output path (got {out})");
+        std::process::exit(2);
+    }
     let matrix = workload(JOBS, ROUNDS);
 
     println!("serve_bench: {JOBS} jobs x {ROUNDS} rounds");
