@@ -44,10 +44,13 @@
 //!   [`soak::SoakReport`] and the serving benchmark's `BENCH_serve.json`:
 //!   one string escaper, one fixed-decimal number format (`null` for NaN
 //!   and ±∞), and objects and arrays on one line or one member per line.
-//! * [`guide`] — [`guide::FIGURE_MAP`]: the figure → cell → acceptance-band
-//!   mapping from which `docs/EVALUATION.md`, the `--check` gate and the
-//!   tier-1 smoke test are all generated, so documentation and enforcement
-//!   cannot drift apart.
+//! * [`guide`] — [`guide::FIGURE_MAP`]: the figure → cell or probe →
+//!   acceptance-band mapping from which `docs/EVALUATION.md`, the `--check`
+//!   gate and the tier-1 smoke test are all generated, so documentation and
+//!   enforcement cannot drift apart.
+//! * [`probes`] — one function per headline number of the waveform-level
+//!   figures (1D ranging, detection, depth, SNR, battery), run at fixed
+//!   seeds by the full `eval_matrix` run and gated by the same map.
 //!
 //! The matrix extends the paper's axes with two new environments
 //! ([`uw_channel::environment::EnvironmentKind::OpenWater`],
