@@ -2,13 +2,12 @@
 //!
 //! ```text
 //! cargo run --release -p uw-eval --bin eval_matrix -- \
-//!     [--smoke] [--rounds N] [--out BENCH_eval_matrix.json] \
+//!     [--smoke] [--out BENCH_eval_matrix.json] \
 //!     [--guide docs/EVALUATION.md] [--check]
 //! ```
 //!
 //! * `--smoke`  — run only the tier-1 smoke slice instead of the full suite
 //!   and no probes.
-//! * `--rounds N` — override every matrix's default rounds per cell.
 //! * `--out PATH` — write the JSON [`uw_eval::EvalReport`].
 //! * `--guide PATH` — regenerate the figure-by-figure reproduction guide.
 //! * `--check` — exit non-zero if any documented acceptance band is
@@ -27,31 +26,31 @@ use uw_eval::ScenarioMatrix;
 
 struct Args {
     smoke: bool,
-    rounds: Option<usize>,
     out: Option<String>,
     guide: Option<String>,
     check: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the arguments after the program name. A path may not look like
+/// a flag, so `--out --check` is an error rather than a report written to
+/// a file named `--check` with no band checked.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         smoke: false,
-        rounds: None,
         out: None,
         guide: None,
         check: false,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
+        let mut path = |name: &str| match it.next() {
+            Some(v) if !v.starts_with('-') => Ok(v),
+            _ => Err(format!("{name} needs a path")),
+        };
         match arg.as_str() {
             "--smoke" => args.smoke = true,
             "--check" => args.check = true,
-            "--rounds" => {
-                let v = it.next().ok_or("--rounds needs a value")?;
-                args.rounds = Some(v.parse().map_err(|_| format!("bad --rounds value {v}"))?);
-            }
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
-            "--guide" => args.guide = Some(it.next().ok_or("--guide needs a path")?),
+            "--out" => args.out = Some(path("--out")?),
+            "--guide" => args.guide = Some(path("--guide")?),
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -59,7 +58,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("eval_matrix: {e}");
@@ -67,16 +66,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut matrices = if args.smoke {
+    let matrices = if args.smoke {
         vec![ScenarioMatrix::smoke(), ScenarioMatrix::latency_sweep()]
     } else {
         ScenarioMatrix::full_suite()
     };
-    if let Some(rounds) = args.rounds {
-        for m in &mut matrices {
-            m.rounds_per_cell = rounds;
-        }
-    }
     let n_cells: usize = matrices.iter().map(|m| m.cell_count()).sum();
     println!(
         "running {} matrices ({n_cells} cells before dedup){}",
@@ -132,4 +126,29 @@ fn main() -> ExitCode {
         println!("all documented acceptance bands hold");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<super::Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_flag_is_never_taken_as_a_path() {
+        assert_eq!(
+            parse(&["--out", "--check"]).err().unwrap(),
+            "--out needs a path"
+        );
+        assert_eq!(
+            parse(&["--guide", "--check"]).err().unwrap(),
+            "--guide needs a path"
+        );
+        assert!(parse(&["--rounds", "3"]).is_err());
+        let args = parse(&["--out", "report.json", "--check"]).unwrap();
+        assert_eq!(args.out.as_deref(), Some("report.json"));
+        assert!(args.check);
+    }
 }

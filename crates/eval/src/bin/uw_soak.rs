@@ -2,8 +2,9 @@
 //! fault schedules, invariant-checked after every round.
 //!
 //! ```text
-//! uw_soak [--fleets N] [--seed N] [--out PATH] [--no-recheck]
-//!         [--sabotage nan] [--cell 'env:n:rounds:seed:<schedule>']
+//! cargo run --release -p uw-eval --bin uw_soak -- \
+//!     [--fleets N] [--seed N] [--out PATH] [--sabotage nan] \
+//!     [--cell 'env:n:rounds:seed:<schedule>']
 //! ```
 //!
 //! The default mode generates `--fleets` fleets from `--seed` (see
@@ -22,23 +23,26 @@ struct Args {
     fleets: usize,
     seed: u64,
     out: Option<String>,
-    recheck: bool,
     sabotage: Sabotage,
     cell: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the arguments after the program name. A flag's value may not
+/// itself look like a flag, so `--out --cell` is an error rather than a
+/// report written to a file named `--cell`.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         fleets: 200,
         seed: 1,
         out: None,
-        recheck: true,
         sabotage: Sabotage::None,
         cell: None,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        let mut value = |name: &str| match it.next() {
+            Some(v) if !v.starts_with('-') => Ok(v),
+            _ => Err(format!("{name} requires a value")),
+        };
         match flag.as_str() {
             "--fleets" => {
                 args.fleets = value("--fleets")?
@@ -51,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--seed: {e}"))?;
             }
             "--out" => args.out = Some(value("--out")?),
-            "--no-recheck" => args.recheck = false,
             "--sabotage" => {
                 args.sabotage =
                     Sabotage::parse(&value("--sabotage")?).map_err(|e| e.to_string())?;
@@ -106,7 +109,7 @@ fn run_single(spec: &str, sabotage: Sabotage) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("uw_soak: {e}");
@@ -132,13 +135,12 @@ fn main() -> ExitCode {
     );
     let plan = SoakPlan::generate(args.seed, args.fleets);
     println!(
-        "plan: {} fleets → {} cells (master seed {}), recheck {}",
+        "plan: {} fleets → {} cells (master seed {}), each run twice",
         plan.fleets,
         plan.cells.len(),
         plan.master_seed,
-        if args.recheck { "on" } else { "off" },
     );
-    let report = match run_plan(&plan, args.sabotage, args.recheck) {
+    let report = match run_plan(&plan, args.sabotage, true) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("uw_soak: {e}");
@@ -178,5 +180,27 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<super::Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_flag_is_never_taken_as_a_value() {
+        assert_eq!(
+            parse(&["--out", "--cell"]).err().unwrap(),
+            "--out requires a value"
+        );
+        assert!(parse(&["--out"]).is_err());
+        assert!(parse(&["--no-recheck"]).is_err());
+        let args = parse(&["--out", "soak.json", "--fleets", "3"]).unwrap();
+        assert_eq!(args.out.as_deref(), Some("soak.json"));
+        assert_eq!(args.fleets, 3);
     }
 }

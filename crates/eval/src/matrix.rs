@@ -567,9 +567,9 @@ impl ScenarioMatrix {
                 )?;
             }
             LinkProfile::DeviceChurn { after_round } => {
-                // Clamp into the cell's round budget so a small --rounds
-                // override still exercises (and reports) the churn instead
-                // of silently never reaching it.
+                // Clamp into the cell's round budget so a small
+                // `rounds_per_cell` still exercises (and reports) the churn
+                // instead of silently never reaching it.
                 let after = after_round.min(rounds.saturating_sub(1));
                 scenario.network_mut().set_device_churn(n - 1, after)?;
             }

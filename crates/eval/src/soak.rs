@@ -158,7 +158,7 @@ impl SoakCell {
     /// The one-line command that replays exactly this cell.
     pub fn repro_command(&self) -> String {
         format!(
-            "cargo run --release -p uw-bench --bin uw_soak -- --cell '{}'",
+            "cargo run --release -p uw-eval --bin uw_soak -- --cell '{}'",
             self.spec()
         )
     }
@@ -728,7 +728,13 @@ mod tests {
         for cell in &plan.cells {
             let parsed = SoakCell::parse(&cell.spec()).unwrap();
             assert_eq!(&parsed, cell);
-            assert!(cell.repro_command().contains(&cell.spec()));
+            assert_eq!(
+                cell.repro_command(),
+                format!(
+                    "cargo run --release -p uw-eval --bin uw_soak -- --cell '{}'",
+                    cell.spec()
+                )
+            );
         }
         // Controls are fault-free; faulted cells never have an empty
         // schedule.

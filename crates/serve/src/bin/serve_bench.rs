@@ -1,11 +1,11 @@
 //! Serving-layer throughput/latency benchmark: batch runner vs. `uw-serve`.
 //!
 //! ```text
-//! cargo run --release -p uw-bench --bin serve_bench -- [BENCH_serve.json]
+//! cargo run --release -p uw-serve --bin serve_bench -- [BENCH_serve.json]
 //! ```
 //!
 //! Three sections, all written into one deterministic JSON artifact next
-//! to `BENCH_pipeline.json` / `BENCH_eval_matrix.json`:
+//! to `BENCH_eval_matrix.json` and `BENCH_soak.json`:
 //!
 //! * **batch / pools** — the same job set (one dock 5-device cell per
 //!   seed) through the batch rayon runner and through the in-process
@@ -28,6 +28,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uw_core::config::{Fidelity, NumericPath};
+use uw_core::metrics::percentile;
 use uw_core::prelude::EnvironmentKind;
 use uw_eval::json::{self, Layout};
 use uw_eval::runner::run_matrix;
@@ -103,7 +104,7 @@ fn run_pool(matrix: &ScenarioMatrix, shards: usize) -> PoolRun {
     server.shutdown();
     assert_eq!(done.len(), n, "every job must reach a terminal event");
 
-    let mut latencies_ms: Vec<f64> = done
+    let latencies_ms: Vec<f64> = done
         .iter()
         .map(|(job, finished)| {
             let (_, started) = submitted
@@ -116,7 +117,7 @@ fn run_pool(matrix: &ScenarioMatrix, shards: usize) -> PoolRun {
     PoolRun {
         shards,
         wall,
-        latency: percentiles(&mut latencies_ms),
+        latency: percentiles(&latencies_ms),
     }
 }
 
@@ -124,11 +125,10 @@ fn jobs_per_s(jobs: usize, wall: Duration) -> f64 {
     jobs as f64 / wall.as_secs_f64()
 }
 
-fn percentiles(latencies_ms: &mut [f64]) -> (f64, f64) {
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+fn percentiles(latencies_ms: &[f64]) -> (f64, f64) {
     (
-        uw_dsp::peaks::percentile_sorted(latencies_ms, 50.0),
-        uw_dsp::peaks::percentile_sorted(latencies_ms, 99.0),
+        percentile(latencies_ms, 50.0),
+        percentile(latencies_ms, 99.0),
     )
 }
 
@@ -220,7 +220,7 @@ fn run_contention(tenants: usize, shards: usize, jobs_per_tenant: usize) -> Cont
         shards,
         jobs: jobs_per_tenant,
         wall,
-        latency: percentiles(&mut latencies_ms),
+        latency: percentiles(&latencies_ms),
     }
 }
 
@@ -238,9 +238,9 @@ struct FleetRun {
 
 /// The fleet: `tenants` simulated tenants multiplexed over `connections`
 /// loopback-TCP connections, one 1-round job per tenant, tags equal to
-/// matrix-expansion indices. Asserts the two ISSUE acceptance
-/// properties: zero non-shed drops, and an `EvalReport` reconstructed
-/// from the frames that is byte-identical to the batch runner's JSON.
+/// matrix-expansion indices. Asserts the fleet's two properties: zero
+/// non-shed drops, and an `EvalReport` reconstructed from the frames
+/// that is byte-identical to the batch runner's JSON.
 fn run_socket_fleet(tenants: usize, connections: usize, shards: usize) -> FleetRun {
     let matrix = workload(tenants, 1);
     let t0 = Instant::now();
@@ -332,12 +332,12 @@ fn run_socket_fleet(tenants: usize, connections: usize, shards: usize) -> FleetR
         "fleet report must be byte-identical to the batch runner"
     );
 
-    let mut live: Vec<f64> = finished
+    let live: Vec<f64> = finished
         .iter()
         .filter(|(tag, _, _)| tag % 2 == 0)
         .map(|(_, l, _)| *l)
         .collect();
-    let mut replay: Vec<f64> = finished
+    let replay: Vec<f64> = finished
         .iter()
         .filter(|(tag, _, _)| tag % 2 == 1)
         .map(|(_, l, _)| *l)
@@ -348,19 +348,27 @@ fn run_socket_fleet(tenants: usize, connections: usize, shards: usize) -> FleetR
         shards,
         wall,
         batch_wall,
-        live: percentiles(&mut live),
-        replay: percentiles(&mut replay),
+        live: percentiles(&live),
+        replay: percentiles(&replay),
+    }
+}
+
+/// The output path: the first argument after the program name, which
+/// may not look like a flag.
+fn parse_out(mut args: impl Iterator<Item = String>) -> Result<String, String> {
+    match args.next() {
+        Some(out) if out.starts_with('-') => {
+            Err(format!("takes no flags, only the output path (got {out})"))
+        }
+        out => Ok(out.unwrap_or_else(|| "BENCH_serve.json".into())),
     }
 }
 
 fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_serve.json".into());
-    if out.starts_with('-') {
-        eprintln!("serve_bench: takes no flags, only the output path (got {out})");
+    let out = parse_out(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("serve_bench: {e}");
         std::process::exit(2);
-    }
+    });
     let matrix = workload(JOBS, ROUNDS);
 
     println!("serve_bench: {JOBS} jobs x {ROUNDS} rounds");
@@ -376,8 +384,8 @@ fn main() {
         jobs_per_s(JOBS, batch_wall),
     );
 
-    // Served pools: at least two sizes (acceptance criterion), spanning
-    // serial to the batch runner's parallelism regime.
+    // Served pools: three sizes, spanning serial to the batch runner's
+    // parallelism regime.
     let pool_sizes = [1usize, 2, 4];
     let mut pools = Vec::new();
     for &shards in &pool_sizes {
@@ -483,4 +491,17 @@ fn main() {
     });
     std::fs::write(&out, json).expect("write benchmark artifact");
     println!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_out;
+
+    #[test]
+    fn a_flag_is_never_taken_as_the_output_path() {
+        let parse = |args: &[&str]| parse_out(args.iter().map(|a| a.to_string()));
+        assert!(parse(&["--socket"]).is_err());
+        assert_eq!(parse(&[]).unwrap(), "BENCH_serve.json");
+        assert_eq!(parse(&["serve.json"]).unwrap(), "serve.json");
+    }
 }

@@ -78,9 +78,8 @@
 //!   lengths like the paper's 1920-sample OFDM symbol — the Bluestein
 //!   chirp, its padded spectrum, and the convolution scratch. Steady-state
 //!   `process_forward` / `process_inverse` calls are **allocation-free**
-//!   (enforced by a counting-allocator test) and run about 4× faster
-//!   than [`fft::fft_any`] at 1920 samples (58 µs against 230 µs in
-//!   `BENCH_pipeline.json`).
+//!   (enforced by a counting-allocator test) and skip the table and chirp
+//!   set-up that the one-shot [`fft::fft_any`] repeats on every call.
 //! * **Correlating many streams against one template** → build a
 //!   [`MatchedFilter`] once. It stores the template's conjugated spectrum
 //!   at every block length of its ladder (from `next_pow2(m)` to
@@ -131,13 +130,11 @@
 //!   transform (two extra quantised multiplies), matched-filter peak
 //!   indices within ±1 sample of the f64 peak at matrix SNRs, and exact
 //!   saturation behaviour at ±1.0.
-//! * **What the perf axis records.** With the `[i32; 8]` lane kernels a
-//!   Q15 transform runs close to its f64 twin on x86: 14.1 µs vs 12.2 µs
-//!   at 2048 points. Its matched filter costs about twice the f64 one
-//!   (0.95 vs 0.46 ms on the 29,840-sample detection stream,
-//!   `q15_matched_filter_65k` vs `preamble_correlation_65k_stream` in
-//!   `BENCH_pipeline.json`), because the float paths run a half-length
-//!   real-input leg that Q15 does not have. The point of the axis was
+//! * **What the perf axis records.** On x86 the Q15 matched filter costs
+//!   about twice the f64 one (0.67 vs 0.32 ms per 14,112-sample link
+//!   capture, `uw-dsp.correlate_ms.q15` vs `uw-dsp.correlate_ms.f64` in a
+//!   traced perfbench `field-rounds` run), because the float paths run a
+//!   half-length real-input leg that Q15 does not have. The point of the axis was
 //!   never an x86 speedup: it models the numeric behaviour of the integer
 //!   DSPs phones actually ship and tracks both paths' costs over time.
 //!
@@ -176,17 +173,14 @@
 //!   4096, so vectorization can never silently change answers. The
 //!   interleaved entry points gather into pooled SoA scratch at the
 //!   boundary; SoA-native callers (the matched filters) never interleave.
-//! * **Measured effect** (medians of six runs of
-//!   `scripts/bench_pipeline.sh` on a 2-vCPU AVX-512 x86-64 VM): a
-//!   2048-point radix-2 transform takes 12.2 µs on f64, 8.9 µs on f32 and
-//!   14.1 µs on Q15. Whole correlations gained more from transform length
-//!   than from lane width: every path runs each block at the shortest
-//!   length that covers its lags, and both float paths run the
-//!   real-input leg, so the 29,840-sample detection stream takes 0.46 ms
-//!   on f64, 0.37 ms on f32 and 0.95 ms on Q15 (see [`matched`]). Moving
-//!   f64 from one stage per sweep onto the fused float schedule took its
-//!   2048-point transform from 14.2 to 12.2 µs and the stream from 0.50 to
-//!   0.46 ms.
+//! * **Measured effect** (one traced 40-s run of
+//!   `python3 perfbench/run.py --workload field-rounds --seed 1 --trace 1`
+//!   on a 2-vCPU AVX-512 x86-64 VM). Whole correlations gained more from
+//!   transform length than from lane width: every path runs each block at
+//!   the shortest length that covers its lags, and both float paths run
+//!   the real-input leg, so correlating a 14,112-sample link capture
+//!   takes 0.32 ms on f64, 0.26 ms on f32 and 0.67 ms on Q15
+//!   (`uw-dsp.correlate_ms.*`; see [`matched`]).
 //!
 //! ## Example
 //!

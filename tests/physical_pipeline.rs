@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uwgps::channel::geometry::Point3;
 use uwgps::core::prelude::EnvironmentKind;
-use uwgps::core::waveform::{run_pairwise_trial, PairwiseTrial, RangingScheme};
+use uwgps::core::waveform::{repeated_trial_errors, PairwiseTrial, RangingScheme};
 use uwgps::localization::ambiguity::geometric_side;
 use uwgps::localization::matrix::DistanceMatrix;
 use uwgps::localization::pipeline::{
@@ -17,11 +17,8 @@ use uwgps::localization::pipeline::{
 fn waveform_ranging_median_error_is_paper_scale() {
     // Median 1D error at 10 m should land near the paper's 0.48 m.
     let trial = PairwiseTrial::at_distance(EnvironmentKind::Dock, 10.0, 2.5);
-    let mut errors: Vec<f64> = (0..10)
-        .filter_map(|k| run_pairwise_trial(&trial, RangingScheme::DualMicOfdm, 1000 + k).ok())
-        .map(|r| r.error_m.abs())
-        .collect();
-    assert!(errors.len() >= 8, "too many detection failures");
+    let (mut errors, failed) = repeated_trial_errors(&trial, RangingScheme::DualMicOfdm, 10, 1000);
+    assert_eq!(failed, 0, "failed trials at 10 m");
     errors.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = errors[errors.len() / 2];
     assert!(median < 1.0, "median 1D error {median}");
@@ -34,10 +31,9 @@ fn dual_mic_beats_single_mic_at_long_range() {
     // handful of long-range trials.
     let trial = PairwiseTrial::at_distance(EnvironmentKind::Dock, 35.0, 2.5);
     let worst = |scheme: RangingScheme| -> f64 {
-        (0..6)
-            .filter_map(|k| run_pairwise_trial(&trial, scheme, 500 + k).ok())
-            .map(|r| r.error_m.abs())
-            .fold(0.0, f64::max)
+        let (errors, failed) = repeated_trial_errors(&trial, scheme, 6, 500);
+        assert_eq!(failed, 0, "failed {scheme:?} trials at 35 m");
+        errors.into_iter().fold(0.0, f64::max)
     };
     let dual = worst(RangingScheme::DualMicOfdm);
     let single = worst(RangingScheme::BottomMicOnly);
