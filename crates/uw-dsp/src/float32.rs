@@ -28,9 +28,9 @@
 //! acoustic SNR budget. Wall-clock, the f32 filter runs the same blocks as
 //! the f64 oracle with half-width samples, so twice the lanes per register
 //! and half the memory traffic: on the paper preamble it takes about 0.8×
-//! the f64 filter's time per call (0.13 against 0.17 ms on a 14,112-sample
-//! capture, 0.37 against 0.46 ms on a 29,840-sample one; both filters in
-//! one process on a 2-vCPU AVX-512 x86-64 VM).
+//! the f64 filter's time per call (0.26 against 0.32 ms per 14,112-sample
+//! link capture, `uw-dsp.correlate_ms.f32` against `…f64` in a traced
+//! perfbench `field-rounds` run on a 2-vCPU AVX-512 x86-64 VM).
 //!
 //! Normalised correlation divides by sliding window energies accumulated
 //! as `f64` prefix sums **of the f32-cast samples**, so numerator and
