@@ -7,9 +7,12 @@
 //! audio becomes matrix cells — a blind import of the raw capture:
 //!
 //! 1. **Scan** — [`scan_campaign`] streams the recording (bounded
-//!    memory, via [`uw_audio::ReplaySource`]) through the
-//!    [`uw_audio::burst::BurstScanner`] matched against the transmitted
-//!    preamble template ([`uw_core::waveform::preamble_waveform`]),
+//!    memory, via [`uw_audio::ReplaySource`], which decodes each block
+//!    straight into one buffer per channel) through the
+//!    [`uw_audio::burst::BurstScanner`] — the f32 matched filter, whose
+//!    burst positions are pinned to the f64 filter's peaks — matched
+//!    against the transmitted preamble template
+//!    ([`uw_core::waveform::preamble_waveform`]),
 //!    associates every detected burst with its (round, device) TDMA slot
 //!    using the protocol's own schedule
 //!    ([`uw_protocol::schedule::TdmSchedule::paper_defaults`]), fits each

@@ -6,11 +6,18 @@
 //! on-device Q15 path, and the f32 path against the f64 import. A ±200 ppm
 //! clock-skewed variant must survive the importer's skew fit and land
 //! within a relaxed band. The recorder and renderer themselves are pinned
-//! by a digest of the golden cell's PCM16 campaign.
+//! by a digest of the golden cell's PCM16 campaign, and the burst scan's
+//! f32 matched filter by the f64 oracle's correlation peaks.
 
-use uw_audio::wav::SampleFormat;
+use std::io::Cursor;
+use uw_audio::wav::{SampleFormat, WavReader};
+use uw_audio::{scan_all, BurstScanner, ReplaySource};
 use uw_core::config::{Fidelity, NumericPath};
 use uw_core::prelude::EnvironmentKind;
+use uw_core::waveform::preamble_waveform;
+use uw_dsp::matched::MatchedFilter;
+use uw_dsp::SAMPLE_RATE;
+use uw_eval::import::DEFAULT_SCAN_THRESHOLD;
 use uw_eval::replay::{fixture_cell, record_cell, FIXTURE_ROUNDS};
 use uw_eval::runner::run_cell;
 use uw_eval::{import_campaign, ImportParams, RenderOptions, ScenarioMatrix};
@@ -173,6 +180,81 @@ fn recorder_is_deterministic_and_its_pcm16_campaign_is_pinned() {
         "golden PCM16 campaign digest {:#018x}",
         digest(&wav)
     );
+}
+
+/// Whether lag `k` is the first maximum of `corr` within `m` lags either
+/// side: the peak the burst scanner's refractory rule settles on.
+fn first_max_within(corr: &[f64], k: usize, m: usize) -> bool {
+    let (lo, hi) = (k.saturating_sub(m), (k + m).min(corr.len() - 1));
+    corr[lo..k].iter().all(|&v| v < corr[k]) && corr[k + 1..=hi].iter().all(|&v| v <= corr[k])
+}
+
+#[test]
+fn f32_burst_scan_lands_on_the_f64_correlation_peaks() {
+    // The scan runs the f32 matched filter; the f64 filter is the oracle.
+    // On the golden PCM16 campaign and its skewed render, the streamed
+    // scan finds exactly the f64 correlation's threshold peaks over the
+    // whole first channel, each at the f64 argmax within one template
+    // length and scoring within 1e-6 of it. (The golden bursts score 0.53
+    // and above; away from them the f64 correlation stays under 0.06.)
+    let cell = fixture_cell().unwrap();
+    let recording = record_cell(&cell).unwrap();
+    let template = preamble_waveform(NumericPath::F64);
+    let m = template.len();
+    let oracle = MatchedFilter::new(template).unwrap();
+    for skew_ppm in [Vec::new(), PLANTED_SKEW_PPM.to_vec()] {
+        let opts = RenderOptions {
+            skew_ppm,
+            ..pcm16()
+        };
+        let wav = uw_eval::render_campaign_wav(&recording, &opts).unwrap();
+        let reader = WavReader::new(Cursor::new(wav)).unwrap();
+        let mut source = ReplaySource::new(reader, SAMPLE_RATE, 65_536).unwrap();
+        let mut scanner = BurstScanner::new(template, DEFAULT_SCAN_THRESHOLD, m).unwrap();
+        let (mut first, mut bursts) = (Vec::new(), Vec::new());
+        while let Some(block) = source.next_block().unwrap() {
+            bursts.extend(scanner.push(&block.channels[0]).unwrap());
+            first.extend_from_slice(&block.channels[0]);
+        }
+        bursts.extend(scanner.finish().unwrap());
+
+        let corr = oracle.correlate_normalized(&first).unwrap();
+        let peaks = |threshold: f64| {
+            (0..corr.len())
+                .filter(|&k| corr[k] >= threshold && first_max_within(&corr, k, m))
+                .count()
+        };
+        assert_eq!(
+            bursts.len(),
+            peaks(DEFAULT_SCAN_THRESHOLD),
+            "scan vs f64 peaks"
+        );
+        assert!(
+            bursts.len() >= 5 * FIXTURE_ROUNDS,
+            "{} bursts",
+            bursts.len()
+        );
+        for b in &bursts {
+            let p = b.position as usize;
+            assert!(
+                first_max_within(&corr, p, m),
+                "burst at {p} is off the f64 peak"
+            );
+            let delta = (b.score - corr[p]).abs();
+            assert!(delta <= 1e-6, "burst at {p}: |Δscore| {delta:e}");
+        }
+        // The threshold decision at its edge: scanned with a threshold just
+        // below and just above the weakest burst's f64 score, the scan
+        // keeps and then drops exactly the bursts the f64 peaks do.
+        let weakest = bursts
+            .iter()
+            .map(|b| corr[b.position as usize])
+            .fold(f64::INFINITY, f64::min);
+        for threshold in [weakest - 1e-3, weakest + 1e-3] {
+            let found = scan_all(template, &first, threshold, m).unwrap().len();
+            assert_eq!(found, peaks(threshold), "threshold {threshold}");
+        }
+    }
 }
 
 #[test]

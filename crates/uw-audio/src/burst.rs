@@ -5,8 +5,13 @@
 //! module finds every occurrence without ever materialising the file:
 //! a [`BurstScanner`] consumes arbitrarily sized sample chunks, slides a
 //! fixed analysis window over them, and runs each window through the
-//! overlap-save [`MatchedFilter`] from `uw-dsp` — the same precomputed
-//! template spectrum the ranging hot path uses.
+//! single-precision overlap-save [`F32MatchedFilter`] from `uw-dsp` — the
+//! filter the f32 ranging path runs. Its windows are the f64 oracle
+//! filter's (both float paths top out at `next_pow2(2 · template_len)`
+//! samples), and its normalised scores match the f64 filter's to within
+//! f32 rounding, so every burst lands where the f64 filter peaks: the
+//! golden import test (`crates/eval/tests/import_golden.rs`) pins the two
+//! against each other.
 //!
 //! ## Determinism across chunkings
 //!
@@ -22,12 +27,14 @@
 //! ## Memory bound
 //!
 //! Between pushes the scanner holds at most one analysis window
-//! (`MatchedFilter::block_len()` samples: 32,768 for the paper's
+//! (`F32MatchedFilter::block_len()` samples: 32,768 for the paper's
 //! 9,840-sample preamble) plus the detector's candidate peak — a few
-//! hundred kilobytes regardless of recording length.
+//! hundred kilobytes regardless of recording length. A push scans every
+//! whole window its samples complete and drops the consumed samples once,
+//! at the end.
 
 use crate::AudioError;
-use uw_dsp::matched::MatchedFilter;
+use uw_dsp::float32::F32MatchedFilter;
 
 /// One detected preamble occurrence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,7 +42,8 @@ pub struct Burst {
     /// Absolute sample index at which the template alignment peaked:
     /// the first sample of the detected preamble.
     pub position: u64,
-    /// Normalised correlation score at the peak, in `[-1, 1]`.
+    /// Normalised correlation score at the peak: in `[-1, 1]` up to the
+    /// f32 filter's rounding, within about 1e-6 of the f64 oracle's.
     pub score: f64,
 }
 
@@ -55,7 +63,7 @@ struct Candidate {
 /// guarantees.
 #[derive(Debug)]
 pub struct BurstScanner {
-    filter: MatchedFilter,
+    filter: F32MatchedFilter,
     threshold: f64,
     min_gap: u64,
     /// Unprocessed samples; `buffer[0]` is absolute index `base`.
@@ -87,7 +95,7 @@ impl BurstScanner {
                 reason: "burst refractory gap must be at least 1 sample".into(),
             });
         }
-        let filter = MatchedFilter::new(template).map_err(dsp_err)?;
+        let filter = F32MatchedFilter::new(template).map_err(dsp_err)?;
         Ok(Self {
             filter,
             threshold,
@@ -118,18 +126,21 @@ impl BurstScanner {
         let mut found = Vec::new();
         let window = self.filter.block_len();
         let step = self.window_step();
-        while self.buffer.len() >= window {
+        let mut start = 0;
+        while self.buffer.len() - start >= window {
             let mut corr = std::mem::take(&mut self.corr);
             self.filter
-                .correlate_normalized_into(&self.buffer[..window], &mut corr)
+                .correlate_normalized_into(&self.buffer[start..start + window], &mut corr)
                 .map_err(dsp_err)?;
             self.detect(&corr, self.base, &mut found);
             self.corr = corr;
-            // Keep the template_len − 1 tail samples: they participate in
-            // the next window's first lags.
-            self.buffer.drain(..step);
+            start += step;
             self.base += step as u64;
         }
+        // Drop what the scanned windows consumed. What is left starts with
+        // the last window's template_len − 1 tail samples: they take part
+        // in the next window's first lags.
+        self.buffer.drain(..start);
         Ok(found)
     }
 
@@ -245,6 +256,21 @@ mod tests {
         for b in &bursts {
             assert!(b.score > 0.99, "clean burst scored {}", b.score);
         }
+    }
+
+    #[test]
+    fn bursts_on_window_edges_are_found_at_exact_positions() {
+        // A 512-sample template runs on 1,024-sample windows that each
+        // yield 513 lags: plant one peak on the second window's first lag
+        // and one on the third window's last lag.
+        let template = chirp(512);
+        let mut signal = vec![0.0; 4_096];
+        for at in [513, 3 * 513 - 1] {
+            plant(&mut signal, &template, at, 0.7);
+        }
+        let bursts = scan_all(&template, &signal, 0.5, 512).unwrap();
+        let positions: Vec<u64> = bursts.iter().map(|b| b.position).collect();
+        assert_eq!(positions, vec![513, 3 * 513 - 1]);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! * [`wav`] — a hand-rolled, dependency-free RIFF/WAVE reader and writer
 //!   covering the formats dive recorders actually produce (PCM16, PCM24,
 //!   PCM32 and IEEE float32; mono and interleaved multichannel). Reads are
-//!   chunked ([`wav::WavReader::read_frames`]), so a long dive recording
-//!   never fully materializes in memory, and chunks the reader does not
-//!   use (a phone recorder's `LIST` or `bext`) are skipped. Malformed or
-//!   truncated files produce [`AudioError`]s, never panics.
+//!   chunked and decode each block in one loop straight into one `f64`
+//!   buffer per channel ([`wav::WavReader::read_channels`]), so a long
+//!   dive recording never fully materializes in memory, and chunks the
+//!   reader does not use (a phone recorder's `LIST` or `bext`) are
+//!   skipped. Malformed or truncated files produce [`AudioError`]s, never
+//!   panics.
 //! * [`resample`] — linear and polyphase windowed-sinc resamplers for
 //!   bringing a recording at an arbitrary rate onto the pipeline's
 //!   44.1 kHz grid, including a streaming linear resampler whose phase
@@ -21,8 +23,9 @@
 //!   channel estimation in place of simulator output.
 //! * [`burst`] — a bounded-memory streaming preamble detector
 //!   ([`burst::BurstScanner`]) that finds every occurrence of a known
-//!   template in an arbitrarily long capture via the overlap-save
-//!   matched filter, with detections bitwise-identical across chunkings.
+//!   template in an arbitrarily long capture via the single-precision
+//!   overlap-save matched filter, with detections bitwise-identical across
+//!   chunkings and positions pinned to the f64 filter's peaks.
 //! * [`skew`] — least-squares per-device clock-skew estimation
 //!   ([`skew::estimate_skew_ppm`]) from the timing drift of detected
 //!   bursts across a campaign.

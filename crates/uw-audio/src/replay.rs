@@ -2,10 +2,12 @@
 //!
 //! [`ReplaySource`] turns a [`WavReader`] into a stream of per-channel
 //! `f64` blocks at a target rate — the shape the ranging pipeline consumes.
-//! Decoding is chunked (a fixed number of frames per pull) and the
-//! resampler phase persists across blocks, so a multi-hour dive recording
-//! is replayed with bounded memory and identical samples to a one-shot
-//! decode.
+//! Decoding is chunked (a fixed number of frames per pull, each pull
+//! decoded by [`WavReader::read_channels`] straight into one buffer per
+//! channel) and the resampler phase persists across blocks, so a
+//! multi-hour dive recording is replayed with bounded memory and identical
+//! samples to a one-shot decode. At the file's own rate those buffers are
+//! the block's channels as decoded.
 
 use crate::resample::StreamingLinearResampler;
 use crate::wav::WavReader;
@@ -96,14 +98,7 @@ impl<R: Read + Seek> ReplaySource<R> {
             if self.finished {
                 return Ok(None);
             }
-            let channels = self.reader.spec().channels as usize;
-            let interleaved = self.reader.read_frames(self.block_frames)?;
-            let mut per_channel: Vec<Vec<f64>> = vec![Vec::new(); channels];
-            for frame in interleaved.chunks_exact(channels) {
-                for (c, &s) in frame.iter().enumerate() {
-                    per_channel[c].push(s);
-                }
-            }
+            let per_channel = self.reader.read_channels(self.block_frames)?;
             let at_end = self.reader.frames_remaining() == 0;
             let out: Vec<Vec<f64>> = match &mut self.resamplers {
                 Some(resamplers) => {

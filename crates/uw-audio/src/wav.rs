@@ -5,9 +5,10 @@
 //! in a plain `RIFF`/`WAVE` container. The reader scans the chunk list once
 //! at open (bounds-checking and skipping unknown chunks, such as the `LIST`
 //! and `bext` chunks phone recorders write, and odd-size padding), then
-//! streams the data chunk in caller-sized blocks so arbitrarily long
-//! recordings are decoded incrementally; the writer streams samples out
-//! and patches the declared sizes on finalize.
+//! streams the data chunk in caller-sized blocks, each decoded straight
+//! into one buffer per channel, so arbitrarily long recordings are decoded
+//! incrementally; the writer streams samples out and patches the declared
+//! sizes on finalize.
 //!
 //! Every malformed input — bad magic, impossible field combinations,
 //! declared sizes beyond the end of the file — is a structured
@@ -105,29 +106,60 @@ impl SampleFormat {
         }
     }
 
-    /// Decodes one little-endian sample from `bytes` into a normalized
-    /// `f64`. The scaling mirrors [`SampleFormat::encode`], so decoding a
-    /// value our writer produced and re-encoding it is byte-exact.
+    /// Decodes one little-endian sample: the one-sample reference the
+    /// per-channel decode is pinned against.
+    #[cfg(test)]
     fn decode(&self, bytes: &[u8]) -> f64 {
         match self {
-            SampleFormat::Pcm16 => {
-                let q = i16::from_le_bytes([bytes[0], bytes[1]]);
-                q as f64 / 32767.0
-            }
-            SampleFormat::Pcm24 => {
-                // Sign-extend the 24-bit value through the top byte.
-                let q = i32::from_le_bytes([0, bytes[0], bytes[1], bytes[2]]) >> 8;
-                q as f64 / 8_388_607.0
-            }
-            SampleFormat::Pcm32 => {
-                let q = i32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-                q as f64 / 2_147_483_647.0
-            }
-            SampleFormat::Float32 => {
-                f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as f64
-            }
+            SampleFormat::Pcm16 => pcm16([bytes[0], bytes[1]]),
+            SampleFormat::Pcm24 => pcm24([bytes[0], bytes[1], bytes[2]]),
+            SampleFormat::Pcm32 => pcm32([bytes[0], bytes[1], bytes[2], bytes[3]]),
+            SampleFormat::Float32 => float32([bytes[0], bytes[1], bytes[2], bytes[3]]),
         }
     }
+}
+
+// One decoder per format, from a sample's little-endian bytes to a
+// normalized `f64`. The scaling mirrors `SampleFormat::encode`, so
+// decoding a value our writer produced and re-encoding it is byte-exact.
+
+fn pcm16(b: [u8; 2]) -> f64 {
+    i16::from_le_bytes(b) as f64 / 32767.0
+}
+
+fn pcm24(b: [u8; 3]) -> f64 {
+    // Sign-extend the 24-bit value through the top byte.
+    let q = i32::from_le_bytes([0, b[0], b[1], b[2]]) >> 8;
+    q as f64 / 8_388_607.0
+}
+
+fn pcm32(b: [u8; 4]) -> f64 {
+    i32::from_le_bytes(b) as f64 / 2_147_483_647.0
+}
+
+fn float32(b: [u8; 4]) -> f64 {
+    f32::from_le_bytes(b) as f64
+}
+
+/// The decode loop: one strided pass per channel over the `B`-byte
+/// samples of whole interleaved frames, straight into that channel's
+/// buffer.
+fn deinterleave<const B: usize>(
+    bytes: &[u8],
+    channels: usize,
+    decode: impl Fn([u8; B]) -> f64,
+) -> Vec<Vec<f64>> {
+    let samples = bytes.as_chunks::<B>().0;
+    (0..channels)
+        .map(|c| {
+            samples
+                .iter()
+                .skip(c)
+                .step_by(channels)
+                .map(|&s| decode(s))
+                .collect()
+        })
+        .collect()
 }
 
 /// Shape of a WAV stream: rate, channel count and sample encoding.
@@ -303,8 +335,9 @@ pub fn write_wav_bytes(spec: WavSpec, interleaved: &[f64]) -> Result<Vec<u8>> {
 ///
 /// The constructor scans the chunk list (validating sizes against the
 /// actual stream length and skipping chunks it does not use), then
-/// positions the stream at the start of the audio; [`WavReader::read_frames`]
-/// decodes from there in caller-sized blocks.
+/// positions the stream at the start of the audio;
+/// [`WavReader::read_channels`] decodes from there in caller-sized blocks,
+/// one buffer per channel.
 #[derive(Debug)]
 pub struct WavReader<R: Read + Seek> {
     source: R,
@@ -463,50 +496,56 @@ impl<R: Read + Seek> WavReader<R> {
         self.total_frames
     }
 
-    /// Frames not yet consumed by [`WavReader::read_frames`].
+    /// Frames not yet consumed by [`WavReader::read_channels`].
     pub fn frames_remaining(&self) -> u64 {
         self.total_frames - self.next_frame
     }
 
-    /// Decodes up to `max_frames` interleaved frames from the current
-    /// position. Returns fewer (or an empty vector) at the end of the
-    /// stream; a stream that ends before its declared size is a
-    /// [`AudioError::Truncated`] error, and a float32 sample that is NaN
-    /// or infinite is an [`AudioError::MalformedFile`] error naming its
-    /// frame (no capture produces one, and a single NaN would silently
-    /// poison every correlation window it falls in).
-    pub fn read_frames(&mut self, max_frames: usize) -> Result<Vec<f64>> {
-        let take = (self.frames_remaining().min(max_frames as u64)) as usize;
-        if take == 0 {
-            return Ok(Vec::new());
-        }
-        let frame_bytes = self.spec.bytes_per_frame();
-        self.read_buf.resize(take * frame_bytes, 0);
+    /// Decodes up to `max_frames` frames from the current position into
+    /// one buffer per channel (`channels[c][i]`, all the same length).
+    /// Returns shorter (or empty) buffers at the end of the stream. A read
+    /// the source reports as interrupted is retried; a stream that ends
+    /// before its declared size is a [`AudioError::Truncated`] error, and
+    /// a float32 sample that is NaN or infinite is an
+    /// [`AudioError::MalformedFile`] error naming its frame (no capture
+    /// produces one, and a single NaN would silently poison every
+    /// correlation window it falls in).
+    pub fn read_channels(&mut self, max_frames: usize) -> Result<Vec<Vec<f64>>> {
+        let take = self.frames_remaining().min(max_frames as u64) as usize;
+        self.read_buf.resize(take * self.spec.bytes_per_frame(), 0);
         let mut filled = 0;
         while filled < self.read_buf.len() {
-            let n = self.source.read(&mut self.read_buf[filled..])?;
-            if n == 0 {
-                return Err(AudioError::Truncated {
-                    reason: format!(
-                        "audio data ends {} bytes short of the declared size",
-                        self.read_buf.len() - filled
-                    ),
-                });
+            match self.source.read(&mut self.read_buf[filled..]) {
+                Ok(0) => {
+                    return Err(AudioError::Truncated {
+                        reason: format!(
+                            "audio data ends {} bytes short of the declared size",
+                            self.read_buf.len() - filled
+                        ),
+                    })
+                }
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
             }
-            filled += n;
         }
-        let bytes_per_sample = self.spec.format.bytes_per_sample();
-        let mut out = Vec::with_capacity(take * self.spec.channels as usize);
-        for sample in self.read_buf.chunks_exact(bytes_per_sample) {
-            out.push(self.spec.format.decode(sample));
-        }
+        let (bytes, channels) = (&self.read_buf[..], self.spec.channels as usize);
+        let out = match self.spec.format {
+            SampleFormat::Pcm16 => deinterleave(bytes, channels, pcm16),
+            SampleFormat::Pcm24 => deinterleave(bytes, channels, pcm24),
+            SampleFormat::Pcm32 => deinterleave(bytes, channels, pcm32),
+            SampleFormat::Float32 => deinterleave(bytes, channels, float32),
+        };
         let first = self.next_frame;
         self.next_frame += take as u64;
         if self.spec.format == SampleFormat::Float32 {
-            if let Some(i) = out.iter().position(|s| !s.is_finite()) {
-                let frame = first + (i / self.spec.channels as usize) as u64;
+            let bad = out
+                .iter()
+                .filter_map(|ch| ch.iter().position(|s| !s.is_finite()))
+                .min();
+            if let Some(i) = bad {
                 return Err(AudioError::MalformedFile {
-                    reason: format!("non-finite float32 sample in frame {frame}"),
+                    reason: format!("non-finite float32 sample in frame {}", first + i as u64),
                 });
             }
         }
@@ -544,7 +583,7 @@ mod tests {
             let mut reader = read_wav_bytes(bytes).unwrap();
             assert_eq!(reader.spec().format, format);
             assert_eq!(reader.total_frames(), 500);
-            let decoded = reader.read_frames(1000).unwrap();
+            let decoded = reader.read_channels(1000).unwrap().remove(0);
             assert_eq!(decoded.len(), 500);
             let tol = match format {
                 SampleFormat::Pcm16 => 2e-4,
@@ -563,18 +602,83 @@ mod tests {
         let samples = tone(1000);
         let bytes = write_wav_bytes(spec(SampleFormat::Pcm24, 2), &samples).unwrap();
         let mut whole = read_wav_bytes(bytes.clone()).unwrap();
-        let one_shot = whole.read_frames(usize::MAX >> 1).unwrap();
+        let one_shot = whole.read_channels(usize::MAX >> 1).unwrap();
         let mut chunked_reader = read_wav_bytes(bytes).unwrap();
-        let mut chunked = Vec::new();
+        let mut chunked = vec![Vec::new(); 2];
         loop {
-            let block = chunked_reader.read_frames(37).unwrap();
-            if block.is_empty() {
+            let block = chunked_reader.read_channels(37).unwrap();
+            if block[0].is_empty() {
                 break;
             }
-            chunked.extend(block);
+            for (all, ch) in chunked.iter_mut().zip(block) {
+                all.extend(ch);
+            }
         }
         assert_eq!(one_shot, chunked);
         assert_eq!(chunked_reader.frames_remaining(), 0);
+    }
+
+    #[test]
+    fn per_channel_decode_is_bit_identical_to_the_scalar_decode() {
+        // Pseudo-random data bytes reach every sample code (the writer
+        // never emits PCM16 -32768, say); an odd frame count pads PCM24
+        // mono, and the 17- and 4,096-frame reads end on a short block.
+        const FRAMES: usize = 4_099;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for format in SampleFormat::ALL {
+            for channels in 1..=4usize {
+                let bps = format.bytes_per_sample();
+                let silence = vec![0.0; FRAMES * channels];
+                let mut bytes = write_wav_bytes(spec(format, channels as u16), &silence).unwrap();
+                // Our writer's header is 44 bytes: RIFF, `fmt ` and the
+                // `data` chunk header.
+                let data = &mut bytes[44..44 + FRAMES * channels * bps];
+                for b in data.iter_mut() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    *b = (x >> 32) as u8;
+                }
+                if format == SampleFormat::Float32 {
+                    // Keep every sample finite: an all-ones exponent (NaN
+                    // or infinity) loses its top bit.
+                    for s in data.chunks_exact_mut(4) {
+                        if s[3] & 0x7f == 0x7f && s[2] & 0x80 != 0 {
+                            s[3] &= !0x40;
+                        }
+                    }
+                }
+                let data = &bytes[44..44 + FRAMES * channels * bps];
+                let expected: Vec<Vec<u64>> = (0..channels)
+                    .map(|c| {
+                        (0..FRAMES)
+                            .map(|i| {
+                                let at = (i * channels + c) * bps;
+                                format.decode(&data[at..at + bps]).to_bits()
+                            })
+                            .collect()
+                    })
+                    .collect();
+                for block in [1, 17, 4_096, usize::MAX] {
+                    let mut reader = read_wav_bytes(bytes.clone()).unwrap();
+                    let mut got = vec![Vec::new(); channels];
+                    loop {
+                        let read = reader.read_channels(block).unwrap();
+                        assert_eq!(read.len(), channels);
+                        if read[0].is_empty() {
+                            break;
+                        }
+                        for (all, ch) in got.iter_mut().zip(read) {
+                            all.extend(ch.iter().map(|s| s.to_bits()));
+                        }
+                    }
+                    assert_eq!(
+                        got, expected,
+                        "{format:?}, {channels} channels, blocks of {block}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -592,8 +696,8 @@ mod tests {
         assert_eq!(reader.total_frames(), 10);
         let mut plain_reader = read_wav_bytes(plain).unwrap();
         assert_eq!(
-            reader.read_frames(10).unwrap(),
-            plain_reader.read_frames(10).unwrap()
+            reader.read_channels(10).unwrap(),
+            plain_reader.read_channels(10).unwrap()
         );
     }
 
@@ -613,14 +717,14 @@ mod tests {
         bytes.extend_from_slice(b"ID3\x04junk trailer that is not a chunk");
         let mut reader = read_wav_bytes(bytes).unwrap();
         assert_eq!(reader.total_frames(), 64);
-        assert_eq!(reader.read_frames(100).unwrap().len(), 64);
+        assert_eq!(reader.read_channels(100).unwrap()[0].len(), 64);
     }
 
     #[test]
     fn clipping_is_clamped_not_wrapped() {
         let bytes = write_wav_bytes(spec(SampleFormat::Pcm16, 1), &[2.0, -2.0]).unwrap();
         let mut reader = read_wav_bytes(bytes).unwrap();
-        let decoded = reader.read_frames(2).unwrap();
+        let decoded = reader.read_channels(2).unwrap().remove(0);
         assert!((decoded[0] - 1.0).abs() < 1e-9);
         assert!((decoded[1] + 1.0).abs() < 1e-9);
     }

@@ -10,11 +10,20 @@
 //! exactly what the writer was given.
 
 use proptest::prelude::*;
-use uw_audio::wav::{read_wav_bytes, write_wav_bytes, SampleFormat, WavSpec};
+use std::io::{Cursor, ErrorKind, Read, Seek, SeekFrom};
+use uw_audio::replay::ReplaySource;
+use uw_audio::wav::{read_wav_bytes, write_wav_bytes, SampleFormat, WavReader, WavSpec};
 use uw_audio::AudioError;
 
 fn format_for(index: usize) -> SampleFormat {
     SampleFormat::ALL[index % SampleFormat::ALL.len()]
+}
+
+/// Re-interleaves per-channel buffers into frames.
+fn interleave(channels: &[Vec<f64>]) -> Vec<f64> {
+    (0..channels[0].len())
+        .flat_map(|i| channels.iter().map(move |ch| ch[i]))
+        .collect()
 }
 
 fn read_all(bytes: Vec<u8>) -> (WavSpec, Vec<f64>) {
@@ -23,13 +32,47 @@ fn read_all(bytes: Vec<u8>) -> (WavSpec, Vec<f64>) {
     let mut samples = Vec::new();
     loop {
         // Deliberately small blocks: chunked reads must cover the stream.
-        let block = reader.read_frames(17).expect("valid data decodes");
-        if block.is_empty() {
+        let block = reader.read_channels(17).expect("valid data decodes");
+        if block[0].is_empty() {
             break;
         }
-        samples.extend(block);
+        samples.extend(interleave(&block));
     }
     (spec, samples)
+}
+
+/// A source whose every other `read` call is interrupted before it
+/// transfers a byte, as a signal arriving mid-read would.
+struct Interrupting {
+    inner: Cursor<Vec<u8>>,
+    interrupt: bool,
+}
+
+impl Read for Interrupting {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.interrupt = !self.interrupt;
+        if self.interrupt {
+            return Err(ErrorKind::Interrupted.into());
+        }
+        self.inner.read(buf)
+    }
+}
+
+impl Seek for Interrupting {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
+/// Passes when `err` is the float32 rejection naming `frame`.
+fn names_frame(err: AudioError, frame: usize) -> Result<(), TestCaseError> {
+    match err {
+        AudioError::MalformedFile { reason } => {
+            prop_assert!(reason.ends_with(&format!("frame {frame}")), "{}", reason);
+        }
+        other => prop_assert!(false, "unexpected error class: {:?}", other),
+    }
+    Ok(())
 }
 
 /// `wav` with a chunk `id` holding `payload` planted at byte `at` (a chunk
@@ -92,7 +135,7 @@ proptest! {
         let bytes = plant_chunk(&bytes, bytes.len(), b"tail", &tail_marker);
         let mut reader = read_wav_bytes(bytes).unwrap();
         prop_assert_eq!(reader.total_frames(), frames as u64);
-        let decoded = reader.read_frames(usize::MAX >> 8).unwrap();
+        let decoded = interleave(&reader.read_channels(usize::MAX >> 8).unwrap());
         prop_assert_eq!(decoded.len(), n);
         for (a, b) in samples.iter().zip(decoded.iter()) {
             prop_assert!((a.clamp(-1.0, 1.0) - b).abs() < 1e-6);
@@ -136,10 +179,9 @@ proptest! {
         bytes[byte_index] = new_value;
         if let Ok(mut reader) = read_wav_bytes(bytes.clone()) {
             let declared = reader.total_frames();
-            if let Ok(decoded) = reader.read_frames(usize::MAX >> 8) {
-                prop_assert!(
-                    decoded.len() as u64 <= declared * u64::from(reader.spec().channels)
-                );
+            if let Ok(decoded) = reader.read_channels(usize::MAX >> 8) {
+                prop_assert_eq!(decoded.len(), usize::from(reader.spec().channels));
+                prop_assert!(decoded.iter().all(|ch| ch.len() as u64 <= declared));
             }
         }
     }
@@ -163,7 +205,8 @@ proptest! {
     }
 
     /// A NaN or infinite float32 sample anywhere in the data chunk is a
-    /// structured error naming its frame, whatever the read chunking —
+    /// structured error naming its frame, whatever the read chunking and
+    /// whether read from the `WavReader` or through `ReplaySource` —
     /// never a value handed on to the burst scanner.
     #[test]
     fn non_finite_float32_samples_are_rejected(
@@ -183,25 +226,63 @@ proptest! {
         let data = bytes.windows(4).position(|w| w == b"data").unwrap() + 8;
         let value = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
         bytes[data + 4 * bad..data + 4 * bad + 4].copy_from_slice(&value.to_le_bytes());
-        let mut reader = read_wav_bytes(bytes).unwrap();
+        let mut reader = read_wav_bytes(bytes.clone()).unwrap();
         let mut decoded = 0usize;
         let err = loop {
-            match reader.read_frames(block) {
-                Ok(frames_read) => {
-                    prop_assert!(!frames_read.is_empty(), "stream ended without an error");
-                    prop_assert!(frames_read.iter().all(|s| s.is_finite()));
-                    decoded += frames_read.len() / channels as usize;
+            match reader.read_channels(block) {
+                Ok(read) => {
+                    prop_assert!(!read[0].is_empty(), "stream ended without an error");
+                    prop_assert!(read.iter().flatten().all(|s| s.is_finite()));
+                    decoded += read[0].len();
                 }
                 Err(e) => break e,
             }
         };
         prop_assert!(decoded <= bad_frame);
-        match err {
-            AudioError::MalformedFile { reason } => {
-                prop_assert!(reason.ends_with(&format!("frame {bad_frame}")), "{}", reason);
+        names_frame(err, bad_frame)?;
+
+        let mut source = ReplaySource::new(read_wav_bytes(bytes).unwrap(), 44_100.0, block).unwrap();
+        let mut replayed = 0usize;
+        let err = loop {
+            match source.next_block() {
+                Ok(Some(b)) => {
+                    prop_assert!(b.channels.iter().flatten().all(|s| s.is_finite()));
+                    replayed += b.channels[0].len();
+                }
+                Ok(None) => return Err(TestCaseError::fail("replay ended without an error")),
+                Err(e) => break e,
             }
-            other => prop_assert!(false, "unexpected error class: {:?}", other),
-        }
+        };
+        prop_assert!(replayed <= bad_frame);
+        names_frame(err, bad_frame)?;
+    }
+
+    /// An interrupted `read` is retried, as `read_exact` retries it in the
+    /// header parse: a source interrupted on every other call replays
+    /// exactly what an uninterrupted one does.
+    #[test]
+    fn interrupted_reads_are_retried(
+        format_index in 0usize..4,
+        channels in 1u16..5,
+        frames in 0usize..120,
+        block in 1usize..40,
+    ) {
+        let format = format_for(format_index);
+        let spec = WavSpec { sample_rate: 44_100, channels, format };
+        let n = frames * channels as usize;
+        let samples: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.3).sin() * 0.5).collect();
+        let bytes = write_wav_bytes(spec, &samples).unwrap();
+        let plain = ReplaySource::new(read_wav_bytes(bytes.clone()).unwrap(), 44_100.0, block)
+            .unwrap()
+            .collect_channels()
+            .unwrap();
+        let source = Interrupting { inner: Cursor::new(bytes), interrupt: false };
+        let reader = WavReader::new(source).unwrap();
+        let interrupted = ReplaySource::new(reader, 44_100.0, block)
+            .unwrap()
+            .collect_channels()
+            .unwrap();
+        prop_assert_eq!(interrupted, plain);
     }
 }
 
