@@ -230,8 +230,9 @@ impl LinkCapture {
     /// field recording: two equal-length mic channels plus the device's
     /// estimated clock skew, which is compensated here so the returned
     /// capture sits on the nominal 44.1 kHz grid like a simulated one.
-    /// This is the seam the campaign importer (`uw_eval::import`) feeds
-    /// ranging through.
+    /// At zero skew the two buffers are moved into the capture as they
+    /// are. This is the seam the campaign importer (`uw_eval::import`)
+    /// feeds ranging through.
     pub fn from_imported_segment(
         mic1: Vec<f64>,
         mic2: Vec<f64>,
@@ -251,7 +252,11 @@ impl LinkCapture {
                 reason: format!("imported segment skew must be finite, got {skew_ppm}"),
             });
         }
-        LinkCapture { mic1, mic2 }.compensate_clock_ppm(skew_ppm)
+        let capture = LinkCapture { mic1, mic2 };
+        if skew_ppm == 0.0 {
+            return Ok(capture);
+        }
+        capture.compensate_clock_ppm(skew_ppm)
     }
 }
 
@@ -742,6 +747,27 @@ mod tests {
         assert!(gap < 0.1, "compensated/clear gap {gap} m");
         // Zero-ppm compensation is the identity.
         assert_eq!(clear_cap.compensate_clock_ppm(0.0).unwrap(), clear_cap);
+    }
+
+    #[test]
+    fn zero_skew_import_segments_keep_their_buffers() {
+        let mic1: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
+        let mic2: Vec<f64> = (0..64).map(|i| (i as f64 * 0.7).cos()).collect();
+        let input = LinkCapture {
+            mic1: mic1.clone(),
+            mic2: mic2.clone(),
+        };
+        let ptrs = (mic1.as_ptr(), mic2.as_ptr());
+        let cap = LinkCapture::from_imported_segment(mic1, mic2, 0.0).unwrap();
+        assert_eq!((cap.mic1.as_ptr(), cap.mic2.as_ptr()), ptrs);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&cap.mic1), bits(&input.mic1));
+        assert_eq!(bits(&cap.mic2), bits(&input.mic2));
+        // Any other skew still resamples.
+        let skewed =
+            LinkCapture::from_imported_segment(input.mic1.clone(), input.mic2.clone(), 150.0)
+                .unwrap();
+        assert_eq!(skewed, input.compensate_clock_ppm(150.0).unwrap());
     }
 
     #[test]

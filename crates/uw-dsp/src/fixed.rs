@@ -52,9 +52,10 @@
 //! per sweep: each stage scans the block for its guard shift before it
 //! runs, so stages cannot be fused. The scalar BFP transforms remain as
 //! test-only references (`forward_scalar` / `inverse_raw_scalar`), and the
-//! unit tests pin the lane path **bit-identical** to them at every power of
-//! two up to 4096 — integer arithmetic leaves no rounding slack, so
-//! vectorization cannot change a single sample.
+//! unit tests pin the interleaved and SoA entry points **bit-identical** to
+//! them at every power of two up to 65,536 — integer arithmetic leaves no
+//! rounding slack, so neither vectorization nor the tiled bit reversal can
+//! change a single sample.
 
 use crate::complex::Complex64;
 use crate::lanes;
@@ -393,7 +394,7 @@ impl Radix2<Q15> {
         if n == 1 {
             return 0;
         }
-        self.permute(|i, j| data.swap(i, j));
+        crate::plan::swap_bit_reversed(data);
         let (twr, twi) = self.tables(forward);
         let mut shifts = -(renormalize_up(data) as i32);
         let mut half = 1usize;
@@ -659,41 +660,43 @@ mod tests {
 
     #[test]
     fn lane_path_is_bit_identical_to_the_scalar_reference() {
-        // Every power of two up to 4096, so every stage count and the
-        // switch from whole-stage kernels to per-group lanes at half = 8
-        // are pinned.
-        for n in (0..=12).map(|s| 1usize << s) {
+        // Every power of two up to 65,536, so every stage count, the
+        // switch from whole-stage kernels to per-group lanes at half = 8,
+        // every tile side of the bit reversal and the filter's rungs
+        // (16,384 to 65,536) are pinned, on the interleaved and on the SoA
+        // entry points alike.
+        for n in (0..=16).map(|s| 1usize << s) {
             for amp in [0.01, 0.5, 0.98] {
                 let signal = test_signal(n, amp);
                 let plan = FixedRadix2Plan::new(n).unwrap();
                 let mut lane = quantize(&signal);
                 let mut scalar = lane.clone();
+                let widened = |v: &[ComplexQ15]| -> (Vec<i32>, Vec<i32>) {
+                    v.iter().map(|c| (c.re.0 as i32, c.im.0 as i32)).unzip()
+                };
+                let (mut re, mut im) = widened(&lane);
                 let s_lane = plan.forward(&mut lane).unwrap();
+                let s_soa = plan.forward_soa(&mut re, &mut im).unwrap();
                 let s_scalar = plan.forward_scalar(&mut scalar).unwrap();
                 assert_eq!(s_lane, s_scalar, "forward shifts n={n} amp={amp}");
+                assert_eq!(s_soa, s_scalar, "forward_soa shifts n={n} amp={amp}");
                 assert_eq!(lane, scalar, "forward n={n} amp={amp}");
+                assert_eq!(
+                    widened(&scalar),
+                    (re.clone(), im.clone()),
+                    "forward_soa n={n} amp={amp}"
+                );
                 let s_lane = plan.inverse_raw(&mut lane).unwrap();
+                let s_soa = plan.inverse_raw_soa(&mut re, &mut im).unwrap();
                 let s_scalar = plan.inverse_raw_scalar(&mut scalar).unwrap();
                 assert_eq!(s_lane, s_scalar, "inverse shifts n={n} amp={amp}");
+                assert_eq!(s_soa, s_scalar, "inverse_raw_soa shifts n={n} amp={amp}");
                 assert_eq!(lane, scalar, "inverse n={n} amp={amp}");
-            }
-        }
-    }
-
-    #[test]
-    fn soa_entry_points_match_the_interleaved_wrappers() {
-        for n in [4usize, 64, 1024] {
-            let signal = test_signal(n, 0.6);
-            let plan = FixedRadix2Plan::new(n).unwrap();
-            let mut aos = quantize(&signal);
-            let mut re: Vec<i32> = aos.iter().map(|c| c.re.0 as i32).collect();
-            let mut im: Vec<i32> = aos.iter().map(|c| c.im.0 as i32).collect();
-            let s_aos = plan.forward(&mut aos).unwrap();
-            let s_soa = plan.forward_soa(&mut re, &mut im).unwrap();
-            assert_eq!(s_aos, s_soa);
-            for (c, (r, x)) in aos.iter().zip(re.iter().zip(im.iter())) {
-                assert_eq!(c.re.0 as i32, *r);
-                assert_eq!(c.im.0 as i32, *x);
+                assert_eq!(
+                    widened(&scalar),
+                    (re.clone(), im.clone()),
+                    "inverse_raw_soa n={n} amp={amp}"
+                );
             }
         }
     }

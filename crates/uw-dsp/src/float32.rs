@@ -28,9 +28,9 @@
 //! acoustic SNR budget. Wall-clock, the f32 filter runs the same blocks as
 //! the f64 oracle with half-width samples, so twice the lanes per register
 //! and half the memory traffic: on the paper preamble it takes about 0.8×
-//! the f64 filter's time per call (0.26 against 0.32 ms per 14,112-sample
+//! the f64 filter's time per call (0.20 against 0.24 ms per 14,112-sample
 //! link capture, `uw-dsp.correlate_ms.f32` against `…f64` in a traced
-//! perfbench `field-rounds` run on a 2-vCPU AVX-512 x86-64 VM).
+//! perfbench `field-rounds` run, seed 31, on a 2-vCPU AVX-512 x86-64 VM).
 //!
 //! Normalised correlation divides by sliding window energies accumulated
 //! as `f64` prefix sums **of the f32-cast samples**, so numerator and
@@ -274,37 +274,33 @@ mod tests {
 
     #[test]
     fn lane_path_is_bit_identical_to_the_scalar_reference() {
-        // Every power of two up to 4096, so every boundary of the stage
-        // schedule (fused first stages, stage pairs, a final odd stage) is
-        // pinned.
-        for n in (0..=12).map(|s| 1usize << s) {
+        // Every power of two up to 65,536, so every boundary of the stage
+        // schedule (fused first stages, stage pairs, a final odd stage),
+        // every tile side of the bit reversal and the filters' half-length
+        // rungs (8,192 and 16,384) are pinned, on the interleaved and on
+        // the SoA entry points alike.
+        for n in (0..=16).map(|s| 1usize << s) {
             let signal = test_signal(n, 0.8);
             let plan = F32Radix2Plan::new(n).unwrap();
             let mut lane = cast(&signal);
             let mut scalar = lane.clone();
+            let (mut re, mut im): (Vec<f32>, Vec<f32>) = lane.iter().map(|c| (c.re, c.im)).unzip();
+            let joined = |re: &[f32], im: &[f32]| -> Vec<Complex32> {
+                re.iter()
+                    .zip(im)
+                    .map(|(&r, &i)| Complex32::new(r, i))
+                    .collect()
+            };
             plan.forward(&mut lane).unwrap();
+            plan.forward_soa(&mut re, &mut im).unwrap();
             plan.forward_scalar(&mut scalar).unwrap();
             assert_eq!(lane, scalar, "forward n={n}");
+            assert_eq!(joined(&re, &im), scalar, "forward_soa n={n}");
             plan.inverse(&mut lane).unwrap();
+            plan.inverse_soa(&mut re, &mut im).unwrap();
             plan.inverse_scalar(&mut scalar).unwrap();
             assert_eq!(lane, scalar, "inverse n={n}");
-        }
-    }
-
-    #[test]
-    fn soa_entry_points_match_the_interleaved_wrappers() {
-        for n in [4usize, 64, 1024] {
-            let signal = test_signal(n, 0.6);
-            let plan = F32Radix2Plan::new(n).unwrap();
-            let mut aos = cast(&signal);
-            let mut re: Vec<f32> = aos.iter().map(|c| c.re).collect();
-            let mut im: Vec<f32> = aos.iter().map(|c| c.im).collect();
-            plan.forward(&mut aos).unwrap();
-            plan.forward_soa(&mut re, &mut im).unwrap();
-            for (c, (r, x)) in aos.iter().zip(re.iter().zip(im.iter())) {
-                assert_eq!(c.re, *r);
-                assert_eq!(c.im, *x);
-            }
+            assert_eq!(joined(&re, &im), scalar, "inverse_soa n={n}");
         }
     }
 

@@ -23,8 +23,8 @@
 //! same order** as its scalar counterpart, so results are bit-identical —
 //! pinned by the tests in this module and by the plan unit tests of each
 //! path, which compare whole transforms against the scalar reference at
-//! every power of two up to 4096. Vectorization can never silently change
-//! answers.
+//! every power of two up to 65,536. Vectorization can never silently
+//! change answers.
 //!
 //! Production code reaches the kernels through [`crate::plan`] (whose
 //! `float_stages` is the one butterfly schedule of both float paths),

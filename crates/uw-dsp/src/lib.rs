@@ -24,9 +24,9 @@
 //! * [`spectrum`] — per-subcarrier SNR estimation (paper Fig. 22).
 //! * [`plan`] — the generic FFT core: [`plan::Radix2`], a Bluestein
 //!   wrapper, [`plan::Plan`] and [`plan::Pool`] over a small per-path
-//!   [`plan::Path`] trait, with precomputed bit-reversal, twiddle tables
-//!   and cached chirp state. [`FftPlan`] / [`PlanPool`] are its `f64`
-//!   aliases.
+//!   [`plan::Path`] trait, with precomputed twiddle tables, cached chirp
+//!   state and one tiled in-place bit reversal for every path.
+//!   [`FftPlan`] / [`PlanPool`] are its `f64` aliases.
 //! * [`matched`] — the generic overlap-save driver [`matched::OverlapSave`]
 //!   over a per-path [`matched::Correlate`] block: streaming correlation
 //!   against a fixed template with folded normalisation, each block on the
@@ -73,10 +73,13 @@
 //!   `FftPlan`, `F32FftPlan`, `FixedFftPlan` and the rest — are type
 //!   aliases over the core.
 //! * **Repeated transforms of one length** → hold an [`FftPlan`] (or its
-//!   twin on another path). Construction precomputes the bit-reversal
-//!   permutation, per-stage twiddle tables (forward and inverse) and — for
-//!   lengths like the paper's 1920-sample OFDM symbol — the Bluestein
-//!   chirp, its padded spectrum, and the convolution scratch. Steady-state
+//!   twin on another path). Construction precomputes per-stage twiddle
+//!   tables (forward and inverse) and — for lengths like the paper's
+//!   1920-sample OFDM symbol — the Bluestein chirp, its padded spectrum,
+//!   and the convolution scratch. The bit-reversal permutation needs no
+//!   table: it exchanges 16 × 16 tiles through stack buffers, so its
+//!   reads and writes run along cache lines (at 16,384 points a fifth to
+//!   a sixth of the time index-pair swaps through a table take). Steady-state
 //!   `process_forward` / `process_inverse` calls are **allocation-free**
 //!   (enforced by a counting-allocator test) and skip the table and chirp
 //!   set-up that the one-shot [`fft::fft_any`] repeats on every call.
@@ -131,7 +134,7 @@
 //!   indices within ±1 sample of the f64 peak at matrix SNRs, and exact
 //!   saturation behaviour at ±1.0.
 //! * **What the perf axis records.** On x86 the Q15 matched filter costs
-//!   about twice the f64 one (0.67 vs 0.32 ms per 14,112-sample link
+//!   about twice the f64 one (0.51 vs 0.24 ms per 14,112-sample link
 //!   capture, `uw-dsp.correlate_ms.q15` vs `uw-dsp.correlate_ms.f64` in a
 //!   traced perfbench `field-rounds` run), because the float paths run a
 //!   half-length real-input leg that Q15 does not have. The point of the axis was
@@ -169,18 +172,21 @@
 //!   expressions in the same order as the test-only one-lane-per-sample
 //!   reference transforms (one generic `forward_scalar` /
 //!   `inverse_scalar` for the two float paths, a BFP twin for Q15); the
-//!   unit tests assert `==` on the outputs at every power of two up to
-//!   4096, so vectorization can never silently change answers. The
-//!   interleaved entry points gather into pooled SoA scratch at the
-//!   boundary; SoA-native callers (the matched filters) never interleave.
+//!   unit tests assert `==` on the outputs of the interleaved and the SoA
+//!   entry points at every power of two up to 65,536, so neither
+//!   vectorization nor the tiled bit reversal can silently change
+//!   answers. The interleaved entry points split into pooled SoA scratch
+//!   in natural order at the boundary and run the SoA transform;
+//!   SoA-native callers (the matched filters) never interleave.
 //! * **Measured effect** (one traced 40-s run of
-//!   `python3 perfbench/run.py --workload field-rounds --seed 1 --trace 1`
+//!   `python3 perfbench/run.py --workload field-rounds --seed 31 --trace 1`
 //!   on a 2-vCPU AVX-512 x86-64 VM). Whole correlations gained more from
 //!   transform length than from lane width: every path runs each block at
 //!   the shortest length that covers its lags, and both float paths run
 //!   the real-input leg, so correlating a 14,112-sample link capture
-//!   takes 0.32 ms on f64, 0.26 ms on f32 and 0.67 ms on Q15
-//!   (`uw-dsp.correlate_ms.*`; see [`matched`]).
+//!   takes 0.24 ms on f64, 0.20 ms on f32 and 0.51 ms on Q15
+//!   (`uw-dsp.correlate_ms.*`; see [`matched`]), against 0.33, 0.28 and
+//!   0.64 ms in the same run before the tiled bit reversal.
 //!
 //! ## Example
 //!

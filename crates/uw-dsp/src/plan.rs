@@ -4,16 +4,17 @@
 //! non-power-of-two lengths, the entire Bluestein chirp setup) on every
 //! call and allocate fresh buffers throughout. That is fine for one-off
 //! transforms, but the ranging hot path runs the *same* transform sizes
-//! thousands of times per session: 2048/4096-point FFTs inside the
+//! thousands of times per session: 8,192- to 65,536-point FFTs inside the
 //! correlators and 1920-point Bluestein transforms for every OFDM symbol.
 //!
 //! A [`Plan`] precomputes everything that depends only on the length —
-//! the bit-reversal permutation, per-stage twiddle tables (forward and
-//! inverse), and for Bluestein lengths the chirp sequence, the chirp's
-//! padded spectrum, and a scratch buffer — so steady-state
-//! [`Plan::process_forward`] / [`Plan::process_inverse`] calls are
-//! allocation-free. [`Pool`] shares plans of one fixed length across
-//! threads without serialising the transforms themselves.
+//! per-stage twiddle tables (forward and inverse), and for Bluestein
+//! lengths the chirp sequence, the chirp's padded spectrum, and a scratch
+//! buffer — so steady-state [`Plan::process_forward`] /
+//! [`Plan::process_inverse`] calls are allocation-free. The bit-reversal
+//! permutation needs no table: one tiled routine computes it in place.
+//! [`Pool`] shares plans of one fixed length across threads without
+//! serialising the transforms themselves.
 //!
 //! ## One core, three paths
 //!
@@ -34,15 +35,20 @@
 //!
 //! The butterflies run in structure-of-arrays form on split `re[]` /
 //! `im[]` buffers through the fixed-width kernels in the crate's `lanes`
-//! module. The interleaved entry points gather through the bit-reversal
-//! permutation into a pooled SoA scratch, run the stages, and scatter
-//! back; SoA callers such as the matched filters use
-//! [`Radix2::forward_soa`] directly and never interleave. The
-//! one-lane-per-sample transforms remain as test-only reference methods
-//! (`forward_scalar` / `inverse_scalar` on the float paths, a BFP twin on
-//! Q15), and the unit tests pin the lane path
-//! bit-identical to them at every power of two up to 4096, so
-//! vectorization can never silently change answers.
+//! module. Every radix-2 transform, on every path, opens with one
+//! in-place bit reversal per lane (`bit_reverse`): it exchanges 16 × 16
+//! tiles through stack buffers, so every read and write runs along cache
+//! lines instead of swapping samples a transform length apart. The
+//! interleaved entry points split the samples into a pooled SoA scratch
+//! in natural order, run the SoA transform, and join back; SoA callers
+//! such as the matched filters use [`Radix2::forward_soa`] directly and
+//! never interleave. The one-lane-per-sample transforms remain as
+//! test-only reference methods (`forward_scalar` / `inverse_scalar` on
+//! the float paths, a BFP twin on Q15) with their own index-by-index
+//! swap, and the unit tests pin both the interleaved and the SoA entry
+//! points bit-identical to them at every power of two up to 65,536, so
+//! neither vectorization nor the tiled permutation can silently change
+//! answers.
 
 use crate::complex::Complex64;
 use crate::fft::{is_pow2, next_pow2};
@@ -336,15 +342,14 @@ fn positive(n: usize) -> Result<()> {
     Ok(())
 }
 
-/// A radix-2 decimation-in-time FFT on one numeric path, with precomputed
-/// bit reversal and structure-of-arrays twiddle tables (computed in `f64`
-/// and rounded once). The tables are read-only after construction; the
-/// small internal SoA scratch behind the interleaved entry points is
-/// mutex-guarded, so one plan can serve many threads concurrently.
+/// A radix-2 decimation-in-time FFT on one numeric path, with
+/// structure-of-arrays twiddle tables (computed in `f64` and rounded once)
+/// and a tiled in-place bit reversal that needs no table. The tables are
+/// read-only after construction; the small internal SoA scratch behind
+/// the interleaved entry points is mutex-guarded, so one plan can serve
+/// many threads concurrently.
 pub struct Radix2<T: Path> {
     n: usize,
-    /// Bit-reversed index for every position (length `n`).
-    bitrev: Vec<u32>,
     /// Forward and inverse twiddles, real and imaginary lanes, concatenated
     /// per stage (see [`stage_twiddles`]).
     tw_fwd: Soa<T::Real>,
@@ -369,7 +374,6 @@ impl<T: Path> Clone for Radix2<T> {
     fn clone(&self) -> Self {
         Self {
             n: self.n,
-            bitrev: self.bitrev.clone(),
             tw_fwd: self.tw_fwd.clone(),
             tw_inv: self.tw_inv.clone(),
             scratch: Stash::new(vec![Lanes::new(self.n)]),
@@ -386,16 +390,6 @@ impl<T: Path> Radix2<T> {
                 reason: "radix-2 plan length must be a power of two",
             });
         }
-        let bits = n.trailing_zeros();
-        let bitrev = (0..n)
-            .map(|i| {
-                if n == 1 {
-                    0
-                } else {
-                    (i.reverse_bits() >> (usize::BITS - bits)) as u32
-                }
-            })
-            .collect();
         // One table entry per butterfly twiddle; n-1 in total.
         let mut tw_fwd = (Vec::with_capacity(n - 1), Vec::with_capacity(n - 1));
         let mut tw_inv = (Vec::with_capacity(n - 1), Vec::with_capacity(n - 1));
@@ -415,7 +409,6 @@ impl<T: Path> Radix2<T> {
         }
         Ok(Self {
             n,
-            bitrev,
             tw_fwd,
             tw_inv,
             scratch: Stash::new(vec![Lanes::new(n)]),
@@ -467,34 +460,29 @@ impl<T: Path> Radix2<T> {
         (re, im)
     }
 
-    /// Interleaved transform through the pooled SoA scratch, with the
-    /// bit-reversal permutation fused into the gather. Inverses pay the
-    /// path's `1/N` ([`Path::normalize`]).
+    /// Interleaved transform through the pooled SoA scratch: the samples
+    /// are split in natural order and run through [`Radix2::soa`].
+    /// Inverses pay the path's `1/N` ([`Path::normalize`]).
     pub(crate) fn interleaved(&self, data: &mut [T::Complex], forward: bool) -> Result<i32> {
         self.check(data.len())?;
         let n = self.n;
-        Ok(self.scratch.with(
+        self.scratch.with(
             || Lanes::new(n),
             |lanes| {
                 let (re, im) = lanes.split();
-                for (i, (r, x)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-                    (*r, *x) = T::split(data[self.bitrev[i] as usize]);
+                for ((r, x), c) in re.iter_mut().zip(im.iter_mut()).zip(data.iter()) {
+                    (*r, *x) = T::split(*c);
                 }
-                let shift = if n == 1 {
-                    0
-                } else {
-                    let (twr, twi) = self.tables(forward);
-                    T::stages(re, im, twr, twi)
-                };
+                let shift = self.soa(re, im, forward)?;
                 if !forward {
                     T::normalize(re, im, n);
                 }
                 for (c, (r, x)) in data.iter_mut().zip(re.iter().zip(im.iter())) {
                     *c = T::join(*r, *x);
                 }
-                shift
+                Ok(shift)
             },
-        ))
+        )
     }
 
     /// In-place SoA transform (no `1/N` on inverses).
@@ -505,22 +493,102 @@ impl<T: Path> Radix2<T> {
         if self.n == 1 {
             return Ok(0);
         }
-        self.permute(|i, j| {
-            re.swap(i, j);
-            im.swap(i, j);
-        });
+        bit_reverse(re);
+        bit_reverse(im);
         let (twr, twi) = self.tables(forward);
         Ok(T::stages(re, im, twr, twi))
     }
+}
 
-    /// In-place bit-reversal permutation: `swap(i, j)` for every index
-    /// pair the permutation exchanges.
-    pub(crate) fn permute(&self, mut swap: impl FnMut(usize, usize)) {
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                swap(i, j);
+/// `x` with its low `bits` bits reversed (`x < 2^bits`).
+#[inline]
+fn reverse(x: usize, bits: u32) -> usize {
+    x.reverse_bits()
+        .checked_shr(usize::BITS - bits)
+        .unwrap_or(0)
+}
+
+/// In-place bit-reversal permutation of a power-of-two-length lane,
+/// exchanged in square tiles so every read and write runs along cache
+/// lines.
+///
+/// With `n = 2^b`, tile side `T = 2^q` (`q = min(4, ⌊b/2⌋)`) and
+/// `i = a·2^(b−q) + m·T + c`, the reversed index is
+/// `rev(c)·2^(b−q) + rev(m)·T + rev(a)`. Tile `m` is the `T` rows of `T`
+/// contiguous samples at `a·2^(b−q) + m·T`, so the permutation swaps tile
+/// `m` with tile `rev(m)` and transposes both, reversing row and column
+/// order. Each tile pair passes through two stack buffers: no table, no
+/// heap allocation, and one routine for every `n ≥ 1`. From 256 points
+/// up `T = 16`, one 64-byte line per tile row on `f32` and `i32` lanes.
+/// The side is a constant of each instance, so the row copies and the
+/// transposed writes compile to fixed-length loops.
+pub(crate) fn bit_reverse<R: Copy + Default>(x: &mut [R]) {
+    debug_assert!(
+        x.len().is_power_of_two(),
+        "lane length must be a power of two"
+    );
+    match x.len().trailing_zeros() / 2 {
+        0 => tiles::<R, 1>(x),
+        1 => tiles::<R, 2>(x),
+        2 => tiles::<R, 4>(x),
+        3 => tiles::<R, 8>(x),
+        _ => tiles::<R, 16>(x),
+    }
+}
+
+/// [`bit_reverse`] with tile side `S = 2^q`.
+fn tiles<R: Copy + Default, const S: usize>(x: &mut [R]) {
+    let q = S.trailing_zeros();
+    let stride = x.len() >> q;
+    let middle = x.len().trailing_zeros() - 2 * q;
+    // `load` leaves tile row `a` in buffer row `rev(a)`, so destination
+    // row `a′`, column `c′` reads buffer row `c′`, column `rev(a′)`.
+    let load = |x: &[R], m: usize, buf: &mut [[R; S]; S]| {
+        for a in 0..S {
+            let row = a * stride + m * S;
+            buf[reverse(a, q)].copy_from_slice(&x[row..row + S]);
+        }
+    };
+    let store = |x: &mut [R], m: usize, buf: &[[R; S]; S]| {
+        for a in 0..S {
+            let col = reverse(a, q);
+            let row = a * stride + m * S;
+            for (y, src) in x[row..row + S].iter_mut().zip(buf) {
+                *y = src[col];
             }
+        }
+    };
+    let mut own = [[R::default(); S]; S];
+    let mut partner = [[R::default(); S]; S];
+    for m in 0..1usize << middle {
+        let rm = reverse(m, middle);
+        if rm < m {
+            continue;
+        }
+        load(x, m, &mut own);
+        if rm == m {
+            store(x, m, &own);
+        } else {
+            load(x, rm, &mut partner);
+            store(x, m, &partner);
+            store(x, rm, &own);
+        }
+    }
+}
+
+/// The index-by-index bit-reversal permutation the scalar reference
+/// transforms run: independent of [`bit_reverse`], which the tests pin
+/// against it.
+#[cfg(test)]
+pub(crate) fn swap_bit_reversed<X>(data: &mut [X]) {
+    let bits = data.len().trailing_zeros();
+    for i in 0..data.len() {
+        let j = i
+            .reverse_bits()
+            .checked_shr(usize::BITS - bits)
+            .unwrap_or(0);
+        if j > i {
+            data.swap(i, j);
         }
     }
 }
@@ -570,7 +638,7 @@ impl<T: Float> Radix2<T> {
         if n == 1 {
             return;
         }
-        self.permute(|i, j| data.swap(i, j));
+        swap_bit_reversed(data);
         let (twr, twi) = self.tables(forward);
         let mut half = 1usize;
         while half < n {
@@ -859,45 +927,56 @@ mod tests {
 
     #[test]
     fn lane_path_is_bit_identical_to_the_scalar_reference() {
-        // Every power of two up to 4096, so every boundary of the stage
-        // schedule (fused first stages, stage pairs, a final odd stage) is
-        // pinned.
-        for n in (0..=12).map(|s| 1usize << s) {
+        // Every power of two up to 65,536, the largest rung a matched
+        // filter builds, so every boundary of the stage schedule (fused
+        // first stages, stage pairs, a final odd stage) and every tile side
+        // of the bit reversal is pinned, on the interleaved and on the SoA
+        // entry points alike.
+        for n in (0..=16).map(|s| 1usize << s) {
             let signal = test_signal(n);
             let plan = Radix2Plan::new(n).unwrap();
             let mut lane = signal.clone();
             let mut scalar = signal.clone();
+            let (mut re, mut im): (Vec<f64>, Vec<f64>) =
+                signal.iter().map(|c| (c.re, c.im)).unzip();
+            let joined = |re: &[f64], im: &[f64]| -> Vec<Complex64> {
+                re.iter()
+                    .zip(im)
+                    .map(|(&r, &i)| Complex64::new(r, i))
+                    .collect()
+            };
             plan.forward(&mut lane).unwrap();
+            plan.forward_soa(&mut re, &mut im).unwrap();
             plan.forward_scalar(&mut scalar).unwrap();
             assert_eq!(lane, scalar, "forward n={n}");
+            assert_eq!(joined(&re, &im), scalar, "forward_soa n={n}");
             plan.inverse(&mut lane).unwrap();
+            plan.inverse_soa(&mut re, &mut im).unwrap();
             plan.inverse_scalar(&mut scalar).unwrap();
             assert_eq!(lane, scalar, "inverse n={n}");
+            assert_eq!(joined(&re, &im), scalar, "inverse_soa n={n}");
         }
     }
 
     #[test]
-    fn soa_entry_points_match_the_interleaved_wrappers() {
-        for n in [4usize, 64, 1024] {
-            let signal = test_signal(n);
-            let plan = Radix2Plan::new(n).unwrap();
-            let mut aos = signal.clone();
-            plan.forward(&mut aos).unwrap();
-            let mut re: Vec<f64> = signal.iter().map(|c| c.re).collect();
-            let mut im: Vec<f64> = signal.iter().map(|c| c.im).collect();
-            plan.forward_soa(&mut re, &mut im).unwrap();
-            for (c, (r, x)) in aos.iter().zip(re.iter().zip(im.iter())) {
-                assert_eq!(c.re, *r);
-                assert_eq!(c.im, *x);
-            }
-            plan.inverse_soa(&mut re, &mut im).unwrap();
-            let mut round = aos.clone();
-            plan.inverse(&mut round).unwrap();
-            for (c, (r, x)) in round.iter().zip(re.iter().zip(im.iter())) {
-                assert_eq!(c.re, *r);
-                assert_eq!(c.im, *x);
+    fn bit_reversal_matches_reverse_bits_at_every_size() {
+        fn check<R: Copy + Default + PartialEq + std::fmt::Debug>(lane: impl Fn(usize) -> R) {
+            for bits in 0..=16u32 {
+                let n = 1usize << bits;
+                let mut x: Vec<R> = (0..n).map(&lane).collect();
+                bit_reverse(&mut x);
+                for (j, &y) in x.iter().enumerate() {
+                    let i = j
+                        .reverse_bits()
+                        .checked_shr(usize::BITS - bits)
+                        .unwrap_or(0);
+                    assert_eq!(y, lane(i), "n={n} j={j}");
+                }
             }
         }
+        check(|i| i as f64);
+        check(|i| i as f32);
+        check(|i| i as i32);
     }
 
     #[test]

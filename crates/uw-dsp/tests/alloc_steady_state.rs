@@ -201,6 +201,35 @@ fn steady_state_processing_is_allocation_free() {
     });
     assert_eq!(n, 0, "steady-state Q15 SoA transforms allocated {n} times");
 
+    // --- SoA transforms at 16,384 points on all three paths: the burst
+    // scan's f32 half-length and Q15's per-link rung. The bit reversal
+    // exchanges its tiles through stack buffers, never the heap. ---
+    let big = 16_384;
+    let raw_big = Radix2Plan::new(big).unwrap();
+    let (mut re, mut im) = (vec![0.5f64; big], vec![0.0f64; big]);
+    raw_big.forward_soa(&mut re, &mut im).unwrap();
+    let n = allocations_during(|| {
+        raw_big.forward_soa(&mut re, &mut im).unwrap();
+        raw_big.inverse_soa(&mut re, &mut im).unwrap();
+    });
+    assert_eq!(n, 0, "f64 SoA transforms at {big} allocated {n} times");
+    let f32_big = F32Radix2Plan::new(big).unwrap();
+    let (mut fre, mut fim) = (vec![0.5f32; big], vec![0.0f32; big]);
+    f32_big.forward_soa(&mut fre, &mut fim).unwrap();
+    let n = allocations_during(|| {
+        f32_big.forward_soa(&mut fre, &mut fim).unwrap();
+        f32_big.inverse_soa(&mut fre, &mut fim).unwrap();
+    });
+    assert_eq!(n, 0, "f32 SoA transforms at {big} allocated {n} times");
+    let q15_big = FixedRadix2Plan::new(big).unwrap();
+    let (mut qre, mut qim) = (vec![8192i32; big], vec![0i32; big]);
+    q15_big.forward_soa(&mut qre, &mut qim).unwrap();
+    let n = allocations_during(|| {
+        q15_big.forward_soa(&mut qre, &mut qim).unwrap();
+        q15_big.inverse_raw_soa(&mut qre, &mut qim).unwrap();
+    });
+    assert_eq!(n, 0, "Q15 SoA transforms at {big} allocated {n} times");
+
     // --- f32 and Q15 matched filters, streaming into reused buffers. ---
     let f32_filter = F32MatchedFilter::new(&template).unwrap();
     f32_filter
