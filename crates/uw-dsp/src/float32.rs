@@ -27,10 +27,10 @@
 //! length, and matched-filter peak position within ±1 sample — inside the
 //! acoustic SNR budget. Wall-clock, the f32 filter runs the same blocks as
 //! the f64 oracle with half-width samples, so twice the lanes per register
-//! and half the memory traffic: on the paper preamble it takes about 0.8×
-//! the f64 filter's time per call (0.20 against 0.24 ms per 14,112-sample
+//! and half the memory traffic: on the paper preamble it takes about 0.75×
+//! the f64 filter's time per call (0.14 against 0.19 ms per 14,112-sample
 //! link capture, `uw-dsp.correlate_ms.f32` against `…f64` in a traced
-//! perfbench `field-rounds` run, seed 31, on a 2-vCPU AVX-512 x86-64 VM).
+//! perfbench `field-rounds` run, seed 81, on a 2-vCPU AVX-512 x86-64 VM).
 //!
 //! Normalised correlation divides by sliding window energies accumulated
 //! as `f64` prefix sums **of the f32-cast samples**, so numerator and

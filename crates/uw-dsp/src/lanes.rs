@@ -7,7 +7,7 @@
 //! because the real and imaginary streams share cache lines but want
 //! different arithmetic. This module provides the same inner loops in
 //! **structure-of-arrays** form — separate `re[]` / `im[]` slices — processed
-//! in fixed-width blocks the LLVM autovectorizer reliably lowers to SIMD:
+//! in fixed-width blocks the LLVM autovectorizer can lower to SIMD:
 //!
 //! * the float kernels are written once, generic over [`Float`], in blocks
 //!   of [`Float::LANES`] samples: `[f64; 4]` (one AVX2 register / two NEON
@@ -17,14 +17,23 @@
 //!   with `i64` product accumulators exactly as the scalar code uses.
 //!
 //! No intrinsics and no new dependencies: each kernel is a plain loop over
-//! small fixed-size arrays with a scalar tail, which optimises to packed
-//! SIMD on every target the workspace builds for and degrades to the scalar
-//! code path otherwise. Every kernel computes **the same expressions in the
-//! same order** as its scalar counterpart, so results are bit-identical —
-//! pinned by the tests in this module and by the plan unit tests of each
-//! path, which compare whole transforms against the scalar reference at
-//! every power of two up to 65,536. Vectorization can never silently
-//! change answers.
+//! small fixed-size arrays with a scalar tail, and degrades to the scalar
+//! code path on targets without SIMD. A plain loop is not a guarantee,
+//! though: LLVM vectorizes a loop that stores to one stream and loads from
+//! another only when it can rule out an overlap, and a runtime overlap
+//! check it adds may be hoisted out of an enclosing loop and widened until
+//! it always fails. The fused two-stage [`butterfly_pair`] hit exactly
+//! that and ran one lane at a time on every pass spanning more than one
+//! group; its doc says what keeps it vectorized now. (On the float paths
+//! the single-stage [`butterfly`] only runs as the last stage, one group.)
+//! Whether a kernel vectorizes is measured per pass in a release build,
+//! not assumed from its shape. Every kernel computes
+//! **the same expressions in the same order** as its scalar counterpart,
+//! so results are bit-identical — pinned by the tests in this module
+//! (including the pair kernel against two single-stage passes at every
+//! half the schedule runs) and by the plan unit tests of each path, which
+//! compare whole transforms against the scalar reference at every power of
+//! two up to 65,536. Vectorization can never silently change answers.
 //!
 //! Production code reaches the kernels through [`crate::plan`] (whose
 //! `float_stages` is the one butterfly schedule of both float paths),
@@ -192,8 +201,25 @@ pub fn butterfly_first3<T: Float>(
 /// closed radix-4 cells `(k, h+k, 2h+k, 3h+k)`, running the half-`h`
 /// butterflies and then the half-`2h` butterflies on the intermediate
 /// values while they are still in registers — one memory sweep for two
-/// stages. Expressions and operands are exactly the generic butterfly's,
-/// so outputs stay bit-identical to the scalar reference.
+/// stages. Every cell is [`pair_cell`], the generic butterfly's
+/// expressions on the same operands, so outputs stay bit-identical to the
+/// scalar reference.
+///
+/// What keeps the pass vectorized (measured per pass, not assumed): the
+/// cell loop only compiles to packed arithmetic when LLVM knows that the
+/// quarter-streams a cell stores do not overlap the ones the next cell
+/// loads. Quarters cut from one slice inside a loop over groups leave it
+/// an overlap check, which it hoists out of the group loop and widens to
+/// all groups; from two groups up that check always fails, and the cells
+/// ran one lane at a time, 2.7–8.2× slower than here. So the cells run in
+/// one of two loops, neither of which needs the check:
+///
+/// * `h = 8` and `h = 32`: [`pair_pass_flat`], one flat pass over all
+///   groups at a constant half, every quarter a constant offset into its
+///   group;
+/// * every other half (`h = 1` at `n = 4`, then 128, 512, …): one call of
+///   [`pair_group`] per group, each quarter-stream and twiddle stream its
+///   own argument.
 ///
 /// `re.len()` must be a multiple of `4h`; `wb_*` must hold the `2h`
 /// twiddles of the second stage.
@@ -211,48 +237,140 @@ pub fn butterfly_pair<T: Float>(
     debug_assert_eq!(wb_re.len(), 2 * h);
     debug_assert_eq!(wb_im.len(), 2 * h);
     debug_assert_eq!(re.len() % (4 * h).max(1), 0);
-    let (wb_lo_re, wb_hi_re) = wb_re.split_at(h);
-    let (wb_lo_im, wb_hi_im) = wb_im.split_at(h);
-    for (rg, ig) in re.chunks_exact_mut(4 * h).zip(im.chunks_exact_mut(4 * h)) {
-        let (r01, r23) = rg.split_at_mut(2 * h);
-        let (r0, r1) = r01.split_at_mut(h);
-        let (r2, r3) = r23.split_at_mut(h);
-        let (i01, i23) = ig.split_at_mut(2 * h);
-        let (i0, i1) = i01.split_at_mut(h);
-        let (i2, i3) = i23.split_at_mut(h);
-        for k in 0..h {
-            let (war, wai) = (wa_re[k], wa_im[k]);
-            // First stage, group [0..2h): butterfly (k, h+k).
-            let pr = r1[k] * war - i1[k] * wai;
-            let pi = r1[k] * wai + i1[k] * war;
-            let ar = r0[k] + pr;
-            let ai = i0[k] + pi;
-            let br = r0[k] - pr;
-            let bi = i0[k] - pi;
-            // First stage, group [2h..4h): butterfly (2h+k, 3h+k).
-            let qr = r3[k] * war - i3[k] * wai;
-            let qi = r3[k] * wai + i3[k] * war;
-            let cr = r2[k] + qr;
-            let ci = i2[k] + qi;
-            let dr = r2[k] - qr;
-            let di = i2[k] - qi;
-            // Second stage: butterflies (k, 2h+k) and (h+k, 3h+k).
-            let (w0r, w0i) = (wb_lo_re[k], wb_lo_im[k]);
-            let ur = cr * w0r - ci * w0i;
-            let ui = cr * w0i + ci * w0r;
-            r0[k] = ar + ur;
-            i0[k] = ai + ui;
-            r2[k] = ar - ur;
-            i2[k] = ai - ui;
-            let (w1r, w1i) = (wb_hi_re[k], wb_hi_im[k]);
-            let vr = dr * w1r - di * w1i;
-            let vi = dr * w1i + di * w1r;
-            r1[k] = br + vr;
-            i1[k] = bi + vi;
-            r3[k] = br - vr;
-            i3[k] = bi - vi;
+    let (w0_re, w1_re) = wb_re.split_at(h);
+    let (w0_im, w1_im) = wb_im.split_at(h);
+    let w = [wa_re, wa_im, w0_re, w0_im, w1_re, w1_im];
+    // A call per group of 32 or 128 samples ran these two halves about 2×
+    // (h = 8) and 1.3× (h = 32) slower per pass than the flat pass.
+    match h {
+        8 => pair_pass_flat::<T, 8>(re, im, w),
+        32 => pair_pass_flat::<T, 32>(re, im, w),
+        _ => {
+            for (rg, ig) in re.chunks_exact_mut(4 * h).zip(im.chunks_exact_mut(4 * h)) {
+                let (r01, r23) = rg.split_at_mut(2 * h);
+                let (r0, r1) = r01.split_at_mut(h);
+                let (r2, r3) = r23.split_at_mut(h);
+                let (i01, i23) = ig.split_at_mut(2 * h);
+                let (i0, i1) = i01.split_at_mut(h);
+                let (i2, i3) = i23.split_at_mut(h);
+                let [war, wai, w0r, w0i, w1r, w1i] = w;
+                pair_group::<T>(r0, r1, r2, r3, i0, i1, i2, i3, war, wai, w0r, w0i, w1r, w1i);
+            }
         }
     }
+}
+
+/// The cells of one group of the fused pair pass, each of its eight
+/// quarter-streams and six twiddle streams (all of length `h`) passed as
+/// an argument of its own. Rust tells LLVM that no `&mut` argument
+/// aliases another, so the loop vectorizes without an overlap check.
+/// Kept out of line so that the guarantee comes from its own signature,
+/// whatever the caller it would be inlined into knows.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn pair_group<T: Float>(
+    r0: &mut [T::Real],
+    r1: &mut [T::Real],
+    r2: &mut [T::Real],
+    r3: &mut [T::Real],
+    i0: &mut [T::Real],
+    i1: &mut [T::Real],
+    i2: &mut [T::Real],
+    i3: &mut [T::Real],
+    wa_re: &[T::Real],
+    wa_im: &[T::Real],
+    w0_re: &[T::Real],
+    w0_im: &[T::Real],
+    w1_re: &[T::Real],
+    w1_im: &[T::Real],
+) {
+    let h = wa_re.len();
+    let (r0, r1, r2, r3) = (&mut r0[..h], &mut r1[..h], &mut r2[..h], &mut r3[..h]);
+    let (i0, i1, i2, i3) = (&mut i0[..h], &mut i1[..h], &mut i2[..h], &mut i3[..h]);
+    let (wa_im, w0_re, w0_im) = (&wa_im[..h], &w0_re[..h], &w0_im[..h]);
+    let (w1_re, w1_im) = (&w1_re[..h], &w1_im[..h]);
+    for k in 0..h {
+        let (r, i) = pair_cell::<T>(
+            [r0[k], r1[k], r2[k], r3[k]],
+            [i0[k], i1[k], i2[k], i3[k]],
+            (wa_re[k], wa_im[k]),
+            (w0_re[k], w0_im[k]),
+            (w1_re[k], w1_im[k]),
+        );
+        [r0[k], r1[k], r2[k], r3[k]] = r;
+        [i0[k], i1[k], i2[k], i3[k]] = i;
+    }
+}
+
+/// The fused pair pass at a constant half `H`, flat over all groups: the
+/// twiddles are copied to the stack once, where no store to `re` or `im`
+/// can reach them, and each cell reads and writes its group at the
+/// constant offsets `k`, `H+k`, `2H+k` and `3H+k`. Kept out of line so
+/// that `re` and `im` are its own arguments, which LLVM knows do not
+/// alias: inlined into a caller whose lanes were not arguments, it
+/// measured no faster than a scalar cell loop.
+#[inline(never)]
+fn pair_pass_flat<T: Float, const H: usize>(
+    re: &mut [T::Real],
+    im: &mut [T::Real],
+    w: [&[T::Real]; 6],
+) {
+    let mut tw = [[T::Real::default(); H]; 6];
+    for (t, s) in tw.iter_mut().zip(w) {
+        t.copy_from_slice(s);
+    }
+    let [war, wai, w0r, w0i, w1r, w1i] = &tw;
+    for (rc, ic) in re.chunks_exact_mut(4 * H).zip(im.chunks_exact_mut(4 * H)) {
+        for k in 0..H {
+            let (r, i) = pair_cell::<T>(
+                [rc[k], rc[H + k], rc[2 * H + k], rc[3 * H + k]],
+                [ic[k], ic[H + k], ic[2 * H + k], ic[3 * H + k]],
+                (war[k], wai[k]),
+                (w0r[k], w0i[k]),
+                (w1r[k], w1i[k]),
+            );
+            [rc[k], rc[H + k], rc[2 * H + k], rc[3 * H + k]] = r;
+            [ic[k], ic[H + k], ic[2 * H + k], ic[3 * H + k]] = i;
+        }
+    }
+}
+
+/// One radix-4 cell of the fused pair pass on the samples at `k`, `h+k`,
+/// `2h+k` and `3h+k` (real parts `r`, imaginary parts `i`): the first
+/// stage's butterflies `(k, h+k)` and `(2h+k, 3h+k)` with twiddle `wa`,
+/// then the second stage's `(k, 2h+k)` with `w0` and `(h+k, 3h+k)` with
+/// `w1`. Returns the four outputs in the same order.
+#[inline(always)]
+fn pair_cell<T: Float>(
+    [r0, r1, r2, r3]: [T::Real; 4],
+    [i0, i1, i2, i3]: [T::Real; 4],
+    (war, wai): (T::Real, T::Real),
+    (w0r, w0i): (T::Real, T::Real),
+    (w1r, w1i): (T::Real, T::Real),
+) -> ([T::Real; 4], [T::Real; 4]) {
+    // First stage, group [0..2h): butterfly (k, h+k).
+    let pr = r1 * war - i1 * wai;
+    let pi = r1 * wai + i1 * war;
+    let ar = r0 + pr;
+    let ai = i0 + pi;
+    let br = r0 - pr;
+    let bi = i0 - pi;
+    // First stage, group [2h..4h): butterfly (2h+k, 3h+k).
+    let qr = r3 * war - i3 * wai;
+    let qi = r3 * wai + i3 * war;
+    let cr = r2 + qr;
+    let ci = i2 + qi;
+    let dr = r2 - qr;
+    let di = i2 - qi;
+    // Second stage: butterflies (k, 2h+k) and (h+k, 3h+k).
+    let ur = cr * w0r - ci * w0i;
+    let ui = cr * w0i + ci * w0r;
+    let vr = dr * w1r - di * w1i;
+    let vi = dr * w1i + di * w1r;
+    (
+        [ar + ur, br + vr, ar - ur, br - vr],
+        [ai + ui, bi + vi, ai - ui, bi - vi],
+    )
 }
 
 /// Pointwise complex product `x[k] ← x[k] · t[k]` in SoA form, in
@@ -523,6 +641,7 @@ pub fn renormalize_up_i32(re: &mut [i32], im: &mut [i32], guard: i32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::for_each_group;
 
     fn seq<T: Float>(n: usize, phase: f64) -> Vec<T::Real> {
         (0..n)
@@ -574,6 +693,45 @@ mod tests {
     #[test]
     fn f32_butterfly_matches_scalar_bitwise() {
         butterfly_matches_scalar::<f32>();
+    }
+
+    fn bits<T: Float>(v: &[T::Real]) -> Vec<u64> {
+        wide::<T>(v).iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The fused pair kernel must equal two passes of the single-stage
+    /// butterfly bit for bit at every half the schedule runs: the per-group
+    /// loop (h = 1, 128, 512, 2048, 8192) and both constant-half flat
+    /// passes (h = 8, 32). Three groups, each with its own samples, and
+    /// six distinct twiddle streams, so a cell that reads the wrong group,
+    /// quarter or twiddle stream shows.
+    fn pair_matches_two_single_stages<T: Float>() {
+        for h in [1usize, 8, 32, 128, 512, 2048, 8192] {
+            let n = 3 * 4 * h;
+            let (mut re, mut im) = (seq::<T>(n, 0.5), seq::<T>(n, 1.5));
+            let (wa_re, wa_im) = (seq::<T>(h, 2.5), seq::<T>(h, 3.5));
+            let (wb_re, wb_im) = (seq::<T>(2 * h, 4.5), seq::<T>(2 * h, 5.5));
+            let (mut s_re, mut s_im) = (re.clone(), im.clone());
+            for_each_group(&mut s_re, &mut s_im, h, |er, ei, or, oi| {
+                butterfly::<T>(er, ei, or, oi, &wa_re, &wa_im)
+            });
+            for_each_group(&mut s_re, &mut s_im, 2 * h, |er, ei, or, oi| {
+                butterfly::<T>(er, ei, or, oi, &wb_re, &wb_im)
+            });
+            butterfly_pair::<T>(&mut re, &mut im, &wa_re, &wa_im, &wb_re, &wb_im);
+            assert_eq!(bits::<T>(&re), bits::<T>(&s_re), "h={h}");
+            assert_eq!(bits::<T>(&im), bits::<T>(&s_im), "h={h}");
+        }
+    }
+
+    #[test]
+    fn f64_pair_matches_two_single_stages_bitwise() {
+        pair_matches_two_single_stages::<f64>();
+    }
+
+    #[test]
+    fn f32_pair_matches_two_single_stages_bitwise() {
+        pair_matches_two_single_stages::<f32>();
     }
 
     #[test]

@@ -134,10 +134,12 @@
 //!   indices within ±1 sample of the f64 peak at matrix SNRs, and exact
 //!   saturation behaviour at ±1.0.
 //! * **What the perf axis records.** On x86 the Q15 matched filter costs
-//!   about twice the f64 one (0.51 vs 0.24 ms per 14,112-sample link
-//!   capture, `uw-dsp.correlate_ms.q15` vs `uw-dsp.correlate_ms.f64` in a
-//!   traced perfbench `field-rounds` run), because the float paths run a
-//!   half-length real-input leg that Q15 does not have. The point of the axis was
+//!   about three times the f64 one (0.60 vs 0.19 ms per 14,112-sample
+//!   link capture, `uw-dsp.correlate_ms.q15` vs `uw-dsp.correlate_ms.f64`
+//!   in a traced perfbench `field-rounds` run), because the float paths
+//!   run a half-length real-input leg that Q15 does not have, and their
+//!   two-stage butterfly passes are packed while Q15 runs one stage per
+//!   sweep behind a guard scan. The point of the axis was
 //!   never an x86 speedup: it models the numeric behaviour of the integer
 //!   DSPs phones actually ship and tracks both paths' costs over time.
 //!
@@ -156,9 +158,17 @@
 //! * **Fixed-width blocks, no intrinsics.** Each kernel walks the SoA
 //!   buffers in compile-time-width chunks (zipped `chunks_exact`
 //!   iterators), so LLVM sees fixed-trip-count inner loops with no bounds
-//!   checks — the shape it reliably lowers to full-width packed SIMD.
-//!   The crate stays dependency-free and `forbid(unsafe_code)`, and the
-//!   same loops degrade to scalar code on targets without SIMD.
+//!   checks — a shape it can lower to packed SIMD, but only when it can
+//!   also rule out that the streams a loop stores overlap the ones it
+//!   loads. The fused two-stage pass could not: it ran one lane at a time
+//!   on every pass spanning more than one group, 2.7–8.2× slower than now,
+//!   until each group's quarter-streams and twiddle streams became
+//!   separate arguments of one out-of-line cell loop (and halves 8 and 32
+//!   a flat pass at constant offsets). That was found by timing each pass
+//!   of a release transform, which is how vectorization is checked here;
+//!   the kernel's shape alone proves nothing. The crate stays
+//!   dependency-free and `forbid(unsafe_code)`, and the same loops
+//!   degrade to scalar code on targets without SIMD.
 //! * **One float schedule.** The f64 and f32 kernels are one generic set,
 //!   and both paths run one butterfly schedule: the first three stages
 //!   fused into one sweep of closed 8-point cells, then two stages per
@@ -179,14 +189,15 @@
 //!   in natural order at the boundary and run the SoA transform;
 //!   SoA-native callers (the matched filters) never interleave.
 //! * **Measured effect** (one traced 40-s run of
-//!   `python3 perfbench/run.py --workload field-rounds --seed 31 --trace 1`
+//!   `python3 perfbench/run.py --workload field-rounds --seed 81 --trace 1`
 //!   on a 2-vCPU AVX-512 x86-64 VM). Whole correlations gained more from
 //!   transform length than from lane width: every path runs each block at
 //!   the shortest length that covers its lags, and both float paths run
 //!   the real-input leg, so correlating a 14,112-sample link capture
-//!   takes 0.24 ms on f64, 0.20 ms on f32 and 0.51 ms on Q15
-//!   (`uw-dsp.correlate_ms.*`; see [`matched`]), against 0.33, 0.28 and
-//!   0.64 ms in the same run before the tiled bit reversal.
+//!   takes 0.19 ms on f64, 0.14 ms on f32 and 0.60 ms on Q15
+//!   (`uw-dsp.correlate_ms.*`; see [`matched`]), against 0.30, 0.27 and
+//!   0.59 ms in the same-seed run before the two-stage pass was
+//!   vectorized (Q15 does not run it).
 //!
 //! ## Example
 //!

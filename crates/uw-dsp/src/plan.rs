@@ -209,11 +209,12 @@ pub(crate) fn stage_twiddles<'a, R>(twr: &'a [R], twi: &'a [R], half: usize) -> 
 
 /// The butterfly stages of both float paths, on bit-reversed data of length
 /// `n ≥ 2`: the first three stages fused into one sweep of closed 8-point
-/// cells when `n ≥ 8`, then two stages per sweep, and a last odd stage on
-/// its own. Every fused kernel evaluates the plain butterfly's expressions
-/// on the same operands, so the output is bit-identical to running one
-/// stage per sweep. (Q15 cannot fuse: each of its stages scans the block
-/// for its guard shift first.)
+/// cells when `n ≥ 8`, then two stages per sweep (`lanes::butterfly_pair`
+/// at halves 8, 32, 128, …; a flat pass at 8 and 32, a call per group
+/// above), and a last odd stage on its own. Every fused kernel evaluates
+/// the plain butterfly's expressions on the same operands, so the output
+/// is bit-identical to running one stage per sweep. (Q15 cannot fuse: each
+/// of its stages scans the block for its guard shift first.)
 pub(crate) fn float_stages<T: Float>(
     re: &mut [T::Real],
     im: &mut [T::Real],
