@@ -20,6 +20,7 @@ use uw_channel::geometry::Point3;
 use uw_channel::propagate::{ChannelSimulator, PropagateOptions};
 use uw_device::device::MIC_SEPARATION_M;
 use uw_device::sensors::Orientation;
+use uw_dsp::float32::F32MatchedFilter;
 use uw_dsp::SAMPLE_RATE;
 use uw_ranging::baselines::ChirpBaseline;
 use uw_ranging::preamble::RangingPreamble;
@@ -65,6 +66,17 @@ pub fn warm_assets(path: NumericPath) {
 /// from bitwise-identical samples.
 pub fn preamble_waveform(path: NumericPath) -> &'static [f64] {
     &preamble_for(path).waveform
+}
+
+/// The f32 ranging preamble's matched filter, built once per process with
+/// the rest of that path's assets. The preamble waveform is bit-identical
+/// on every path, so this is the filter [`preamble_waveform`] would build;
+/// the field-recording importer's burst scan borrows it instead of
+/// building its own on every scan.
+pub fn preamble_filter_f32() -> &'static F32MatchedFilter {
+    preamble_for(NumericPath::F32)
+        .f32_matched_filter()
+        .expect("the f32 preamble carries the f32 matched filter")
 }
 
 /// The matched chirp baseline (BeepBeep/CAT comparisons). Pure f64 and
@@ -220,10 +232,9 @@ impl LinkCapture {
             return Ok(self.clone());
         }
         let inverse = 1.0 / (1.0 + ppm * 1e-6);
-        Ok(LinkCapture {
-            mic1: uw_dsp::resample::resample(&self.mic1, inverse).map_err(SystemError::from)?,
-            mic2: uw_dsp::resample::resample(&self.mic2, inverse).map_err(SystemError::from)?,
-        })
+        let [mic1, mic2] = uw_dsp::resample::resample_pair(&self.mic1, &self.mic2, inverse)
+            .map_err(SystemError::from)?;
+        Ok(LinkCapture { mic1, mic2 })
     }
 
     /// Assembles a capture from a segment sliced out of a continuous
@@ -355,9 +366,7 @@ pub fn synthesize_dual_mic(trial: &PairwiseTrial, seed: u64) -> Result<LinkCaptu
         }
     }
     if trial.clock_skew_ppm != 0.0 {
-        mic1 = uw_dsp::resample::apply_ppm_skew(&mic1, trial.clock_skew_ppm)
-            .map_err(SystemError::from)?;
-        mic2 = uw_dsp::resample::apply_ppm_skew(&mic2, trial.clock_skew_ppm)
+        [mic1, mic2] = uw_dsp::resample::apply_ppm_skew(&mic1, &mic2, trial.clock_skew_ppm)
             .map_err(SystemError::from)?;
     }
     Ok(LinkCapture { mic1, mic2 })

@@ -6,25 +6,32 @@
 //! a few tens of ppm off nominal. This module is the one way recorded
 //! audio becomes matrix cells — a blind import of the raw capture:
 //!
-//! 1. **Scan** — [`scan_campaign`] streams the recording (bounded
-//!    memory, via [`uw_audio::ReplaySource`], which decodes each block
-//!    straight into one buffer per channel) through the
-//!    [`uw_audio::burst::BurstScanner`] — the f32 matched filter, whose
-//!    burst positions are pinned to the f64 filter's peaks — matched
-//!    against the transmitted preamble template
-//!    ([`uw_core::waveform::preamble_waveform`]),
-//!    associates every detected burst with its (round, device) TDMA slot
-//!    using the protocol's own schedule
-//!    ([`uw_protocol::schedule::TdmSchedule::paper_defaults`]), fits each
-//!    device's clock skew from the drift of its bursts across the
-//!    campaign ([`uw_audio::skew::estimate_skew_ppm`]), and emits a
+//! 1. **Scan** — [`scan_campaign`] streams the recording's first
+//!    microphone (bounded memory, via a [`uw_audio::ReplaySource`] opened
+//!    on channel 0 alone, which converts each block of that channel
+//!    straight into one buffer; the second channel is never converted,
+//!    though a float32 NaN in it still fails the scan) through a
+//!    [`uw_audio::burst::BurstScanner`] that borrows the f32 ranging
+//!    preamble's matched filter
+//!    ([`uw_core::waveform::preamble_filter_f32`], built once per process
+//!    from the transmitted waveform,
+//!    [`uw_core::waveform::preamble_waveform`]; its burst positions are
+//!    pinned to the f64 filter's peaks), associates every detected burst
+//!    with its (round, device) TDMA slot using the protocol's own
+//!    schedule ([`uw_protocol::schedule::TdmSchedule::paper_defaults`]),
+//!    fits each device's clock skew from the drift of its bursts across
+//!    the campaign ([`uw_audio::skew::estimate_skew_ppm`]), and emits a
 //!    [`CampaignManifest`] of per-segment frame ranges.
-//! 2. **Load** — [`load_campaign`] re-streams the file, slices the
-//!    manifest's segments, undoes each device's skew through
+//! 2. **Load** — [`load_campaign`] re-opens the file and visits the
+//!    manifest's segments in start order: it skips to each one (a frame
+//!    seek at the file's own rate) and decodes exactly its frames of both
+//!    channels, so its memory is the segment buffers alone. It undoes
+//!    each device's skew on both microphones in one pass through
 //!    [`uw_core::waveform::LinkCapture::from_imported_segment`] (the
 //!    `compensate_clock_ppm` seam), and assembles a
 //!    [`crate::replay::ReplayAudio`] the session machinery can range
-//!    against.
+//!    against. Every capture is, bit for bit, the whole file decoded,
+//!    sliced at the segment and resampled one stream at a time.
 //! 3. **Evaluate** — the resulting [`ImportedCampaign`] plugs into
 //!    [`ScenarioMatrix::recordings`]: the matrix expands it into cells
 //!    (crossed with the numeric-path axis, ids gaining an
@@ -68,7 +75,7 @@ use uw_channel::environment::Environment;
 use uw_channel::noise::ambient_noise;
 use uw_core::config::{Fidelity, NumericPath};
 use uw_core::prelude::*;
-use uw_core::waveform::{preamble_waveform, LinkCapture};
+use uw_core::waveform::{preamble_filter_f32, preamble_waveform, LinkCapture};
 use uw_core::{Result, SystemError};
 use uw_dsp::resample::apply_ppm_skew;
 use uw_dsp::SAMPLE_RATE;
@@ -336,13 +343,10 @@ pub fn render_campaign_wav(recording: &Recording, opts: &RenderOptions) -> Resul
         let p = skews[link.device];
         let elapsed = layout.elapsed_s(link.round, link.device);
         let pos = start_pad + (elapsed * SAMPLE_RATE * (1.0 + p * 1e-6)).round() as usize;
-        let (mic1, mic2) = if p != 0.0 {
-            (
-                apply_ppm_skew(&link.capture.mic1, p).map_err(SystemError::from)?,
-                apply_ppm_skew(&link.capture.mic2, p).map_err(SystemError::from)?,
-            )
+        let [mic1, mic2] = if p != 0.0 {
+            apply_ppm_skew(&link.capture.mic1, &link.capture.mic2, p).map_err(SystemError::from)?
         } else {
-            (link.capture.mic1.clone(), link.capture.mic2.clone())
+            [link.capture.mic1.clone(), link.capture.mic2.clone()]
         };
         placements.push((pos, mic1, mic2));
     }
@@ -484,9 +488,9 @@ pub struct ImportReport {
     pub campaign_start: u64,
 }
 
-/// Pass 1 of a blind import: stream the recording once, detect every
-/// preamble burst, associate bursts to the TDMA grid, fit per-device
-/// clock skew, and emit the validated [`CampaignManifest`].
+/// Pass 1 of a blind import: stream the recording's first microphone
+/// once, detect every preamble burst, associate bursts to the TDMA grid,
+/// fit per-device clock skew, and emit the validated [`CampaignManifest`].
 pub fn scan_campaign<R: Read + Seek>(
     reader: WavReader<R>,
     params: &ImportParams,
@@ -509,12 +513,13 @@ pub fn scan_campaign<R: Read + Seek>(
         });
     }
     let layout = CampaignLayout::for_devices(params.n_devices)?;
-    let template = preamble_waveform(NumericPath::F64);
-    let mut scanner =
-        BurstScanner::new(template, params.threshold, template.len()).map_err(audio_err)?;
+    let filter = preamble_filter_f32();
+    let mut scanner = BurstScanner::with_filter(filter, params.threshold, filter.template_len())
+        .map_err(audio_err)?;
 
-    let mut source =
-        ReplaySource::new(reader, SAMPLE_RATE, STREAM_BLOCK_FRAMES).map_err(audio_err)?;
+    // Only the first microphone is scanned; the second is never converted.
+    let mut source = ReplaySource::with_channels(reader, SAMPLE_RATE, STREAM_BLOCK_FRAMES, &[0])
+        .map_err(audio_err)?;
     let mut bursts: Vec<Burst> = Vec::new();
     let mut total_frames: u64 = 0;
     while let Some(block) = source.next_block().map_err(audio_err)? {
@@ -774,9 +779,9 @@ impl ImportedCampaign {
     }
 }
 
-/// Pass 2 of a blind import: re-stream the recording, slice the
-/// manifest's frame ranges, compensate each device's fitted skew, and
-/// assemble the campaign's [`ReplayAudio`].
+/// Pass 2 of a blind import: read the manifest's frame ranges from the
+/// recording (seeking past the frames between them), compensate each
+/// device's fitted skew, and assemble the campaign's [`ReplayAudio`].
 pub fn load_campaign<R: Read + Seek>(
     reader: WavReader<R>,
     manifest: &CampaignManifest,
@@ -797,64 +802,35 @@ pub fn load_campaign<R: Read + Seek>(
     let numeric_path = NumericPath::from_slug(&manifest.numeric_path)
         .ok_or_else(|| bad_slug("numeric path", &manifest.numeric_path))?;
 
-    // Per-segment buffers, filled during one streaming pass.
-    let mut order: Vec<usize> = (0..manifest.segments.len()).collect();
-    order.sort_by_key(|&i| manifest.segments[i].start);
-    let mut buffers: Vec<(Vec<f64>, Vec<f64>)> = manifest
-        .segments
-        .iter()
-        .map(|s| {
-            (
-                Vec::with_capacity(s.len as usize),
-                Vec::with_capacity(s.len as usize),
-            )
-        })
-        .collect();
+    // Every check but the end bound, which waits for the stream: a
+    // resampled stream's length is known only once it ends.
+    let fits = |total_frames: u64| {
+        manifest
+            .validate(total_frames)
+            .map_err(|e| SystemError::InvalidConfig {
+                reason: format!("campaign manifest does not fit the recording: {e}"),
+            })
+    };
+    fits(u64::MAX)?;
 
+    // One pass in start order: skip to each segment, read its frames, and
+    // undo its device's skew. The validated segments do not overlap.
+    let mut order: Vec<&SegmentRange> = manifest.segments.iter().collect();
+    order.sort_by_key(|s| s.start);
     let mut source =
         ReplaySource::new(reader, SAMPLE_RATE, STREAM_BLOCK_FRAMES).map_err(audio_err)?;
-    let mut total_frames: u64 = 0;
-    let mut active = 0usize; // first segment (in `order`) not fully filled
-    while let Some(block) = source.next_block().map_err(audio_err)? {
-        let bs = block.start_frame;
-        let be = bs + block.channels[0].len() as u64;
-        total_frames = be;
-        for &seg_idx in order.iter().skip(active) {
-            let seg = &manifest.segments[seg_idx];
-            if seg.start >= be {
-                break;
-            }
-            let seg_end = seg.start.saturating_add(seg.len);
-            if seg_end <= bs {
-                continue;
-            }
-            let from = seg.start.max(bs);
-            let to = seg_end.min(be);
-            let (b1, b2) = &mut buffers[seg_idx];
-            let lo = (from - bs) as usize;
-            let hi = (to - bs) as usize;
-            b1.extend_from_slice(&block.channels[0][lo..hi]);
-            b2.extend_from_slice(&block.channels[1][lo..hi]);
-        }
-        // Advance past segments the stream has fully covered.
-        while active < order.len() {
-            let seg = &manifest.segments[order[active]];
-            if seg.start.saturating_add(seg.len) <= be {
-                active += 1;
-            } else {
-                break;
-            }
-        }
-    }
-    manifest
-        .validate(total_frames)
-        .map_err(|e| SystemError::InvalidConfig {
-            reason: format!("campaign manifest does not fit the recording: {e}"),
-        })?;
-
     let mut captures: HashMap<(usize, usize), LinkCapture> = HashMap::new();
-    for (seg, (b1, b2)) in manifest.segments.iter().zip(buffers) {
-        debug_assert_eq!(b1.len() as u64, seg.len);
+    for seg in order {
+        source
+            .skip(seg.start - source.position())
+            .map_err(audio_err)?;
+        let mics = source.read(seg.len as usize).map_err(audio_err)?;
+        if mics[0].len() as u64 != seg.len {
+            // The stream ended inside this segment, so the end bound fails.
+            fits(source.position())?;
+            unreachable!("a segment read short ends past the recording");
+        }
+        let [mic1, mic2] = <[Vec<f64>; 2]>::try_from(mics).expect("two channels were read");
         let ppm = manifest
             .skew_ppm
             .get(seg.device as usize)
@@ -862,7 +838,7 @@ pub fn load_campaign<R: Read + Seek>(
             .unwrap_or(0.0);
         captures.insert(
             (seg.round as usize, seg.device as usize),
-            LinkCapture::from_imported_segment(b1, b2, ppm)?,
+            LinkCapture::from_imported_segment(mic1, mic2, ppm)?,
         );
     }
 

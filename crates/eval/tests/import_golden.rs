@@ -8,19 +8,28 @@
 //! within a relaxed band. The recorder and renderer themselves are pinned
 //! by a digest of the golden cell's PCM16 campaign, and the burst scan's
 //! f32 matched filter by the f64 oracle's correlation peaks.
+//!
+//! The import reads only what it uses: the scan converts one channel on
+//! the f32 ranging preamble's own filter, and the load seeks to each
+//! segment and undoes skew on both microphones in one pass. Its outputs
+//! are pinned bit for bit to the whole file decoded, sliced and resampled
+//! one stream at a time, at 44.1 kHz and from a 48 kHz recording, and a
+//! NaN planted in either channel, inside a segment or between them, still
+//! fails the import.
 
 use std::io::Cursor;
-use uw_audio::wav::{SampleFormat, WavReader};
-use uw_audio::{scan_all, BurstScanner, ReplaySource};
+use uw_audio::wav::{write_wav_bytes, SampleFormat, WavReader, WavSpec};
+use uw_audio::{scan_all, Burst, BurstScanner, ReplaySource, SincResampler};
 use uw_core::config::{Fidelity, NumericPath};
 use uw_core::prelude::EnvironmentKind;
-use uw_core::waveform::preamble_waveform;
+use uw_core::waveform::{preamble_filter_f32, preamble_waveform, LinkAudioSource};
 use uw_dsp::matched::MatchedFilter;
+use uw_dsp::resample::resample;
 use uw_dsp::SAMPLE_RATE;
-use uw_eval::import::DEFAULT_SCAN_THRESHOLD;
+use uw_eval::import::{ImportedCampaign, DEFAULT_SCAN_THRESHOLD};
 use uw_eval::replay::{fixture_cell, record_cell, FIXTURE_ROUNDS};
 use uw_eval::runner::run_cell;
-use uw_eval::{import_campaign, ImportParams, RenderOptions, ScenarioMatrix};
+use uw_eval::{import_campaign, load_campaign, ImportParams, RenderOptions, ScenarioMatrix};
 
 /// Maximum allowed gap between a blind-imported and a simulated median
 /// 2D error (metres) for a clean-clock recording — the ISSUE's
@@ -314,4 +323,198 @@ fn manifest_survives_a_byte_roundtrip_and_revalidates() {
     let back = uw_audio::CampaignManifest::from_bytes(&bytes).unwrap();
     assert_eq!(back, campaign.manifest);
     back.validate(report.total_frames).unwrap();
+}
+
+/// The importer's stream block: at another file rate the resampler's phase
+/// depends on the block boundaries, so the reference decodes in the same
+/// blocks.
+const STREAM_BLOCK_FRAMES: usize = 65_536;
+
+fn bits(samples: &[f64]) -> Vec<u64> {
+    samples.iter().map(|s| s.to_bits()).collect()
+}
+
+/// Every capture `campaign` holds against the whole recording decoded by
+/// `ReplaySource::collect_channels`, sliced at the manifest's frame ranges
+/// and resampled per microphone with the single-stream
+/// `uw_dsp::resample::resample` at the inverse of the device's fitted
+/// skew (left as sliced at zero skew), bit for bit.
+fn assert_captures_are_the_whole_stream_sliced(wav: &[u8], campaign: &ImportedCampaign) {
+    let reader = WavReader::new(Cursor::new(wav)).unwrap();
+    let whole = ReplaySource::new(reader, SAMPLE_RATE, STREAM_BLOCK_FRAMES)
+        .unwrap()
+        .collect_channels()
+        .unwrap();
+    let manifest = &campaign.manifest;
+    assert_eq!(campaign.audio.len(), manifest.segments.len());
+    for seg in &manifest.segments {
+        let (start, end) = (seg.start as usize, (seg.start + seg.len) as usize);
+        let ppm = manifest.skew_ppm[seg.device as usize];
+        let expected: Vec<Vec<u64>> = whole
+            .iter()
+            .map(|channel| {
+                let slice = &channel[start..end];
+                if ppm == 0.0 {
+                    bits(slice)
+                } else {
+                    bits(&resample(slice, 1.0 / (1.0 + ppm * 1e-6)).unwrap())
+                }
+            })
+            .collect();
+        let capture = campaign
+            .audio
+            .link_capture(seg.round as usize, seg.device as usize)
+            .unwrap();
+        let what = format!("round {} device {} at {ppm} ppm", seg.round, seg.device);
+        assert_eq!(bits(&capture.mic1), expected[0], "mic 1, {what}");
+        assert_eq!(bits(&capture.mic2), expected[1], "mic 2, {what}");
+    }
+}
+
+#[test]
+fn loaded_captures_are_the_whole_stream_sliced_and_resampled_bitwise() {
+    let cell = fixture_cell().unwrap();
+    let recording = record_cell(&cell).unwrap();
+    let skewed_pcm16 = RenderOptions {
+        skew_ppm: PLANTED_SKEW_PPM.to_vec(),
+        ..pcm16()
+    };
+    for opts in [skewed_pcm16, RenderOptions::default()] {
+        let wav = uw_eval::render_campaign_wav(&recording, &opts).unwrap();
+        let (campaign, report) = import_campaign(&wav, &blind_params()).unwrap();
+        assert_captures_are_the_whole_stream_sliced(&wav, &campaign);
+
+        // A last segment that runs one frame past the file, or starts
+        // past it, still fails the load.
+        let mut manifest = campaign.manifest.clone();
+        let segments = &manifest.segments;
+        let last = (0..segments.len())
+            .max_by_key(|&i| segments[i].start)
+            .unwrap();
+        let (start, total) = (segments[last].start, report.total_frames);
+        for (start, len) in [(start, total - start + 1), (total + 5, 10)] {
+            (manifest.segments[last].start, manifest.segments[last].len) = (start, len);
+            let err = load_campaign(WavReader::new(Cursor::new(&wav)).unwrap(), &manifest)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("campaign manifest does not fit the recording"),
+                "{err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_48_khz_recording_imports_blind_onto_the_native_grid() {
+    // The golden campaign converted to 48 kHz: the scan and the load
+    // resample it back onto the 44.1 kHz grid as they stream, the load
+    // decoding and dropping the frames between segments.
+    let cell = fixture_cell().unwrap();
+    let recording = record_cell(&cell).unwrap();
+    let native = uw_eval::render_campaign_wav(&recording, &RenderOptions::default()).unwrap();
+    let reader = WavReader::new(Cursor::new(&native)).unwrap();
+    let channels = ReplaySource::new(reader, SAMPLE_RATE, STREAM_BLOCK_FRAMES)
+        .unwrap()
+        .collect_channels()
+        .unwrap();
+    let to_48k = SincResampler::new(44_100, 48_000, 32).unwrap();
+    let (mic1, mic2) = (to_48k.process(&channels[0]), to_48k.process(&channels[1]));
+    let interleaved: Vec<f64> = mic1.iter().zip(&mic2).flat_map(|(&a, &b)| [a, b]).collect();
+    let spec = WavSpec {
+        sample_rate: 48_000,
+        channels: 2,
+        format: SampleFormat::Float32,
+    };
+    let wav = write_wav_bytes(spec, &interleaved).unwrap();
+
+    let (campaign, report) = import_campaign(&wav, &blind_params()).unwrap();
+    assert_eq!(report.bursts_found, 5 * FIXTURE_ROUNDS);
+    assert_eq!(report.bursts_matched, report.bursts_found);
+    assert_eq!(report.segments, 4 * FIXTURE_ROUNDS);
+    assert_captures_are_the_whole_stream_sliced(&wav, &campaign);
+
+    let (native_campaign, _) = import_campaign(&native, &blind_params()).unwrap();
+    let median = |c: &ImportedCampaign| {
+        let report = run_cell(&c.cell_with_path(NumericPath::F64).unwrap()).unwrap();
+        assert_eq!(report.rounds_failed, 0);
+        report.error_2d.median
+    };
+    let (at_48k, at_native) = (median(&campaign), median(&native_campaign));
+    assert!(
+        (at_48k - at_native).abs() <= IMPORT_MEDIAN_BAND_M,
+        "48 kHz import median {at_48k:.3} m vs native {at_native:.3} m"
+    );
+}
+
+#[test]
+fn a_nan_in_either_channel_fails_the_import_and_names_its_frame() {
+    // The scan converts only the first channel but still checks the raw
+    // words of both, so a NaN fails the import wherever it sits: in the
+    // scanned channel, in the second inside a segment, and in the second
+    // between segments, where the load never reads.
+    let cell = fixture_cell().unwrap();
+    let recording = record_cell(&cell).unwrap();
+    let wav = uw_eval::render_campaign_wav(&recording, &RenderOptions::default()).unwrap();
+    let (campaign, _) = import_campaign(&wav, &blind_params()).unwrap();
+    let mut segments = campaign.manifest.segments.clone();
+    segments.sort_by_key(|s| s.start);
+    let inside = segments[1].start + 10;
+    let gap = segments
+        .windows(2)
+        .find(|w| w[0].start + w[0].len < w[1].start)
+        .expect("rounds leave gaps between segments");
+    let between = (gap[0].start + gap[0].len + gap[1].start) / 2;
+    for (frame, channel) in [(inside, 0), (inside, 1), (between, 1)] {
+        let mut bad = wav.clone();
+        // Our writer's header is 44 bytes; frames are two float32 words.
+        let at = 44 + (frame as usize * 2 + channel) * 4;
+        bad[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+        let err = import_campaign(&bad, &blind_params())
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(&format!("non-finite float32 sample in frame {frame}")),
+            "channel {channel}, frame {frame}: {err}"
+        );
+    }
+}
+
+#[test]
+fn the_shared_f32_preamble_filter_scans_as_a_freshly_built_one() {
+    // The scan borrows the f32 ranging preamble's filter; one built by
+    // `BurstScanner::new` on the transmitted waveform finds the same
+    // bursts with the same score bits, at every chunking.
+    let template = preamble_waveform(NumericPath::F64);
+    for path in [NumericPath::F32, NumericPath::Q15] {
+        assert_eq!(bits(preamble_waveform(path)), bits(template), "{path:?}");
+    }
+    let m = template.len();
+    let cell = fixture_cell().unwrap();
+    let recording = record_cell(&cell).unwrap();
+    let wav = uw_eval::render_campaign_wav(&recording, &pcm16()).unwrap();
+    let reader = WavReader::new(Cursor::new(wav)).unwrap();
+    let first = ReplaySource::with_channels(reader, SAMPLE_RATE, STREAM_BLOCK_FRAMES, &[0])
+        .unwrap()
+        .collect_channels()
+        .unwrap()
+        .remove(0);
+    let key = |bursts: &[Burst]| -> Vec<(u64, u64)> {
+        bursts
+            .iter()
+            .map(|b| (b.position, b.score.to_bits()))
+            .collect()
+    };
+    let built = scan_all(template, &first, DEFAULT_SCAN_THRESHOLD, m).unwrap();
+    assert_eq!(built.len(), 5 * FIXTURE_ROUNDS);
+    for chunk in [1, 4_096, first.len()] {
+        let mut scanner =
+            BurstScanner::with_filter(preamble_filter_f32(), DEFAULT_SCAN_THRESHOLD, m).unwrap();
+        let mut shared = Vec::new();
+        for c in first.chunks(chunk) {
+            shared.extend(scanner.push(c).unwrap());
+        }
+        shared.extend(scanner.finish().unwrap());
+        assert_eq!(key(&shared), key(&built), "chunks of {chunk}");
+    }
 }

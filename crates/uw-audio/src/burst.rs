@@ -6,12 +6,16 @@
 //! a [`BurstScanner`] consumes arbitrarily sized sample chunks, slides a
 //! fixed analysis window over them, and runs each window through the
 //! single-precision overlap-save [`F32MatchedFilter`] from `uw-dsp` — the
-//! filter the f32 ranging path runs. Its windows are the f64 oracle
-//! filter's (both float paths top out at `next_pow2(2 · template_len)`
-//! samples), and its normalised scores match the f64 filter's to within
-//! f32 rounding, so every burst lands where the f64 filter peaks: the
-//! golden import test (`crates/eval/tests/import_golden.rs`) pins the two
-//! against each other.
+//! filter the f32 ranging path runs, which a scanner either builds from
+//! the template ([`BurstScanner::new`]) or borrows ready-built
+//! ([`BurstScanner::with_filter`]: the campaign importer borrows the f32
+//! ranging preamble's, so no scan rebuilds it). Its windows are the f64
+//! oracle filter's (both float paths top out at
+//! `next_pow2(2 · template_len)` samples), and its normalised scores match
+//! the f64 filter's to within f32 rounding, so every burst lands where the
+//! f64 filter peaks: the golden import test
+//! (`crates/eval/tests/import_golden.rs`) pins the two against each other,
+//! and a borrowed filter against one the scanner builds, bit for bit.
 //!
 //! ## Determinism across chunkings
 //!
@@ -29,11 +33,13 @@
 //! Between pushes the scanner holds at most one analysis window
 //! (`F32MatchedFilter::block_len()` samples: 32,768 for the paper's
 //! 9,840-sample preamble) plus the detector's candidate peak — a few
-//! hundred kilobytes regardless of recording length. A push scans every
-//! whole window its samples complete and drops the consumed samples once,
-//! at the end.
+//! hundred kilobytes regardless of recording length, besides the filter's
+//! template spectra when it owns its filter. A push scans every whole
+//! window its samples complete and drops the consumed samples once, at
+//! the end.
 
 use crate::AudioError;
+use std::borrow::Cow;
 use uw_dsp::float32::F32MatchedFilter;
 
 /// One detected preamble occurrence.
@@ -62,8 +68,10 @@ struct Candidate {
 /// flushes the tail. See the module docs for the determinism and memory
 /// guarantees.
 #[derive(Debug)]
-pub struct BurstScanner {
-    filter: F32MatchedFilter,
+pub struct BurstScanner<'f> {
+    /// The scanner's own filter, or one it borrows (see
+    /// [`BurstScanner::with_filter`]).
+    filter: Cow<'f, F32MatchedFilter>,
     threshold: f64,
     min_gap: u64,
     /// Unprocessed samples; `buffer[0]` is absolute index `base`.
@@ -73,8 +81,8 @@ pub struct BurstScanner {
     corr: Vec<f64>,
 }
 
-impl BurstScanner {
-    /// Builds a scanner for `template`.
+impl<'f> BurstScanner<'f> {
+    /// Builds a scanner for `template`, with a filter of its own.
     ///
     /// `threshold` is the normalised-correlation level a peak must reach
     /// to count as a burst (typically 0.3–0.6: template-free noise
@@ -85,18 +93,28 @@ impl BurstScanner {
     /// it. Use at least the template's autocorrelation sidelobe span
     /// (the template length is a safe default).
     pub fn new(template: &[f64], threshold: f64, min_gap: usize) -> Result<Self, AudioError> {
-        if !(threshold.is_finite() && threshold > 0.0 && threshold <= 1.0) {
-            return Err(AudioError::InvalidParameter {
-                reason: format!("burst threshold must be in (0, 1], got {threshold}"),
-            });
-        }
-        if min_gap == 0 {
-            return Err(AudioError::InvalidParameter {
-                reason: "burst refractory gap must be at least 1 sample".into(),
-            });
-        }
+        check_parameters(threshold, min_gap)?;
         let filter = F32MatchedFilter::new(template).map_err(dsp_err)?;
-        Ok(Self {
+        Ok(Self::from_filter(Cow::Owned(filter), threshold, min_gap))
+    }
+
+    /// Builds a scanner that borrows an already-built `filter` for the
+    /// template, with the same parameters as [`BurstScanner::new`]: a
+    /// process that keeps the template's filter (the f32 ranging path
+    /// does) scans without rebuilding it. The detections are those of a
+    /// scanner built by [`BurstScanner::new`] on the template the filter
+    /// was built from, bit for bit.
+    pub fn with_filter(
+        filter: &'f F32MatchedFilter,
+        threshold: f64,
+        min_gap: usize,
+    ) -> Result<Self, AudioError> {
+        check_parameters(threshold, min_gap)?;
+        Ok(Self::from_filter(Cow::Borrowed(filter), threshold, min_gap))
+    }
+
+    fn from_filter(filter: Cow<'f, F32MatchedFilter>, threshold: f64, min_gap: usize) -> Self {
+        Self {
             filter,
             threshold,
             min_gap: min_gap as u64,
@@ -104,7 +122,7 @@ impl BurstScanner {
             base: 0,
             pending: None,
             corr: Vec::new(),
-        })
+        }
     }
 
     /// Length of the template this scanner searches for.
@@ -216,6 +234,20 @@ pub fn scan_all(
     Ok(found)
 }
 
+fn check_parameters(threshold: f64, min_gap: usize) -> Result<(), AudioError> {
+    if !(threshold.is_finite() && threshold > 0.0 && threshold <= 1.0) {
+        return Err(AudioError::InvalidParameter {
+            reason: format!("burst threshold must be in (0, 1], got {threshold}"),
+        });
+    }
+    if min_gap == 0 {
+        return Err(AudioError::InvalidParameter {
+            reason: "burst refractory gap must be at least 1 sample".into(),
+        });
+    }
+    Ok(())
+}
+
 fn dsp_err(e: uw_dsp::DspError) -> AudioError {
     AudioError::InvalidParameter {
         reason: e.to_string(),
@@ -310,17 +342,23 @@ mod tests {
         }
         let whole = scan_all(&template, &signal, 0.4, 300).unwrap();
         assert_eq!(whole.len(), 4);
+        // A scanner on a borrowed filter scans as one that built its own.
+        let filter = F32MatchedFilter::new(&template).unwrap();
         for chunk in [1usize, 7, 300, 4_096, 16_384] {
-            let mut scanner = BurstScanner::new(&template, 0.4, 300).unwrap();
-            let mut got = Vec::new();
-            for c in signal.chunks(chunk) {
-                got.extend(scanner.push(c).unwrap());
-            }
-            got.extend(scanner.finish().unwrap());
-            assert_eq!(got.len(), whole.len(), "chunk size {chunk}");
-            for (a, b) in got.iter().zip(&whole) {
-                assert_eq!(a.position, b.position, "chunk size {chunk}");
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "chunk size {chunk}");
+            for mut scanner in [
+                BurstScanner::new(&template, 0.4, 300).unwrap(),
+                BurstScanner::with_filter(&filter, 0.4, 300).unwrap(),
+            ] {
+                let mut got = Vec::new();
+                for c in signal.chunks(chunk) {
+                    got.extend(scanner.push(c).unwrap());
+                }
+                got.extend(scanner.finish().unwrap());
+                assert_eq!(got.len(), whole.len(), "chunk size {chunk}");
+                for (a, b) in got.iter().zip(&whole) {
+                    assert_eq!(a.position, b.position, "chunk size {chunk}");
+                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "chunk size {chunk}");
+                }
             }
         }
     }
@@ -334,5 +372,8 @@ mod tests {
         assert!(BurstScanner::new(&template, 0.5, 0).is_err());
         assert!(BurstScanner::new(&[], 0.5, 64).is_err());
         assert!(BurstScanner::new(&[0.0; 64], 0.5, 64).is_err());
+        let filter = F32MatchedFilter::new(&template).unwrap();
+        assert!(BurstScanner::with_filter(&filter, 0.0, 64).is_err());
+        assert!(BurstScanner::with_filter(&filter, 0.5, 0).is_err());
     }
 }

@@ -8,11 +8,16 @@
 //! streams the data chunk in caller-sized blocks, each decoded straight
 //! into one buffer per channel, so arbitrarily long recordings are decoded
 //! incrementally; the writer streams samples out and patches the declared
-//! sizes on finalize.
+//! sizes on finalize. A read may convert only some of the channels
+//! ([`WavReader::read_selected`]), and [`WavReader::seek_frame`] moves to
+//! any frame without decoding the frames before it, so a caller converts
+//! only the samples it uses.
 //!
 //! Every malformed input — bad magic, impossible field combinations,
 //! declared sizes beyond the end of the file — is a structured
-//! [`AudioError`], never a panic.
+//! [`AudioError`], never a panic. A float32 sample that is NaN or
+//! infinite fails the read that covers it, in a channel the read converts
+//! or not.
 
 use crate::{AudioError, Result};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -141,17 +146,19 @@ fn float32(b: [u8; 4]) -> f64 {
     f32::from_le_bytes(b) as f64
 }
 
-/// The decode loop: one strided pass per channel over the `B`-byte
-/// samples of whole interleaved frames, straight into that channel's
-/// buffer.
+/// The decode loop: one strided pass per selected channel over the
+/// `B`-byte samples of whole interleaved `channels`-wide frames, straight
+/// into that channel's buffer. Channels not selected are not converted.
 fn deinterleave<const B: usize>(
     bytes: &[u8],
     channels: usize,
+    selected: &[usize],
     decode: impl Fn([u8; B]) -> f64,
 ) -> Vec<Vec<f64>> {
     let samples = bytes.as_chunks::<B>().0;
-    (0..channels)
-        .map(|c| {
+    selected
+        .iter()
+        .map(|&c| {
             samples
                 .iter()
                 .skip(c)
@@ -342,6 +349,8 @@ pub fn write_wav_bytes(spec: WavSpec, interleaved: &[f64]) -> Result<Vec<u8>> {
 pub struct WavReader<R: Read + Seek> {
     source: R,
     spec: WavSpec,
+    /// Stream offset of the first frame.
+    data_offset: u64,
     total_frames: u64,
     next_frame: u64,
     read_buf: Vec<u8>,
@@ -480,6 +489,7 @@ impl<R: Read + Seek> WavReader<R> {
         Ok(Self {
             source,
             spec,
+            data_offset,
             total_frames: data_bytes / frame_bytes,
             next_frame: 0,
             read_buf: Vec::new(),
@@ -501,6 +511,23 @@ impl<R: Read + Seek> WavReader<R> {
         self.total_frames - self.next_frame
     }
 
+    /// Moves the read position to `frame` (at most [`Self::total_frames`])
+    /// without decoding the frames in between.
+    pub fn seek_frame(&mut self, frame: u64) -> Result<()> {
+        if frame > self.total_frames {
+            return Err(AudioError::InvalidParameter {
+                reason: format!(
+                    "cannot seek to frame {frame} of a {}-frame stream",
+                    self.total_frames
+                ),
+            });
+        }
+        let at = self.data_offset + frame * self.spec.bytes_per_frame() as u64;
+        self.source.seek(SeekFrom::Start(at))?;
+        self.next_frame = frame;
+        Ok(())
+    }
+
     /// Decodes up to `max_frames` frames from the current position into
     /// one buffer per channel (`channels[c][i]`, all the same length).
     /// Returns shorter (or empty) buffers at the end of the stream. A read
@@ -511,6 +538,25 @@ impl<R: Read + Seek> WavReader<R> {
     /// produces one, and a single NaN would silently poison every
     /// correlation window it falls in).
     pub fn read_channels(&mut self, max_frames: usize) -> Result<Vec<Vec<f64>>> {
+        let all: Vec<usize> = (0..self.spec.channels as usize).collect();
+        self.read_selected(max_frames, &all)
+    }
+
+    /// As [`Self::read_channels`], but converts only the `selected`
+    /// channels, returning one buffer per entry in that order. The frames
+    /// are still read whole, and a float32 sample that is NaN or infinite
+    /// fails the read in every channel, selected or not.
+    pub fn read_selected(
+        &mut self,
+        max_frames: usize,
+        selected: &[usize],
+    ) -> Result<Vec<Vec<f64>>> {
+        let channels = self.spec.channels as usize;
+        if let Some(&c) = selected.iter().find(|&&c| c >= channels) {
+            return Err(AudioError::InvalidParameter {
+                reason: format!("channel {c} selected from a {channels}-channel stream"),
+            });
+        }
         let take = self.frames_remaining().min(max_frames as u64) as usize;
         self.read_buf.resize(take * self.spec.bytes_per_frame(), 0);
         let mut filled = 0;
@@ -529,23 +575,29 @@ impl<R: Read + Seek> WavReader<R> {
                 Err(e) => return Err(e.into()),
             }
         }
-        let (bytes, channels) = (&self.read_buf[..], self.spec.channels as usize);
+        let bytes = &self.read_buf[..];
         let out = match self.spec.format {
-            SampleFormat::Pcm16 => deinterleave(bytes, channels, pcm16),
-            SampleFormat::Pcm24 => deinterleave(bytes, channels, pcm24),
-            SampleFormat::Pcm32 => deinterleave(bytes, channels, pcm32),
-            SampleFormat::Float32 => deinterleave(bytes, channels, float32),
+            SampleFormat::Pcm16 => deinterleave(bytes, channels, selected, pcm16),
+            SampleFormat::Pcm24 => deinterleave(bytes, channels, selected, pcm24),
+            SampleFormat::Pcm32 => deinterleave(bytes, channels, selected, pcm32),
+            SampleFormat::Float32 => deinterleave(bytes, channels, selected, float32),
         };
         let first = self.next_frame;
         self.next_frame += take as u64;
         if self.spec.format == SampleFormat::Float32 {
-            let bad = out
+            // On the raw words of every channel: an all-ones exponent is
+            // NaN or infinity, in f32 and in the f64 it decodes to.
+            let bad = bytes
+                .as_chunks::<4>()
+                .0
                 .iter()
-                .filter_map(|ch| ch.iter().position(|s| !s.is_finite()))
-                .min();
+                .position(|&w| u32::from_le_bytes(w) & 0x7f80_0000 == 0x7f80_0000);
             if let Some(i) = bad {
                 return Err(AudioError::MalformedFile {
-                    reason: format!("non-finite float32 sample in frame {}", first + i as u64),
+                    reason: format!(
+                        "non-finite float32 sample in frame {}",
+                        first + (i / channels) as u64
+                    ),
                 });
             }
         }
@@ -659,26 +711,63 @@ mod tests {
                             .collect()
                     })
                     .collect();
+                // Every channel, then each channel alone and all of them
+                // in reverse order, as selected subsets.
+                let mut subsets = vec![(0..channels).collect::<Vec<_>>()];
+                subsets.extend((0..channels).map(|c| vec![c]));
+                subsets.push((0..channels).rev().collect());
                 for block in [1, 17, 4_096, usize::MAX] {
-                    let mut reader = read_wav_bytes(bytes.clone()).unwrap();
-                    let mut got = vec![Vec::new(); channels];
-                    loop {
-                        let read = reader.read_channels(block).unwrap();
-                        assert_eq!(read.len(), channels);
-                        if read[0].is_empty() {
-                            break;
+                    for (k, selected) in subsets.iter().enumerate() {
+                        let mut reader = read_wav_bytes(bytes.clone()).unwrap();
+                        let mut got = vec![Vec::new(); selected.len()];
+                        loop {
+                            let read = if k == 0 {
+                                reader.read_channels(block).unwrap()
+                            } else {
+                                reader.read_selected(block, selected).unwrap()
+                            };
+                            assert_eq!(read.len(), selected.len());
+                            if read[0].is_empty() {
+                                break;
+                            }
+                            for (all, ch) in got.iter_mut().zip(read) {
+                                all.extend(ch.iter().map(|s| s.to_bits()));
+                            }
                         }
-                        for (all, ch) in got.iter_mut().zip(read) {
-                            all.extend(ch.iter().map(|s| s.to_bits()));
-                        }
+                        let want: Vec<&Vec<u64>> = selected.iter().map(|&c| &expected[c]).collect();
+                        assert!(
+                            got.iter().eq(want),
+                            "{format:?}, {channels} channels {selected:?}, blocks of {block}"
+                        );
                     }
-                    assert_eq!(
-                        got, expected,
-                        "{format:?}, {channels} channels, blocks of {block}"
-                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn seeking_to_a_frame_reads_on_from_it() {
+        let samples = tone(600);
+        let bytes = write_wav_bytes(spec(SampleFormat::Pcm24, 3), &samples).unwrap();
+        let whole = read_wav_bytes(bytes.clone())
+            .unwrap()
+            .read_channels(200)
+            .unwrap();
+        let mut reader = read_wav_bytes(bytes).unwrap();
+        reader.read_channels(7).unwrap();
+        for frame in [150, 20, 200] {
+            reader.seek_frame(frame).unwrap();
+            assert_eq!(reader.frames_remaining(), 200 - frame);
+            let read = reader.read_selected(30, &[2, 0]).unwrap();
+            let at = frame as usize;
+            let end = (at + 30).min(200);
+            assert_eq!(
+                read,
+                vec![whole[2][at..end].to_vec(), whole[0][at..end].to_vec()]
+            );
+        }
+        assert!(reader.seek_frame(201).is_err());
+        assert!(reader.read_selected(1, &[3]).is_err());
     }
 
     #[test]

@@ -216,6 +216,15 @@ impl RangingPreamble {
         }
     }
 
+    /// The single-precision matched filter of a preamble built for
+    /// [`NumericPath::F32`]; `None` on the other paths, which carry none.
+    pub fn f32_matched_filter(&self) -> Option<&F32MatchedFilter> {
+        match &self.state {
+            PathState::F32(filter, _) => Some(filter),
+            _ => None,
+        }
+    }
+
     /// The error for a request for `kind` symbol plans this preamble's
     /// path does not carry, naming the path it was built for.
     fn no_plans(&self, kind: &str) -> RangingError {
