@@ -1,202 +1,10 @@
-//! Channel coding: rate-2/3 punctured convolutional code and CRC-16.
+//! Bit fields and CRC-16 for the §2.4 report payload.
 //!
-//! The communication back-channel (§2.4) applies 2/3 convolutional coding to
-//! the report payload each device sends to the leader. We implement the
-//! standard industry construction: a rate-1/2, constraint-length-7 encoder
-//! with generator polynomials (171, 133) octal, punctured with the pattern
-//! `[1 1; 1 0]` to obtain rate 2/3, decoded with a Viterbi decoder that
-//! treats punctured positions as erasures. A CRC-16/CCITT checksum lets the
-//! leader reject corrupted reports.
+//! Each device's report to the leader is a run of fixed-width unsigned
+//! fields, written and read MSB first, closed by a CRC-16/CCITT checksum
+//! that lets the leader reject a corrupted report.
 
 use crate::{DspError, Result};
-
-/// Constraint length of the convolutional code.
-pub const CONSTRAINT_LENGTH: usize = 7;
-
-/// Generator polynomial 1 (octal 171).
-pub const GENERATOR_1: u8 = 0o171;
-
-/// Generator polynomial 2 (octal 133).
-pub const GENERATOR_2: u8 = 0o133;
-
-const NUM_STATES: usize = 1 << (CONSTRAINT_LENGTH - 1);
-
-/// Puncturing pattern for rate 2/3: for every 2 input bits the encoder emits
-/// 4 coded bits, of which the last is dropped. `true` means "transmit".
-const PUNCTURE_PATTERN: [bool; 4] = [true, true, true, false];
-
-/// Encodes `bits` with the rate-1/2 mother code (no puncturing).
-/// `CONSTRAINT_LENGTH - 1` zero tail bits are appended to terminate the
-/// trellis, so the output has `2 * (bits.len() + 6)` coded bits.
-pub fn conv_encode_half_rate(bits: &[bool]) -> Vec<bool> {
-    let mut state: u8 = 0;
-    let mut out = Vec::with_capacity(2 * (bits.len() + CONSTRAINT_LENGTH - 1));
-    let tail = [false; CONSTRAINT_LENGTH - 1];
-    for &bit in bits.iter().chain(tail.iter()) {
-        let reg = ((bit as u8) << (CONSTRAINT_LENGTH - 1)) | state;
-        out.push(parity(reg & GENERATOR_1));
-        out.push(parity(reg & GENERATOR_2));
-        state = reg >> 1;
-    }
-    out
-}
-
-/// Encodes `bits` at rate 2/3 by puncturing the rate-1/2 output.
-pub fn conv_encode_two_thirds(bits: &[bool]) -> Vec<bool> {
-    let coded = conv_encode_half_rate(bits);
-    coded
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| PUNCTURE_PATTERN[i % PUNCTURE_PATTERN.len()])
-        .map(|(_, &b)| b)
-        .collect()
-}
-
-/// Soft value for a received coded bit: `+1.0` for a confident 1, `-1.0`
-/// for a confident 0, `0.0` for an erasure (punctured position).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SoftBit(pub f64);
-
-impl SoftBit {
-    /// Hard 1.
-    pub const ONE: SoftBit = SoftBit(1.0);
-    /// Hard 0.
-    pub const ZERO: SoftBit = SoftBit(-1.0);
-    /// Erasure (no information).
-    pub const ERASURE: SoftBit = SoftBit(0.0);
-
-    /// Builds a hard-decision soft bit.
-    pub fn from_bool(b: bool) -> Self {
-        if b {
-            Self::ONE
-        } else {
-            Self::ZERO
-        }
-    }
-}
-
-/// Re-inserts erasures at the punctured positions so the Viterbi decoder can
-/// run on the mother code.
-pub fn depuncture(received: &[SoftBit]) -> Vec<SoftBit> {
-    let mut out = Vec::with_capacity(received.len() * 4 / 3 + 4);
-    let mut rx = received.iter();
-    let mut idx = 0usize;
-    loop {
-        if PUNCTURE_PATTERN[idx % PUNCTURE_PATTERN.len()] {
-            match rx.next() {
-                Some(&b) => out.push(b),
-                None => break,
-            }
-        } else {
-            out.push(SoftBit::ERASURE);
-        }
-        idx += 1;
-    }
-    // Trim trailing erasures that don't complete a symbol pair.
-    while out.len() % 2 != 0 {
-        out.pop();
-    }
-    out
-}
-
-/// Viterbi decoder for the rate-1/2 mother code with soft inputs.
-///
-/// `soft` must contain an even number of values (two per trellis step).
-/// Returns the decoded information bits with the `CONSTRAINT_LENGTH - 1`
-/// tail bits removed.
-pub fn viterbi_decode_half_rate(soft: &[SoftBit]) -> Result<Vec<bool>> {
-    if soft.is_empty() || !soft.len().is_multiple_of(2) {
-        return Err(DspError::InvalidLength {
-            reason: "soft input must contain an even, non-zero number of values",
-        });
-    }
-    let n_steps = soft.len() / 2;
-    if n_steps < CONSTRAINT_LENGTH {
-        return Err(DspError::DecodeFailure {
-            reason: "input shorter than the code tail",
-        });
-    }
-
-    const NEG_INF: f64 = f64::NEG_INFINITY;
-    let mut metrics = vec![NEG_INF; NUM_STATES];
-    metrics[0] = 0.0;
-    // survivors[t][state] = (previous state, input bit)
-    let mut survivors: Vec<Vec<(u8, bool)>> = Vec::with_capacity(n_steps);
-
-    // Precompute expected outputs for each (state, input).
-    let mut expected = [[(0.0f64, 0.0f64); 2]; NUM_STATES];
-    for (state, exp) in expected.iter_mut().enumerate() {
-        for (input, e) in exp.iter_mut().enumerate() {
-            let reg = ((input as u8) << (CONSTRAINT_LENGTH - 1)) | state as u8;
-            let o1 = if parity(reg & GENERATOR_1) { 1.0 } else { -1.0 };
-            let o2 = if parity(reg & GENERATOR_2) { 1.0 } else { -1.0 };
-            *e = (o1, o2);
-        }
-    }
-
-    for t in 0..n_steps {
-        let r1 = soft[2 * t].0;
-        let r2 = soft[2 * t + 1].0;
-        let mut new_metrics = vec![NEG_INF; NUM_STATES];
-        let mut step_surv = vec![(0u8, false); NUM_STATES];
-        for state in 0..NUM_STATES {
-            if metrics[state] == NEG_INF {
-                continue;
-            }
-            for (input, &(e1, e2)) in expected[state].iter().enumerate() {
-                let reg = ((input as u8) << (CONSTRAINT_LENGTH - 1)) | state as u8;
-                let next = (reg >> 1) as usize;
-                // Correlation metric: erasures (0.0) contribute nothing.
-                let metric = metrics[state] + r1 * e1 + r2 * e2;
-                if metric > new_metrics[next] {
-                    new_metrics[next] = metric;
-                    step_surv[next] = (state as u8, input == 1);
-                }
-            }
-        }
-        metrics = new_metrics;
-        survivors.push(step_surv);
-    }
-
-    // Traceback from state 0 (the tail forces the encoder back to 0).
-    let mut state = 0usize;
-    if metrics[state] == NEG_INF {
-        // Fall back to the best reachable state if state 0 was pruned.
-        let (best, _) = metrics
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .ok_or(DspError::DecodeFailure {
-                reason: "no surviving path",
-            })?;
-        state = best;
-        if metrics[state] == NEG_INF {
-            return Err(DspError::DecodeFailure {
-                reason: "no surviving path",
-            });
-        }
-    }
-    let mut bits_rev = Vec::with_capacity(n_steps);
-    for t in (0..n_steps).rev() {
-        let (prev, bit) = survivors[t][state];
-        bits_rev.push(bit);
-        state = prev as usize;
-    }
-    bits_rev.reverse();
-    bits_rev.truncate(n_steps - (CONSTRAINT_LENGTH - 1));
-    Ok(bits_rev)
-}
-
-/// Decodes a rate-2/3 punctured stream of hard bits.
-pub fn conv_decode_two_thirds(received: &[bool]) -> Result<Vec<bool>> {
-    let soft: Vec<SoftBit> = received.iter().map(|&b| SoftBit::from_bool(b)).collect();
-    let depunctured = depuncture(&soft);
-    viterbi_decode_half_rate(&depunctured)
-}
-
-fn parity(x: u8) -> bool {
-    x.count_ones() % 2 == 1
-}
 
 /// CRC-16/CCITT-FALSE over a bit slice (MSB-first within the running
 /// register, initial value 0xFFFF).
@@ -210,33 +18,6 @@ pub fn crc16(bits: &[bool]) -> u16 {
         }
     }
     crc
-}
-
-/// Packs bytes into a bit vector, MSB first.
-pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
-    let mut bits = Vec::with_capacity(bytes.len() * 8);
-    for &b in bytes {
-        for i in (0..8).rev() {
-            bits.push((b >> i) & 1 == 1);
-        }
-    }
-    bits
-}
-
-/// Packs a bit vector (MSB first) back into bytes. The final partial byte,
-/// if any, is zero-padded on the right.
-pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(bits.len().div_ceil(8));
-    for chunk in bits.chunks(8) {
-        let mut b = 0u8;
-        for (i, &bit) in chunk.iter().enumerate() {
-            if bit {
-                b |= 1 << (7 - i);
-            }
-        }
-        bytes.push(b);
-    }
-    bytes
 }
 
 /// Writes the low `width` bits of `value` (MSB first) into a bit vector.
@@ -273,57 +54,6 @@ mod tests {
     }
 
     #[test]
-    fn half_rate_roundtrip_clean() {
-        let bits = random_bits(120, 1);
-        let coded = conv_encode_half_rate(&bits);
-        assert_eq!(coded.len(), 2 * (bits.len() + CONSTRAINT_LENGTH - 1));
-        let soft: Vec<SoftBit> = coded.iter().map(|&b| SoftBit::from_bool(b)).collect();
-        let decoded = viterbi_decode_half_rate(&soft).unwrap();
-        assert_eq!(decoded, bits);
-    }
-
-    #[test]
-    fn two_thirds_roundtrip_clean() {
-        for seed in 0..5 {
-            let bits = random_bits(90, seed);
-            let coded = conv_encode_two_thirds(&bits);
-            // Rate 2/3: 3 coded bits per 2 info bits (including tail).
-            assert_eq!(coded.len(), 3 * (bits.len() + CONSTRAINT_LENGTH - 1) / 2);
-            let decoded = conv_decode_two_thirds(&coded).unwrap();
-            assert_eq!(decoded, bits);
-        }
-    }
-
-    #[test]
-    fn half_rate_corrects_scattered_errors() {
-        let bits = random_bits(200, 7);
-        let mut coded = conv_encode_half_rate(&bits);
-        // Flip well-separated bits — within the correction capability.
-        for idx in [10usize, 60, 130, 250, 330] {
-            coded[idx] = !coded[idx];
-        }
-        let soft: Vec<SoftBit> = coded.iter().map(|&b| SoftBit::from_bool(b)).collect();
-        let decoded = viterbi_decode_half_rate(&soft).unwrap();
-        assert_eq!(decoded, bits);
-    }
-
-    #[test]
-    fn two_thirds_corrects_a_single_error() {
-        let bits = random_bits(80, 9);
-        let mut coded = conv_encode_two_thirds(&bits);
-        coded[40] = !coded[40];
-        let decoded = conv_decode_two_thirds(&coded).unwrap();
-        assert_eq!(decoded, bits);
-    }
-
-    #[test]
-    fn decoder_rejects_bad_input() {
-        assert!(viterbi_decode_half_rate(&[]).is_err());
-        assert!(viterbi_decode_half_rate(&[SoftBit::ONE]).is_err());
-        assert!(viterbi_decode_half_rate(&[SoftBit::ONE; 8]).is_err());
-    }
-
-    #[test]
     fn crc_detects_corruption() {
         let bits = random_bits(64, 3);
         let crc = crc16(&bits);
@@ -336,19 +66,11 @@ mod tests {
     #[test]
     fn crc_known_vector() {
         // CRC-16/CCITT-FALSE of ASCII "123456789" is 0x29B1.
-        let bits = bytes_to_bits(b"123456789");
+        let mut bits = Vec::new();
+        for &byte in b"123456789" {
+            push_uint(&mut bits, byte as u64, 8);
+        }
         assert_eq!(crc16(&bits), 0x29B1);
-    }
-
-    #[test]
-    fn bytes_bits_roundtrip() {
-        let bytes = vec![0x00, 0xFF, 0xA5, 0x3C, 0x01];
-        let bits = bytes_to_bits(&bytes);
-        assert_eq!(bits.len(), 40);
-        assert_eq!(bits_to_bytes(&bits), bytes);
-        // Partial byte is right-padded with zeros.
-        let bits = vec![true, false, true];
-        assert_eq!(bits_to_bytes(&bits), vec![0b1010_0000]);
     }
 
     #[test]
@@ -363,16 +85,5 @@ mod tests {
         assert_eq!((a, b, c), (0x2A, 1000, 3));
         assert_eq!(off, 20);
         assert!(read_uint(&bits, off, 1).is_err());
-    }
-
-    #[test]
-    fn depuncture_restores_length() {
-        let bits = random_bits(40, 11);
-        let punctured = conv_encode_two_thirds(&bits);
-        let soft: Vec<SoftBit> = punctured.iter().map(|&b| SoftBit::from_bool(b)).collect();
-        let full = depuncture(&soft);
-        assert_eq!(full.len() % 2, 0);
-        let erasures = full.iter().filter(|s| **s == SoftBit::ERASURE).count();
-        assert!(erasures > 0);
     }
 }

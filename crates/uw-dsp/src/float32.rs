@@ -7,10 +7,11 @@
 //! ([`crate::plan`]) and matched-filter driver ([`crate::matched`]):
 //!
 //! * [`Complex32`] — the single-precision complex sample.
-//! * The `f32` [`Path`]: the butterfly schedule and lane kernels it
-//!   shares with the `f64` oracle (the first three stages in one sweep of
-//!   8-point cells, later stages two at a time, through the generic float
-//!   kernels of the crate's `lanes` module at `[f32; 8]` width), behind the
+//! * The `f32` [`Path`](crate::plan::Path), written once with the `f64`
+//!   oracle's in [`crate::plan`]: the same butterfly schedule and lane
+//!   kernels (the first three stages in one sweep of 8-point cells, later
+//!   stages two at a time, through the generic float kernels of the
+//!   crate's `lanes` module at `[f32; 8]` width), behind the
 //!   [`F32Radix2Plan`] / [`F32FftPlan`] / [`F32PlanPool`] aliases.
 //! * [`F32MatchedFilter`]: the generic overlap-save filter on this path.
 //!   Each block runs on the shortest rung of its block-length ladder that
@@ -38,9 +39,8 @@
 //! uses ([`crate::fixed::Q15MatchedFilter`]).
 
 use crate::complex::Complex64;
-use crate::lanes;
 use crate::matched::OverlapSave;
-use crate::plan::{float_stages, Float, Path, Plan, Pool, Radix2};
+use crate::plan::{Plan, Pool, Radix2};
 
 /// A single-precision complex number (mirror of [`Complex64`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -136,58 +136,6 @@ impl std::ops::Mul<f32> for Complex32 {
     #[inline]
     fn mul(self, rhs: f32) -> Complex32 {
         Complex32::new(self.re * rhs, self.im * rhs)
-    }
-}
-
-impl Path for f32 {
-    type Real = f32;
-    type Complex = Complex32;
-    type Shift = ();
-    type Scale = ();
-
-    #[inline]
-    fn quantize(c: Complex64) -> Complex32 {
-        Complex32::from_complex64(c)
-    }
-    #[inline]
-    fn conj(c: Complex32) -> Complex32 {
-        c.conj()
-    }
-    #[inline]
-    fn split(c: Complex32) -> (f32, f32) {
-        (c.re, c.im)
-    }
-    #[inline]
-    fn join(re: f32, im: f32) -> Complex32 {
-        Complex32::new(re, im)
-    }
-    fn stages(re: &mut [f32], im: &mut [f32], twr: &[f32], twi: &[f32]) -> i32 {
-        float_stages::<Self>(re, im, twr, twi)
-    }
-    fn normalize(re: &mut [f32], im: &mut [f32], n: usize) {
-        lanes::scale::<Self>(re, im, Self::recip_len(n));
-    }
-    fn mul_spectrum(x_re: &mut [f32], x_im: &mut [f32], t_re: &[f32], t_im: &[f32]) {
-        lanes::cmul::<Self>(x_re, x_im, t_re, t_im);
-    }
-    fn shift(_: i32) {}
-    fn scale(_: i32, _: f64, _: usize) {}
-}
-
-impl Float for f32 {
-    const LANES: usize = 8;
-
-    #[inline]
-    fn recip_len(n: usize) -> f32 {
-        1.0 / n as f32
-    }
-    #[inline]
-    fn from_f64(x: f64) -> f32 {
-        x as f32
-    }
-    #[inline]
-    fn to_f64(x: f32) -> f64 {
-        x as f64
     }
 }
 

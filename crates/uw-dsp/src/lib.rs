@@ -1,6 +1,6 @@
 //! # uw-dsp — signal-processing substrate for underwater acoustic positioning
 //!
-//! Everything the ranging and communication layers need is implemented here
+//! Everything the ranging and protocol layers need is implemented here
 //! from scratch (the workspace deliberately avoids external DSP crates):
 //!
 //! * [`complex`] — a small `Complex64` type with the arithmetic the FFT needs.
@@ -13,10 +13,8 @@
 //!   4-symbol PN-signed preamble.
 //! * [`chirp`] — linear chirps and FMCW sweeps for the BeepBeep / CAT
 //!   baselines.
-//! * [`fsk`] — FSK data modulation inside per-device sub-bands and MFSK
-//!   device-ID encoding with maximum-likelihood decoding.
-//! * [`coding`] — rate-2/3 punctured convolutional coding with a Viterbi
-//!   decoder, plus CRC-16 integrity checks.
+//! * [`coding`] — the CRC-16 and MSB-first bit fields of the report each
+//!   device sends the leader.
 //! * [`peaks`] — peak detection and noise-floor estimation used by the
 //!   dual-microphone direct-path search.
 //! * [`resample`] — fractional-delay and sample-rate-offset resampling used
@@ -229,7 +227,6 @@ pub mod correlation;
 pub mod fft;
 pub mod fixed;
 pub mod float32;
-pub mod fsk;
 mod lanes;
 pub mod matched;
 pub mod ofdm;
@@ -268,11 +265,6 @@ pub enum DspError {
         /// Human-readable description of the parameter problem.
         reason: &'static str,
     },
-    /// Decoding failed (e.g. Viterbi traceback on a corrupted stream).
-    DecodeFailure {
-        /// Human-readable description of the decode problem.
-        reason: &'static str,
-    },
 }
 
 impl core::fmt::Display for DspError {
@@ -280,7 +272,6 @@ impl core::fmt::Display for DspError {
         match self {
             DspError::InvalidLength { reason } => write!(f, "invalid length: {reason}"),
             DspError::InvalidParameter { reason } => write!(f, "invalid parameter: {reason}"),
-            DspError::DecodeFailure { reason } => write!(f, "decode failure: {reason}"),
         }
     }
 }
@@ -311,7 +302,5 @@ mod tests {
             reason: "negative rate",
         };
         assert!(e.to_string().contains("negative rate"));
-        let e = DspError::DecodeFailure { reason: "bad crc" };
-        assert!(e.to_string().contains("bad crc"));
     }
 }

@@ -52,6 +52,7 @@
 
 use crate::complex::Complex64;
 use crate::fft::{is_pow2, next_pow2};
+use crate::float32::Complex32;
 use crate::lanes;
 use crate::{DspError, Result};
 use std::ops::{Add, Mul, Neg, Sub};
@@ -148,57 +149,72 @@ pub trait Float: Path<Shift = (), Scale = ()> {
     fn to_f64(x: Self::Real) -> f64;
 }
 
-impl Path for f64 {
-    type Real = f64;
-    type Complex = Complex64;
-    type Shift = ();
-    type Scale = ();
+/// Implements [`Path`] and [`Float`] for one IEEE sample type. The two
+/// float paths share every hook; they differ only in their sample types,
+/// their lane width and how a table entry is rounded.
+macro_rules! float_path {
+    ($real:ty, $complex:ty, lanes: $lanes:expr, quantize: |$c:ident| $quantize:expr) => {
+        impl Path for $real {
+            type Real = $real;
+            type Complex = $complex;
+            type Shift = ();
+            type Scale = ();
 
-    #[inline]
-    fn quantize(c: Complex64) -> Complex64 {
-        c
-    }
-    #[inline]
-    fn conj(c: Complex64) -> Complex64 {
-        c.conj()
-    }
-    #[inline]
-    fn split(c: Complex64) -> (f64, f64) {
-        (c.re, c.im)
-    }
-    #[inline]
-    fn join(re: f64, im: f64) -> Complex64 {
-        Complex64::new(re, im)
-    }
-    fn stages(re: &mut [f64], im: &mut [f64], twr: &[f64], twi: &[f64]) -> i32 {
-        float_stages::<Self>(re, im, twr, twi)
-    }
-    fn normalize(re: &mut [f64], im: &mut [f64], n: usize) {
-        lanes::scale::<Self>(re, im, Self::recip_len(n));
-    }
-    fn mul_spectrum(x_re: &mut [f64], x_im: &mut [f64], t_re: &[f64], t_im: &[f64]) {
-        lanes::cmul::<Self>(x_re, x_im, t_re, t_im);
-    }
-    fn shift(_: i32) {}
-    fn scale(_: i32, _: f64, _: usize) {}
+            #[inline]
+            fn quantize($c: Complex64) -> $complex {
+                $quantize
+            }
+            #[inline]
+            fn conj(c: $complex) -> $complex {
+                c.conj()
+            }
+            #[inline]
+            fn split(c: $complex) -> ($real, $real) {
+                (c.re, c.im)
+            }
+            #[inline]
+            fn join(re: $real, im: $real) -> $complex {
+                <$complex>::new(re, im)
+            }
+            fn stages(re: &mut [$real], im: &mut [$real], twr: &[$real], twi: &[$real]) -> i32 {
+                float_stages::<Self>(re, im, twr, twi)
+            }
+            fn normalize(re: &mut [$real], im: &mut [$real], n: usize) {
+                lanes::scale::<Self>(re, im, Self::recip_len(n));
+            }
+            fn mul_spectrum(
+                x_re: &mut [$real],
+                x_im: &mut [$real],
+                t_re: &[$real],
+                t_im: &[$real],
+            ) {
+                lanes::cmul::<Self>(x_re, x_im, t_re, t_im);
+            }
+            fn shift(_: i32) {}
+            fn scale(_: i32, _: f64, _: usize) {}
+        }
+
+        impl Float for $real {
+            const LANES: usize = $lanes;
+
+            #[inline]
+            fn recip_len(n: usize) -> $real {
+                1.0 / n as $real
+            }
+            #[inline]
+            fn from_f64(x: f64) -> $real {
+                x as $real
+            }
+            #[inline]
+            fn to_f64(x: $real) -> f64 {
+                x as f64
+            }
+        }
+    };
 }
 
-impl Float for f64 {
-    const LANES: usize = 4;
-
-    #[inline]
-    fn recip_len(n: usize) -> f64 {
-        1.0 / n as f64
-    }
-    #[inline]
-    fn from_f64(x: f64) -> f64 {
-        x
-    }
-    #[inline]
-    fn to_f64(x: f64) -> f64 {
-        x
-    }
-}
+float_path!(f64, Complex64, lanes: 4, quantize: |c| c);
+float_path!(f32, Complex32, lanes: 8, quantize: |c| Complex32::from_complex64(c));
 
 /// Stage `half`'s slice of a concatenated twiddle table: stage `s` (half
 /// width `2^s`) occupies indices `2^s − 1 .. 2^(s+1) − 1`.

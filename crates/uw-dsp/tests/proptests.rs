@@ -2,14 +2,11 @@
 //!
 //! These check invariants that must hold for *any* input, not just the
 //! hand-picked vectors in the unit tests: FFT round-trips and linearity,
-//! correlation peak location, Zadoff–Chu CAZAC properties, convolutional
-//! code round-trips, bit packing, and percentile ordering.
+//! correlation peak location, Zadoff–Chu CAZAC properties, CRC and
+//! bit-field round-trips, and percentile ordering.
 
 use proptest::prelude::*;
-use uw_dsp::coding::{
-    bits_to_bytes, bytes_to_bits, conv_decode_two_thirds, conv_encode_two_thirds, crc16, push_uint,
-    read_uint,
-};
+use uw_dsp::coding::{crc16, push_uint, read_uint};
 use uw_dsp::complex::{to_complex, Complex64};
 use uw_dsp::correlation::{argmax, xcorr_direct, xcorr_fft, xcorr_normalized};
 use uw_dsp::fft::{fft, ifft, next_pow2, rfft};
@@ -91,32 +88,11 @@ proptest! {
     }
 
     #[test]
-    fn conv_code_roundtrips(bits in prop::collection::vec(any::<bool>(), 2..200)) {
-        let coded = conv_encode_two_thirds(&bits);
-        let decoded = conv_decode_two_thirds(&coded).unwrap();
-        prop_assert_eq!(decoded, bits);
-    }
-
-    #[test]
-    fn conv_code_corrects_one_flip(bits in prop::collection::vec(any::<bool>(), 16..100), flip in 0usize..100) {
-        let mut coded = conv_encode_two_thirds(&bits);
-        let idx = flip % coded.len();
-        coded[idx] = !coded[idx];
-        let decoded = conv_decode_two_thirds(&coded).unwrap();
-        prop_assert_eq!(decoded, bits);
-    }
-
-    #[test]
     fn crc_differs_on_any_single_flip(bits in prop::collection::vec(any::<bool>(), 8..128), flip in 0usize..128) {
         let idx = flip % bits.len();
         let mut corrupted = bits.clone();
         corrupted[idx] = !corrupted[idx];
         prop_assert_ne!(crc16(&bits), crc16(&corrupted));
-    }
-
-    #[test]
-    fn bytes_bits_roundtrip(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        prop_assert_eq!(bits_to_bytes(&bytes_to_bits(&bytes)), bytes);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Report back-channel (§2.4).
+//! Report back-channel (§2.4): the payload and its airtime.
 //!
 //! After the TDM round every device sends the leader a compressed report:
 //!
@@ -7,19 +7,24 @@
 //!   and that device's nominal slot start, bounded by `2·τ_max` (42 ms ≈
 //!   1852 samples at 44.1 kHz) and quantised at 2 samples into 10 bits.
 //!
-//! A CRC-16 is appended, the whole payload is protected with the rate-2/3
-//! convolutional code, and the coded bits are sent as binary FSK inside the
-//! device's own sub-band of 1–5 kHz so all devices can transmit to the
-//! leader simultaneously (~100 bit/s each).
+//! A CRC-16 closes the payload. [`pack_report`] and [`unpack_report`] write
+//! and read those bits; [`report_to_timestamp_table`] turns a report back
+//! into the reporting device's timestamp table.
+//!
+//! The paper protects the payload with a rate-2/3 convolutional code and
+//! sends it as binary FSK inside the device's own sub-band of 1–5 kHz, so
+//! all devices transmit to the leader at once (~100 bit/s each). No modem
+//! runs here: rounds take their timestamps from the protocol engine, and
+//! [`report_airtime_s`] models how long that coded transmission lasts, the
+//! report phase the latency model charges every round.
 
-use crate::message::DeviceId;
 use crate::schedule::TdmSchedule;
 use crate::timestamps::TimestampTable;
 use crate::{ProtocolError, Result};
 use serde::{Deserialize, Serialize};
 use uw_device::sensors::{decode_depth, encode_depth};
-use uw_dsp::coding::{conv_decode_two_thirds, conv_encode_two_thirds, crc16, push_uint, read_uint};
-use uw_dsp::fsk::{fsk_demodulate, fsk_modulate, FskConfig};
+use uw_device::DeviceId;
+use uw_dsp::coding::{crc16, push_uint, read_uint};
 
 /// Timestamp quantisation resolution in samples (§2.4).
 pub const TIMESTAMP_RESOLUTION_SAMPLES: u64 = 2;
@@ -30,8 +35,22 @@ pub const TIMESTAMP_BITS: usize = 10;
 /// Number of bits for the depth field.
 pub const DEPTH_BITS: usize = 8;
 
+/// Number of bits of the closing CRC-16.
+pub const CRC_BITS: usize = 16;
+
 /// Audio sampling rate assumed for timestamp quantisation (Hz).
 pub const REPORT_SAMPLE_RATE: f64 = 44_100.0;
+
+/// Tail bits that terminate the paper's constraint-length-7 convolutional
+/// code, appended to the payload before coding.
+pub const CODE_TAIL_BITS: usize = 6;
+
+/// Coded bits the paper's rate-2/3 code sends per [`CODE_RATE_IN_BITS`]
+/// payload bits.
+pub const CODE_RATE_OUT_BITS: usize = 3;
+
+/// Payload bits per [`CODE_RATE_OUT_BITS`] coded bits.
+pub const CODE_RATE_IN_BITS: usize = 2;
 
 /// One device's decoded report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,12 +65,26 @@ pub struct Report {
     pub reception_offsets_s: Vec<Option<f64>>,
 }
 
-/// Packs a report into its payload bits (before coding).
+/// Refuses a reporting `device` outside a group of `n_devices ≥ 2`.
+fn check_reporter(device: DeviceId, n_devices: usize) -> Result<()> {
+    if n_devices < 2 || device >= n_devices {
+        return Err(ProtocolError::InvalidParameter {
+            reason: format!("device {device} invalid for a group of {n_devices}"),
+        });
+    }
+    Ok(())
+}
+
+/// Packs a report into its payload bits.
 ///
 /// `table` supplies the reception timestamps (local clock, seconds) and
 /// `sync_local_time` is the local time this device treats as the start of
 /// the round (the moment it synchronised). Devices that were not heard are
-/// encoded with the all-ones escape value.
+/// encoded with the all-ones escape value. A reception whose slot offset
+/// rounds to a quantum the field cannot hold (outside `0 ..= 1022`: from
+/// one sample before its slot start, or 2,045 samples after it) is refused
+/// as [`ProtocolError::InvalidParameter`] naming the device and the offset
+/// in samples.
 pub fn pack_report(
     device: DeviceId,
     n_devices: usize,
@@ -60,11 +93,7 @@ pub fn pack_report(
     sync_local_time: f64,
     schedule: &TdmSchedule,
 ) -> Result<Vec<bool>> {
-    if n_devices < 2 || device >= n_devices {
-        return Err(ProtocolError::InvalidParameter {
-            reason: format!("device {device} invalid for a group of {n_devices}"),
-        });
-    }
+    check_reporter(device, n_devices)?;
     let mut bits = Vec::new();
     push_uint(&mut bits, encode_depth(depth_m) as u64, DEPTH_BITS);
     let escape = (1u64 << TIMESTAMP_BITS) - 1;
@@ -81,27 +110,33 @@ pub fn pack_report(
                 } else {
                     schedule.slot_after_leader(other)?
                 };
-                let offset_s = t_rx - sync_local_time - slot_start;
-                let offset_samples = offset_s * REPORT_SAMPLE_RATE;
-                if offset_samples < 0.0 {
-                    escape
-                } else {
-                    let q = (offset_samples / TIMESTAMP_RESOLUTION_SAMPLES as f64).round() as u64;
-                    q.min(escape - 1)
+                let offset_samples = (t_rx - sync_local_time - slot_start) * REPORT_SAMPLE_RATE;
+                let q = (offset_samples / TIMESTAMP_RESOLUTION_SAMPLES as f64).round();
+                if !(0.0..escape as f64).contains(&q) {
+                    return Err(ProtocolError::InvalidParameter {
+                        reason: format!(
+                            "device {device}'s reception of device {other} lies \
+                             {offset_samples:.1} samples from its slot start, outside \
+                             the report's 0–{} samples",
+                            (escape - 1) * TIMESTAMP_RESOLUTION_SAMPLES
+                        ),
+                    });
                 }
+                q as u64
             }
             None => escape,
         };
         push_uint(&mut bits, field, TIMESTAMP_BITS);
     }
     let crc = crc16(&bits);
-    push_uint(&mut bits, crc as u64, 16);
+    push_uint(&mut bits, crc as u64, CRC_BITS);
     Ok(bits)
 }
 
-/// Unpacks a report payload (after decoding) back into reception offsets.
+/// Unpacks a report payload back into reception offsets.
 pub fn unpack_report(device: DeviceId, n_devices: usize, bits: &[bool]) -> Result<Report> {
-    let expected = DEPTH_BITS + (n_devices - 1) * TIMESTAMP_BITS + 16;
+    check_reporter(device, n_devices)?;
+    let expected = report_payload_bits(n_devices);
     if bits.len() < expected {
         return Err(ProtocolError::DecodeFailure {
             reason: format!(
@@ -110,8 +145,9 @@ pub fn unpack_report(device: DeviceId, n_devices: usize, bits: &[bool]) -> Resul
             ),
         });
     }
-    let payload = &bits[..expected - 16];
-    let (crc_field, _) = read_uint(bits, expected - 16, 16).map_err(ProtocolError::from)?;
+    let payload = &bits[..expected - CRC_BITS];
+    let (crc_field, _) =
+        read_uint(bits, expected - CRC_BITS, CRC_BITS).map_err(ProtocolError::from)?;
     if crc16(payload) as u64 != crc_field {
         return Err(ProtocolError::DecodeFailure {
             reason: "CRC mismatch in report".into(),
@@ -140,44 +176,19 @@ pub fn unpack_report(device: DeviceId, n_devices: usize, bits: &[bool]) -> Resul
     })
 }
 
-/// Encodes a packed report into its transmit waveform: rate-2/3
-/// convolutional coding followed by binary FSK in the device's sub-band.
-pub fn encode_report_waveform(
-    device: DeviceId,
-    n_devices: usize,
-    payload_bits: &[bool],
-) -> Result<Vec<f64>> {
-    let coded = conv_encode_two_thirds(payload_bits);
-    let fsk = FskConfig::for_device(device, n_devices).map_err(ProtocolError::from)?;
-    fsk_modulate(&fsk, &coded).map_err(ProtocolError::from)
-}
-
-/// Decodes one device's report waveform (possibly a sum of several devices'
-/// simultaneous transmissions) back into payload bits.
-pub fn decode_report_waveform(
-    device: DeviceId,
-    n_devices: usize,
-    samples: &[f64],
-    payload_bit_count: usize,
-) -> Result<Vec<bool>> {
-    let fsk = FskConfig::for_device(device, n_devices).map_err(ProtocolError::from)?;
-    // Coded length: tail-terminated rate-2/3.
-    let coded_bits = 3 * (payload_bit_count + 6) / 2;
-    let coded = fsk_demodulate(&fsk, samples, coded_bits).map_err(ProtocolError::from)?;
-    let decoded = conv_decode_two_thirds(&coded).map_err(ProtocolError::from)?;
-    Ok(decoded[..payload_bit_count.min(decoded.len())].to_vec())
-}
-
 /// Number of payload bits in a report for a group of `n_devices`
 /// (`10·(N−1) + 8` plus the 16-bit CRC).
 pub fn report_payload_bits(n_devices: usize) -> usize {
-    DEPTH_BITS + (n_devices - 1) * TIMESTAMP_BITS + 16
+    DEPTH_BITS + (n_devices - 1) * TIMESTAMP_BITS + CRC_BITS
 }
 
 /// Airtime of one report at the paper's ~100 bit/s per-device rate, in
-/// seconds (used by the latency analysis: ~0.9–1.2 s for 6–8 devices).
+/// seconds (used by the latency analysis: ~0.9–1.2 s for 6–8 devices): the
+/// payload and the code's tail, expanded by the rate-2/3 code
+/// (`3·(payload + 6)/2` coded bits, rounded down).
 pub fn report_airtime_s(n_devices: usize, bits_per_second: f64) -> f64 {
-    let coded_bits = 3 * (report_payload_bits(n_devices) + 6) / 2;
+    let coded_bits =
+        CODE_RATE_OUT_BITS * (report_payload_bits(n_devices) + CODE_TAIL_BITS) / CODE_RATE_IN_BITS;
     coded_bits as f64 / bits_per_second
 }
 
@@ -210,8 +221,6 @@ pub fn report_to_timestamp_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn example_table(
         device: DeviceId,
@@ -250,29 +259,72 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip() {
-        let n = 6;
+        // Device 1 of 4 hears the leader at `x` samples after its slot
+        // start and device 2 at `2044 − x`, for `x` swept over the whole
+        // codable range in non-integer steps; device 3 goes unheard. Every
+        // offset comes back within one sample, half the 2-sample quantum.
+        let n = 4;
         let schedule = TdmSchedule::paper_defaults(n).unwrap();
         let sync = 3.7;
-        let table = example_table(2, n, &schedule, sync);
-        let bits = pack_report(2, n, 7.35, &table, sync, &schedule).unwrap();
-        assert_eq!(bits.len(), report_payload_bits(n));
-        let report = unpack_report(2, n, &bits).unwrap();
+        let slot2 = schedule.slot_after_leader(2).unwrap();
+        let max_samples = 2044.0;
+        let mut worst: f64 = 0.0;
+        for k in 0..=5_530 {
+            let x = (k as f64 * 0.3697).min(max_samples);
+            let offsets = [x, max_samples - x];
+            let mut table = TimestampTable::new(1);
+            table.record_reception(0, sync + offsets[0] / REPORT_SAMPLE_RATE);
+            table.record_reception(2, sync + slot2 + offsets[1] / REPORT_SAMPLE_RATE);
+            let bits = pack_report(1, n, 7.35, &table, sync, &schedule).unwrap();
+            assert_eq!(bits.len(), report_payload_bits(n));
+            let report = unpack_report(1, n, &bits).unwrap();
+            assert!(
+                (report.depth_m - 7.4).abs() < 0.11,
+                "depth {}",
+                report.depth_m
+            );
+            assert_eq!(report.reception_offsets_s[1], None);
+            assert_eq!(report.reception_offsets_s[3], None);
+            for (other, expected) in [(0, offsets[0]), (2, offsets[1])] {
+                let got = report.reception_offsets_s[other].unwrap() * REPORT_SAMPLE_RATE;
+                let err = (got - expected).abs();
+                assert!(err <= 1.0 + 1e-9, "device {other}: {got} vs {expected}");
+                worst = worst.max(err);
+            }
+        }
         assert!(
-            (report.depth_m - 7.4).abs() < 0.11,
-            "depth {}",
-            report.depth_m
+            worst > 0.99,
+            "the sweep should reach half a quantum: {worst}"
         );
-        for other in 0..n {
-            if other == 2 {
-                assert!(report.reception_offsets_s[other].is_none());
-            } else {
-                let expected = 0.012 + other as f64 * 0.001;
-                let got = report.reception_offsets_s[other].unwrap();
-                // 2-sample resolution at 44.1 kHz is ~45 µs.
-                assert!(
-                    (got - expected).abs() < 1e-4,
-                    "device {other}: {got} vs {expected}"
-                );
+    }
+
+    #[test]
+    fn pack_refuses_an_offset_its_field_cannot_hold() {
+        let n = 3;
+        let schedule = TdmSchedule::paper_defaults(n).unwrap();
+        let slot2 = schedule.slot_after_leader(2).unwrap();
+        let table_at = |samples: f64| {
+            let mut table = TimestampTable::new(1);
+            table.record_reception(0, 0.010);
+            table.record_reception(2, slot2 + samples / REPORT_SAMPLE_RATE);
+            table
+        };
+        // The largest quantum, 1,022 (2,044 samples), still round-trips.
+        let bits = pack_report(1, n, 2.0, &table_at(2044.0), 0.0, &schedule).unwrap();
+        let got = unpack_report(1, n, &bits).unwrap().reception_offsets_s[2].unwrap();
+        assert!((got * REPORT_SAMPLE_RATE - 2044.0).abs() < 1e-6, "{got}");
+        // One quantum more, a reception 0.2 s late, or one before its slot
+        // start is refused, naming the device and the offset.
+        for samples in [2046.0, 0.2 * REPORT_SAMPLE_RATE, -3.0] {
+            match pack_report(1, n, 2.0, &table_at(samples), 0.0, &schedule) {
+                Err(ProtocolError::InvalidParameter { reason }) => {
+                    assert!(reason.contains("device 2"), "{reason}");
+                    assert!(
+                        reason.contains(&format!("{samples:.1} samples")),
+                        "{reason}"
+                    );
+                }
+                other => panic!("{samples} samples packed as {other:?}"),
             }
         }
     }
@@ -304,49 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn waveform_roundtrip_single_device() {
-        let n = 6;
-        let schedule = TdmSchedule::paper_defaults(n).unwrap();
-        let table = example_table(4, n, &schedule, 1.0);
-        let bits = pack_report(4, n, 12.6, &table, 1.0, &schedule).unwrap();
-        let wave = encode_report_waveform(4, n, &bits).unwrap();
-        let decoded = decode_report_waveform(4, n, &wave, bits.len()).unwrap();
-        assert_eq!(decoded, bits);
-    }
-
-    #[test]
-    fn simultaneous_reports_decode_in_their_own_bands() {
-        let n = 5;
-        let schedule = TdmSchedule::paper_defaults(n).unwrap();
-        let mut waves = Vec::new();
-        let mut payloads = Vec::new();
-        for device in 1..n {
-            let table = example_table(device, n, &schedule, 0.5);
-            let bits = pack_report(device, n, device as f64, &table, 0.5, &schedule).unwrap();
-            waves.push(encode_report_waveform(device, n, &bits).unwrap());
-            payloads.push(bits);
-        }
-        let max_len = waves.iter().map(Vec::len).max().unwrap();
-        let mut mixed = vec![0.0; max_len];
-        let mut rng = StdRng::seed_from_u64(9);
-        for w in &waves {
-            for (i, &s) in w.iter().enumerate() {
-                mixed[i] += s;
-            }
-        }
-        for s in mixed.iter_mut() {
-            *s += 0.2 * rng.gen_range(-1.0..1.0);
-        }
-        for device in 1..n {
-            let decoded =
-                decode_report_waveform(device, n, &mixed, payloads[device - 1].len()).unwrap();
-            assert_eq!(decoded, payloads[device - 1], "device {device}");
-            let report = unpack_report(device, n, &decoded).unwrap();
-            assert!((report.depth_m - device as f64).abs() < 0.11);
-        }
-    }
-
-    #[test]
     fn report_to_table_reconstruction() {
         let n = 5;
         let schedule = TdmSchedule::paper_defaults(n).unwrap();
@@ -375,5 +384,17 @@ mod tests {
         let table = TimestampTable::new(1);
         assert!(pack_report(5, 4, 1.0, &table, 0.0, &schedule).is_err());
         assert!(pack_report(0, 1, 1.0, &table, 0.0, &schedule).is_err());
+        // Unpacking checks the same way, before any arithmetic on the group
+        // size: no panic on an empty group, no CRC read as a field.
+        let bits = pack_report(1, 4, 1.0, &table, 0.0, &schedule).unwrap();
+        for (device, n) in [(0, 0), (0, 1), (4, 4), (5, 4)] {
+            assert!(
+                matches!(
+                    unpack_report(device, n, &bits),
+                    Err(ProtocolError::InvalidParameter { .. })
+                ),
+                "device {device} of {n}"
+            );
+        }
     }
 }

@@ -20,13 +20,13 @@
 //! range from an ideal channel to the full waveform simulation in
 //! `uw-core`.
 
-use crate::message::DeviceId;
 use crate::schedule::TdmSchedule;
 use crate::timestamps::{build_distance_matrix, TimestampTable};
 use crate::{ProtocolError, Result};
 use serde::{Deserialize, Serialize};
 use uw_channel::geometry::Point3;
 use uw_device::clock::LocalClock;
+use uw_device::DeviceId;
 use uw_localization::matrix::DistanceMatrix;
 
 /// Physical-layer abstraction: decides whether a transmission from `tx` is

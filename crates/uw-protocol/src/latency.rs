@@ -4,8 +4,8 @@
 //! With every diver in the leader's range, the acoustic phase of a round
 //! lasts `T_round = Δ₀ + (N−1)·Δ₁`; when some divers can only synchronise
 //! to peers the worst case doubles the slot term. The report phase adds the
-//! FSK airtime of the longest report (all devices transmit simultaneously
-//! in their own sub-bands).
+//! airtime of the longest report ([`report_airtime_s`]): all devices report
+//! to the leader at once, so the longest report sets the phase.
 
 use crate::comm::report_airtime_s;
 use crate::schedule::TdmSchedule;

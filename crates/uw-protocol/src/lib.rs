@@ -1,4 +1,4 @@
-//! # uw-protocol — distributed timestamp protocol and communication system
+//! # uw-protocol — distributed timestamp protocol and report payload
 //!
 //! Implements §2.3 and §2.4 of the paper:
 //!
@@ -7,16 +7,14 @@
 //!   timing constants Δ₀ = 600 ms, Δ₁ = 320 ms (T_packet = 278 ms +
 //!   T_guard = 42 ms). Devices that cannot hear the leader synchronise to
 //!   the first response they do hear.
-//! * [`message`] — the acoustic messages exchanged during a round (query,
-//!   response with MFSK-encoded IDs, report).
 //! * [`timestamps`] — per-device timestamp tables and the pairwise distance
 //!   computation `D_ij = c/2·[(Tᶦⱼ − Tᶦᵢ) − (Tʲⱼ − Tʲᵢ)]` that cancels the
 //!   unknown clock offsets, plus recovery of one-way-only links through a
 //!   common neighbour.
-//! * [`comm`] — the report back-channel: depth quantised to 0.2 m (8 bits),
-//!   slot-relative timestamps at a 2-sample resolution (10 bits each),
-//!   CRC-16, rate-2/3 convolutional coding, and simultaneous FSK
-//!   transmission in per-device sub-bands.
+//! * [`comm`] — the report each device owes the leader: depth quantised to
+//!   0.2 m (8 bits), slot-relative timestamps at a 2-sample resolution
+//!   (10 bits each) and a CRC-16, plus the airtime of sending it, which the
+//!   latency model charges.
 //! * [`engine`] — an event-driven simulation of one protocol round over the
 //!   device clocks; the physical layer is abstracted behind a
 //!   [`engine::LinkObserver`] so the same engine runs with an ideal
@@ -54,7 +52,6 @@
 pub mod comm;
 pub mod engine;
 pub mod latency;
-pub mod message;
 pub mod schedule;
 pub mod timestamps;
 

@@ -15,10 +15,10 @@
 //! clock to `k`'s transmission, which provides the missing offset for a
 //! one-way measurement.
 
-use crate::message::DeviceId;
 use crate::{ProtocolError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use uw_device::DeviceId;
 use uw_localization::matrix::DistanceMatrix;
 
 /// The timestamps one device collected during a round, on its local clock.
