@@ -6,15 +6,13 @@
 //! * a hardware model preset ([`DeviceModel`]) giving source level,
 //!   microphone noise spread and depth-sensor type,
 //! * a local clock with ppm skew,
-//! * an audio stack (speaker/microphone streams with independent starts),
 //! * a depth sensor,
 //! * an orientation and a motion trajectory,
 //! * the dual-microphone geometry: two microphones separated by
 //!   [`MIC_SEPARATION_M`] (16 cm, the paper's phone top/bottom spacing),
 //!   oriented along the device's azimuth.
 
-use crate::audio::AudioStack;
-use crate::clock::{random_clock, LocalClock};
+use crate::clock::LocalClock;
 use crate::mobility::Trajectory;
 use crate::sensors::{DepthSensor, DepthSensorKind, Orientation};
 use crate::{DeviceError, Result};
@@ -101,8 +99,6 @@ pub struct SmartDevice {
     pub model: DeviceModel,
     /// Local clock.
     pub clock: LocalClock,
-    /// Audio speaker/microphone stack.
-    pub audio: AudioStack,
     /// Depth sensor.
     pub depth_sensor: DepthSensor,
     /// Current orientation.
@@ -113,45 +109,16 @@ pub struct SmartDevice {
 
 impl SmartDevice {
     /// Creates a static device of the given model at a fixed position with
-    /// ideal clock and audio hardware.
+    /// an ideal clock.
     pub fn ideal(id: DeviceId, model: DeviceModel, position: Point3) -> Self {
         Self {
             id,
             model,
             clock: LocalClock::ideal(),
-            audio: AudioStack::ideal(),
             depth_sensor: DepthSensor::new(model.depth_sensor_kind()),
             orientation: Orientation::default(),
             trajectory: Trajectory::fixed(position),
         }
-    }
-
-    /// Creates a device with realistic hardware imperfections drawn from the
-    /// RNG: clock skew up to ±80 ppm, audio converter skews up to ±40 ppm,
-    /// stream start offsets up to 500 ms.
-    pub fn realistic<R: Rng>(
-        id: DeviceId,
-        model: DeviceModel,
-        position: Point3,
-        rng: &mut R,
-    ) -> Result<Self> {
-        let clock = random_clock(80.0, 10.0, rng);
-        let audio = AudioStack::new(
-            rng.gen_range(-40e-6..40e-6),
-            rng.gen_range(-40e-6..40e-6),
-            rng.gen_range(0.0..0.5),
-            rng.gen_range(0.0..0.5),
-            rng.gen_range(0.00005..0.0005),
-        )?;
-        Ok(Self {
-            id,
-            model,
-            clock,
-            audio,
-            depth_sensor: DepthSensor::new(model.depth_sensor_kind()),
-            orientation: Orientation::default(),
-            trajectory: Trajectory::fixed(position),
-        })
     }
 
     /// True if this is the dive-leader device.
@@ -215,8 +182,6 @@ impl SmartDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn model_presets_are_distinct_and_sane() {
@@ -274,20 +239,6 @@ mod tests {
         assert!((device.orientation.azimuth_rad - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
         device.point_towards(&target, 0.0, 0.1);
         assert!((device.orientation.azimuth_rad - std::f64::consts::FRAC_PI_2 - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn realistic_devices_have_imperfections_but_valid_hardware() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let d = SmartDevice::realistic(2, DeviceModel::Pixel, Point3::new(1.0, 2.0, 3.0), &mut rng)
-            .unwrap();
-        assert!(d.clock.skew_ppm.abs() <= 80.0);
-        assert!(d.audio.speaker_skew.abs() <= 40e-6);
-        assert!(d.audio.mic_skew.abs() <= 40e-6);
-        assert!(d.audio.self_loopback_delay_s > 0.0);
-        // Depth readings track the true depth.
-        let reading = d.measure_depth(0.0, &mut rng).unwrap();
-        assert!((reading - 3.0).abs() < 2.0);
     }
 
     #[test]

@@ -7,9 +7,6 @@
 //!
 //! * [`clock`] — per-device local clocks with parts-per-million skew and an
 //!   arbitrary offset; no global clock exists underwater.
-//! * [`audio`] — the unsynchronised speaker/microphone sample streams the
-//!   appendix describes, with the self-calibration procedure that measures
-//!   the buffer offset Δn and schedules replies at exact sample indices.
 //! * [`sensors`] — pressure-sensor depth estimation (with noise and the
 //!   0.2 m quantisation used by the communication payload), the smartwatch
 //!   depth gauge, and device orientation.
@@ -47,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audio;
 pub mod clock;
 pub mod device;
 pub mod mobility;
@@ -63,18 +59,12 @@ pub enum DeviceError {
         /// Description of the offending parameter.
         reason: String,
     },
-    /// An audio-buffer operation referenced samples that do not exist yet.
-    BufferRange {
-        /// Description of the range problem.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for DeviceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DeviceError::InvalidParameter { reason } => write!(f, "invalid parameter: {reason}"),
-            DeviceError::BufferRange { reason } => write!(f, "buffer range error: {reason}"),
         }
     }
 }
@@ -94,9 +84,5 @@ mod tests {
             reason: "negative ppm bound".into(),
         };
         assert!(e.to_string().contains("negative ppm bound"));
-        let e = DeviceError::BufferRange {
-            reason: "index before stream start".into(),
-        };
-        assert!(e.to_string().contains("index before stream start"));
     }
 }

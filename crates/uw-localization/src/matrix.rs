@@ -1,7 +1,7 @@
 //! Small data structures shared by the localization solver: 2D points,
 //! symmetric pairwise-distance matrices with optional (missing) entries,
 //! weight matrices and a tiny dense linear solver for the SMACOF Guttman
-//! transform.
+//! transform, factored once per run.
 
 use crate::{LocalizationError, Result};
 use serde::{Deserialize, Serialize};
@@ -232,56 +232,91 @@ impl WeightMatrix {
     }
 }
 
-/// Solves the dense linear system `A·x = b` by Gaussian elimination with
-/// partial pivoting. `a` is row-major `n×n`. Used for the SMACOF
-/// pseudo-inverse on the small matrices (N ≤ a dozen devices) this system
-/// works with.
-pub fn solve_linear(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>> {
-    if a.len() != n * n || b.len() != n {
-        return Err(LocalizationError::InvalidInput {
-            reason: "linear system dimensions mismatch".into(),
-        });
-    }
-    let mut m = a.to_vec();
-    let mut rhs = b.to_vec();
-    for col in 0..n {
-        // Pivot.
-        let mut pivot = col;
-        for row in (col + 1)..n {
-            if m[row * n + col].abs() > m[pivot * n + col].abs() {
-                pivot = row;
-            }
-        }
-        if m[pivot * n + col].abs() < 1e-12 {
-            return Err(LocalizationError::SolverFailure {
-                reason: "singular matrix in Guttman transform".into(),
+/// Gaussian elimination with partial pivoting of a dense row-major `n×n`
+/// matrix, done once and replayed on any number of right-hand sides. The
+/// SMACOF Guttman transform solves against the same matrix on every
+/// iteration of a run, on the small matrices (N ≤ a dozen devices) this
+/// system works with.
+///
+/// [`LuFactors::solve`] performs on each right-hand side exactly the
+/// floating-point operations that eliminating the augmented system
+/// `[A | b]` would: each step's row swap, then `b[row] -= f · b[col]` with
+/// that step's multipliers, then back substitution on the eliminated rows.
+pub(crate) struct LuFactors {
+    n: usize,
+    /// Row-major. On and above the diagonal, the eliminated matrix; below
+    /// it, the multiplier `m[row][col] / m[col][col]` that step `col`
+    /// applied to the row then at position `row`.
+    lu: Vec<f64>,
+    /// `pivots[col]` is the row swapped with row `col` at step `col`.
+    pivots: Vec<usize>,
+}
+
+impl LuFactors {
+    /// Eliminates `a` (row-major `n×n`, whose storage the factors reuse).
+    /// Fails when a pivot's magnitude falls below `1e-12`.
+    pub(crate) fn new(mut a: Vec<f64>, n: usize) -> Result<Self> {
+        if a.len() != n * n {
+            return Err(LocalizationError::InvalidInput {
+                reason: "linear system dimensions mismatch".into(),
             });
         }
-        if pivot != col {
-            for k in 0..n {
-                m.swap(col * n + k, pivot * n + k);
+        let mut pivots = Vec::with_capacity(n);
+        for col in 0..n {
+            let mut pivot = col;
+            for row in (col + 1)..n {
+                if a[row * n + col].abs() > a[pivot * n + col].abs() {
+                    pivot = row;
+                }
             }
+            if a[pivot * n + col].abs() < 1e-12 {
+                return Err(LocalizationError::SolverFailure {
+                    reason: "singular matrix in Guttman transform".into(),
+                });
+            }
+            if pivot != col {
+                // Columns left of `col` hold earlier steps' multipliers,
+                // which stay with the row position they were applied at.
+                for k in col..n {
+                    a.swap(col * n + k, pivot * n + k);
+                }
+            }
+            pivots.push(pivot);
+            for row in (col + 1)..n {
+                let factor = a[row * n + col] / a[col * n + col];
+                for k in (col + 1)..n {
+                    a[row * n + k] -= factor * a[col * n + k];
+                }
+                a[row * n + col] = factor;
+            }
+        }
+        Ok(Self { n, lu: a, pivots })
+    }
+
+    /// Solves `A·x = b` in place for two right-hand sides at once: the `x`
+    /// and the `y` components of `rhs`.
+    pub(crate) fn solve(&self, rhs: &mut [Vec2]) {
+        let n = self.n;
+        assert_eq!(rhs.len(), n, "right-hand side length");
+        for (col, &pivot) in self.pivots.iter().enumerate() {
             rhs.swap(col, pivot);
-        }
-        // Eliminate.
-        for row in (col + 1)..n {
-            let factor = m[row * n + col] / m[col * n + col];
-            for k in col..n {
-                m[row * n + k] -= factor * m[col * n + k];
+            let top = rhs[col];
+            for (row, value) in rhs.iter_mut().enumerate().skip(col + 1) {
+                let factor = self.lu[row * n + col];
+                value.x -= factor * top.x;
+                value.y -= factor * top.y;
             }
-            rhs[row] -= factor * rhs[col];
+        }
+        for row in (0..n).rev() {
+            let upper = &self.lu[row * n..(row + 1) * n];
+            let mut acc = rhs[row];
+            for (&u, solved) in upper[row + 1..].iter().zip(&rhs[row + 1..]) {
+                acc.x -= u * solved.x;
+                acc.y -= u * solved.y;
+            }
+            rhs[row] = Vec2::new(acc.x / upper[row], acc.y / upper[row]);
         }
     }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut acc = rhs[row];
-        for k in (row + 1)..n {
-            acc -= m[row * n + k] * x[k];
-        }
-        x[row] = acc / m[row * n + row];
-    }
-    Ok(x)
 }
 
 /// Eigen-decomposition of a symmetric matrix by the cyclic Jacobi method.
@@ -455,20 +490,29 @@ mod tests {
 
     #[test]
     fn linear_solver_solves_known_system() {
-        // 2x + y = 5; x + 3y = 10  →  x = 1, y = 3.
-        let a = vec![2.0, 1.0, 1.0, 3.0];
-        let b = vec![5.0, 10.0];
-        let x = solve_linear(&a, &b, 2).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-10);
-        assert!((x[1] - 3.0).abs() < 1e-10);
+        // 2x + y = 5; x + 3y = 10  →  x = 1, y = 3 (x components), and
+        // 2x + y = 3; x + 3y = 4  →  x = 1, y = 1 (y components).
+        let lu = LuFactors::new(vec![2.0, 1.0, 1.0, 3.0], 2).unwrap();
+        let mut rhs = [Vec2::new(5.0, 3.0), Vec2::new(10.0, 4.0)];
+        lu.solve(&mut rhs);
+        assert!((rhs[0].x - 1.0).abs() < 1e-10);
+        assert!((rhs[1].x - 3.0).abs() < 1e-10);
+        assert!((rhs[0].y - 1.0).abs() < 1e-10);
+        assert!((rhs[1].y - 1.0).abs() < 1e-10);
     }
 
     #[test]
     fn linear_solver_detects_singularity_and_bad_dims() {
-        let a = vec![1.0, 2.0, 2.0, 4.0];
-        assert!(solve_linear(&a, &[1.0, 2.0], 2).is_err());
-        assert!(solve_linear(&a, &[1.0], 2).is_err());
-        assert!(solve_linear(&[1.0], &[1.0, 2.0], 2).is_err());
+        assert_eq!(
+            LuFactors::new(vec![1.0, 2.0, 2.0, 4.0], 2).err(),
+            Some(LocalizationError::SolverFailure {
+                reason: "singular matrix in Guttman transform".into()
+            })
+        );
+        assert!(matches!(
+            LuFactors::new(vec![1.0], 2),
+            Err(LocalizationError::InvalidInput { .. })
+        ));
     }
 
     #[test]
@@ -531,9 +575,9 @@ mod tests {
     #[test]
     fn linear_solver_handles_permuted_pivot() {
         // Leading zero forces a row swap.
-        let a = vec![0.0, 1.0, 1.0, 0.0];
-        let x = solve_linear(&a, &[2.0, 3.0], 2).unwrap();
-        assert!((x[0] - 3.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
+        let lu = LuFactors::new(vec![0.0, 1.0, 1.0, 0.0], 2).unwrap();
+        let mut rhs = [Vec2::new(2.0, -1.0), Vec2::new(3.0, 4.0)];
+        lu.solve(&mut rhs);
+        assert_eq!(rhs, [Vec2::new(3.0, 4.0), Vec2::new(2.0, -1.0)]);
     }
 }

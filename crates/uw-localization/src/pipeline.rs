@@ -158,8 +158,10 @@ pub fn localize_with_evidence<R: Rng>(
     // pays [`VOTE_MISMATCH_PENALTY_M`] per contradicted vote on top of its
     // higher Occam cost — while a single noisy vote (the dual-mic sign
     // flips with ~10% probability near the line) is too cheap to override
-    // the geometric evidence. With one hypothesis — every clean round — no
-    // extra work happens and no side-sign comparison is made.
+    // the geometric evidence. With one hypothesis — every clean round —
+    // there is nothing to arbitrate, but `assess` still compares its side
+    // votes, and one contradicted vote sends the round into the rescue
+    // pass below.
     let assess = |topo: OutlierResult| -> Result<(f64, usize, LocalizationOutput)> {
         let mut cost = topo.occam_cost_m;
         // Stage 2b: Huber-reweighted refinement on the accepted link set,
@@ -271,9 +273,10 @@ pub fn localize_with_evidence<R: Rng>(
     // rescue hypothesis is adopted only when it contradicts strictly fewer
     // side signs AND wins on the arbitration score — a relaxed-gate fold
     // that merely gets lucky with the noisy votes cannot override a main
-    // pick it loses to on cost. Clean rounds with a noisy vote reach here
-    // too, but gate 2 rejects every drop on clean data, so they keep their
-    // solution.
+    // pick it loses to on cost. Clean rounds with one noisy vote reach
+    // here too and pay for the whole re-enumeration. Gate 2 rejects most
+    // drops on clean data but not all of them, so such a round can still
+    // adopt a rescue hypothesis that drops a link.
     if best_mismatches > 0 && !config.disable_outlier_detection {
         for topo in crate::outlier::rescue_hypotheses(
             &distances_2d,

@@ -15,8 +15,18 @@
 //!
 //! The embedding is recovered only up to rotation, translation and
 //! reflection; [`crate::ambiguity`] fixes those gauge freedoms afterwards.
+//!
+//! Every solve runs one Guttman loop: [`smacof`]'s restarts, [`refine`]
+//! and [`refine_robust`], and through them Algorithm 1's drop hypotheses,
+//! the pipeline's rescue pass and the Huber refinement. Each run factors
+//! V once and makes its buffers before the first iteration, so an
+//! iteration allocates nothing and does only its O(n²) arithmetic, in the
+//! floating-point operations of the textbook loop and in their order.
+//! `tests::guttman_loop_matches_the_reference_bit_for_bit` pins the loop
+//! bit for bit against that textbook loop (two fresh eliminations of V per
+//! iteration), and `tests/alloc_free_guttman.rs` counts its allocations.
 
-use crate::matrix::{solve_linear, symmetric_eigen, DistanceMatrix, Vec2, WeightMatrix};
+use crate::matrix::{symmetric_eigen, DistanceMatrix, LuFactors, Vec2, WeightMatrix};
 use crate::{LocalizationError, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -389,7 +399,37 @@ fn classical_mds_init(distances: &DistanceMatrix, weights: &WeightMatrix) -> Opt
     )
 }
 
+/// One active link of a Guttman run: a pair `i < j` with a measurement
+/// and a non-zero weight.
+struct Link {
+    i: usize,
+    j: usize,
+    w: f64,
+    d: f64,
+    /// `−w·d`, the numerator of the link's B(X) entry.
+    neg_wd: f64,
+    /// Embedded distance at the current positions.
+    emb: f64,
+}
+
+/// [`stress`] over the active links, recording each link's embedded
+/// distance for the next B(X).
+fn link_stress(positions: &[Vec2], links: &mut [Link]) -> f64 {
+    let mut s = 0.0;
+    for link in links {
+        link.emb = positions[link.i].distance(&positions[link.j]);
+        s += link.w * (link.d - link.emb) * (link.d - link.emb);
+    }
+    s
+}
+
 /// One SMACOF run from a given initial placement.
+///
+/// An iteration builds B(X) once per active link, forms B(X)·X, replays
+/// the factored solve on both coordinates and computes the stress, whose
+/// embedded distances the next B(X) reuses. V's singular-matrix error is
+/// raised before the first iteration, so a run of 0 iterations still
+/// returns its initial stress.
 fn run_single(
     mut positions: Vec<Vec2>,
     distances: &DistanceMatrix,
@@ -397,6 +437,29 @@ fn run_single(
     config: &SmacofConfig,
 ) -> Result<(Vec<Vec2>, f64, usize)> {
     let n = positions.len();
+    let mut links = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let w = weights.get(i, j);
+            if w == 0.0 {
+                continue;
+            }
+            if let Some(d) = distances.get(i, j) {
+                links.push(Link {
+                    i,
+                    j,
+                    w,
+                    d,
+                    neg_wd: -w * d,
+                    emb: 0.0,
+                });
+            }
+        }
+    }
+    let mut prev_stress = link_stress(&positions, &mut links);
+    if config.max_iterations == 0 {
+        return Ok((positions, prev_stress, 0));
+    }
 
     // V matrix of the Guttman transform (constant across iterations):
     // V_ij = -w_ij (i≠j), V_ii = Σ_j w_ij. V is rank n-1; the standard
@@ -417,48 +480,43 @@ fn run_single(
             v[i * n + j] += 1.0 / n as f64;
         }
     }
+    let v = LuFactors::new(v, n)?;
 
-    let mut prev_stress = stress(&positions, distances, weights);
+    // B(X) entries of pairs without an active link stay zero.
+    let mut b = vec![0.0; n * n];
+    let mut next = vec![Vec2::default(); n];
     let mut iterations = 0;
     for iter in 0..config.max_iterations {
         iterations = iter + 1;
-        // B(X) matrix.
-        let mut b = vec![0.0; n * n];
+        // B(X), one value per link: the weights, the distances and
+        // `Vec2::distance` are symmetric, so B_ij and B_ji are the same
+        // bits. Visiting links in (i, j) order subtracts from each
+        // diagonal entry in increasing partner order. A measured distance
+        // of 0 stores −0.0 where adding to a zeroed entry held +0.0; the
+        // sums below start at +0.0, so either zero adds the same bits.
         for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let w = weights.get(i, j);
-                if w == 0.0 {
-                    continue;
-                }
-                if let Some(d) = distances.get(i, j) {
-                    let emb = positions[i].distance(&positions[j]).max(1e-9);
-                    let val = -w * d / emb;
-                    b[i * n + j] += val;
-                    b[i * n + i] -= val;
-                }
-            }
+            b[i * n + i] = 0.0;
+        }
+        for link in &links {
+            let val = link.neg_wd / link.emb.max(1e-9);
+            b[link.i * n + link.j] = val;
+            b[link.j * n + link.i] = val;
+            b[link.i * n + link.i] -= val;
+            b[link.j * n + link.j] -= val;
         }
         // Right-hand sides B(X)·X for x and y coordinates.
-        let mut bx = vec![0.0; n];
-        let mut by = vec![0.0; n];
-        for i in 0..n {
-            for j in 0..n {
-                bx[i] += b[i * n + j] * positions[j].x;
-                by[i] += b[i * n + j] * positions[j].y;
+        for (i, rhs) in next.iter_mut().enumerate() {
+            let mut acc = Vec2::default();
+            for (&bij, p) in b[i * n..(i + 1) * n].iter().zip(&positions) {
+                acc.x += bij * p.x;
+                acc.y += bij * p.y;
             }
+            *rhs = acc;
         }
-        let new_x = solve_linear(&v, &bx, n)?;
-        let new_y = solve_linear(&v, &by, n)?;
-        positions = new_x
-            .iter()
-            .zip(new_y.iter())
-            .map(|(&x, &y)| Vec2::new(x, y))
-            .collect();
+        v.solve(&mut next);
+        std::mem::swap(&mut positions, &mut next);
 
-        let s = stress(&positions, distances, weights);
+        let s = link_stress(&positions, &mut links);
         if prev_stress - s < config.tolerance * prev_stress.max(1e-12) {
             prev_stress = s;
             break;
@@ -665,6 +723,243 @@ mod tests {
         }
         assert!(procrustes_errors(&truth, &truth[..3]).is_err());
         assert!(procrustes_errors(&[], &[]).is_err());
+    }
+
+    /// The Guttman loop as it ran before V was factored once per run: B(X)
+    /// from every ordered pair, two fresh eliminations of V and fresh
+    /// buffers on every iteration. Kept only as the reference that
+    /// `guttman_loop_matches_the_reference_bit_for_bit` pins
+    /// [`run_single`] to.
+    mod reference {
+        use crate::matrix::{DistanceMatrix, Vec2, WeightMatrix};
+        use crate::smacof::{stress, SmacofConfig};
+        use crate::{LocalizationError, Result};
+
+        fn solve_linear(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>> {
+            if a.len() != n * n || b.len() != n {
+                return Err(LocalizationError::InvalidInput {
+                    reason: "linear system dimensions mismatch".into(),
+                });
+            }
+            let mut m = a.to_vec();
+            let mut rhs = b.to_vec();
+            for col in 0..n {
+                let mut pivot = col;
+                for row in (col + 1)..n {
+                    if m[row * n + col].abs() > m[pivot * n + col].abs() {
+                        pivot = row;
+                    }
+                }
+                if m[pivot * n + col].abs() < 1e-12 {
+                    return Err(LocalizationError::SolverFailure {
+                        reason: "singular matrix in Guttman transform".into(),
+                    });
+                }
+                if pivot != col {
+                    for k in 0..n {
+                        m.swap(col * n + k, pivot * n + k);
+                    }
+                    rhs.swap(col, pivot);
+                }
+                for row in (col + 1)..n {
+                    let factor = m[row * n + col] / m[col * n + col];
+                    for k in col..n {
+                        m[row * n + k] -= factor * m[col * n + k];
+                    }
+                    rhs[row] -= factor * rhs[col];
+                }
+            }
+            let mut x = vec![0.0; n];
+            for row in (0..n).rev() {
+                let mut acc = rhs[row];
+                for k in (row + 1)..n {
+                    acc -= m[row * n + k] * x[k];
+                }
+                x[row] = acc / m[row * n + row];
+            }
+            Ok(x)
+        }
+
+        pub(super) fn run_single(
+            mut positions: Vec<Vec2>,
+            distances: &DistanceMatrix,
+            weights: &WeightMatrix,
+            config: &SmacofConfig,
+        ) -> Result<(Vec<Vec2>, f64, usize)> {
+            let n = positions.len();
+            let mut v = vec![0.0; n * n];
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j {
+                        let w = weights.get(i, j);
+                        v[i * n + j] = -w;
+                        v[i * n + i] += w;
+                    }
+                }
+            }
+            for i in 0..n {
+                for j in 0..n {
+                    v[i * n + j] += 1.0 / n as f64;
+                }
+            }
+
+            let mut prev_stress = stress(&positions, distances, weights);
+            let mut iterations = 0;
+            for iter in 0..config.max_iterations {
+                iterations = iter + 1;
+                let mut b = vec![0.0; n * n];
+                for i in 0..n {
+                    for j in 0..n {
+                        if i == j {
+                            continue;
+                        }
+                        let w = weights.get(i, j);
+                        if w == 0.0 {
+                            continue;
+                        }
+                        if let Some(d) = distances.get(i, j) {
+                            let emb = positions[i].distance(&positions[j]).max(1e-9);
+                            let val = -w * d / emb;
+                            b[i * n + j] += val;
+                            b[i * n + i] -= val;
+                        }
+                    }
+                }
+                let mut bx = vec![0.0; n];
+                let mut by = vec![0.0; n];
+                for i in 0..n {
+                    for j in 0..n {
+                        bx[i] += b[i * n + j] * positions[j].x;
+                        by[i] += b[i * n + j] * positions[j].y;
+                    }
+                }
+                let new_x = solve_linear(&v, &bx, n)?;
+                let new_y = solve_linear(&v, &by, n)?;
+                positions = new_x
+                    .iter()
+                    .zip(new_y.iter())
+                    .map(|(&x, &y)| Vec2::new(x, y))
+                    .collect();
+
+                let s = stress(&positions, distances, weights);
+                if prev_stress - s < config.tolerance * prev_stress.max(1e-12) {
+                    prev_stress = s;
+                    break;
+                }
+                prev_stress = s;
+            }
+            Ok((positions, prev_stress, iterations))
+        }
+    }
+
+    /// A seeded Guttman problem on `n` devices scattered over ±30 m: noisy
+    /// ranges with some links missing (half of them still weighted), a
+    /// share `zero_share` of the measured links at weight 0, fractional
+    /// (Huber-style) weights down to 1e-3, now and then a measured
+    /// distance of 0, and sometimes two coincident starting points. Sparse,
+    /// uneven weights make V's elimination swap rows. With `disconnected`,
+    /// no weight joins the first half of the devices to the second, so V
+    /// is singular.
+    fn random_problem(
+        rng: &mut StdRng,
+        n: usize,
+        zero_share: f64,
+        disconnected: bool,
+    ) -> (DistanceMatrix, WeightMatrix, Vec<Vec2>) {
+        let point =
+            |rng: &mut StdRng| Vec2::new(rng.gen_range(-30.0..30.0), rng.gen_range(-30.0..30.0));
+        let truth: Vec<Vec2> = (0..n).map(|_| point(rng)).collect();
+        let noise = [0.0, 0.3, 3.0][rng.gen_range(0..3usize)];
+        let mut d = DistanceMatrix::new(n);
+        let mut w = WeightMatrix::ones(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let roll = rng.gen_range(0.0..1.0);
+                if roll < 0.15 {
+                    if rng.gen_bool(0.5) {
+                        w.set(i, j, 0.0);
+                    }
+                    continue;
+                }
+                let measured = if roll < 0.2 {
+                    0.0
+                } else {
+                    let jitter = if noise > 0.0 {
+                        rng.gen_range(-noise..noise)
+                    } else {
+                        0.0
+                    };
+                    (truth[i].distance(&truth[j]) + jitter).max(0.0)
+                };
+                d.set(i, j, measured).unwrap();
+                let roll = rng.gen_range(0.0..1.0);
+                if roll < zero_share {
+                    w.set(i, j, 0.0);
+                } else if roll < zero_share + 0.3 {
+                    w.set(i, j, 10f64.powf(rng.gen_range(-3.0..0.0)));
+                }
+            }
+        }
+        if disconnected {
+            for i in 0..n / 2 {
+                for j in n / 2..n {
+                    w.set(i, j, 0.0);
+                }
+            }
+        }
+        let mut init: Vec<Vec2> = (0..n).map(|_| point(rng)).collect();
+        if rng.gen_bool(0.2) {
+            init[1] = init[0];
+        }
+        (d, w, init)
+    }
+
+    /// A run's coordinates and stress as raw bits, with its iteration
+    /// count.
+    fn bits(out: &Result<(Vec<Vec2>, f64, usize)>) -> Result<(Vec<u64>, usize)> {
+        out.clone().map(|(positions, stress, iterations)| {
+            let mut bits: Vec<u64> = positions
+                .iter()
+                .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+                .collect();
+            bits.push(stress.to_bits());
+            (bits, iterations)
+        })
+    }
+
+    #[test]
+    fn guttman_loop_matches_the_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x6775_7474);
+        let mut singular = 0;
+        for n in 3..=12 {
+            for case in 0..24 {
+                let zero_share = if case % 2 == 0 { 0.1 } else { 0.5 };
+                let disconnected = case % 8 == 7;
+                let (d, w, init) = random_problem(&mut rng, n, zero_share, disconnected);
+                for max_iterations in [0, 1, 7, 300] {
+                    for tolerance in [1e-9, 0.0] {
+                        let config = SmacofConfig {
+                            max_iterations,
+                            tolerance,
+                            ..SmacofConfig::default()
+                        };
+                        let expected = reference::run_single(init.clone(), &d, &w, &config);
+                        let actual = run_single(init.clone(), &d, &w, &config);
+                        assert_eq!(
+                            bits(&actual),
+                            bits(&expected),
+                            "n {n}, case {case}, max_iterations {max_iterations}, \
+                             tolerance {tolerance}"
+                        );
+                        if disconnected && max_iterations > 0 {
+                            assert!(expected.is_err(), "n {n}, case {case}: V not singular");
+                            singular += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(singular, 10 * 3 * 3 * 2);
     }
 
     #[test]

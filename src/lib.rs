@@ -15,9 +15,9 @@
 //!    sensors, runs weighted SMACOF multidimensional scaling with outlier
 //!    detection, and resolves rotation/flipping ambiguities.
 //!
-//! The underwater world (acoustic channel, device audio stack, sensors,
-//! mobility) is simulated by [`channel`] and [`device`], so the whole
-//! pipeline runs waveform-accurately on a laptop. Above the pipeline,
+//! The underwater world (acoustic channel, device clocks and microphones,
+//! sensors, mobility) is simulated by [`channel`] and [`device`], so the
+//! whole pipeline runs waveform-accurately on a laptop. Above the pipeline,
 //! [`eval`] runs declarative scenario matrices and [`serve`] streams
 //! localization jobs through a sharded async front end (see
 //! `docs/ARCHITECTURE.md` and `docs/SERVING.md`). Recorded (or
